@@ -18,19 +18,23 @@
 //!
 //! **Tier B — distributed sharded chains.** A member with
 //! `backend=cluster:k` runs as `k` owner-computes shards spread over
-//! the fleet: each shard lives worker-side (a `ShardCore` driven by
-//! this module's `run_shard`), and the per-round boundary exchange of the
-//! in-process [`ShardedChain`](crate::engine::sharded::ShardedChain)
-//! becomes `shard-sync` frames relayed through the coordinator. The
-//! round barrier is keyed by `(master_seed, round)`: every draw of
-//! round `r` is a pure function of `(seed, r, vertex-or-edge)`
-//! (counter-keyed randomness), halo proposals are recomputed locally
-//! (rules with `STATE_FREE_PROPOSE`), and ghost copies are refreshed
-//! every round — so the distributed trajectory is bit-identical to the
-//! in-process sharded chain, which is bit-identical to sequential.
-//! The coordinator replays the in-process channel accounting
-//! analytically (it sees every frontier value anyway), so even the
-//! [`CommSummary`] comes back identical — `messages ≤ 2·cut` and all.
+//! the fleet. Both sides derive the same shard layout from the spec
+//! line. Each shard lives worker-side as a `ShardCore` advanced by the
+//! round body the in-process
+//! [`ShardedChain`](crate::engine::sharded::ShardedChain) uses; the
+//! worker only adds wire glue (publish the frontier, wait for the
+//! halo). The boundary exchange becomes `shard-sync` frames relayed
+//! through the coordinator, which feeds the received frontiers to the
+//! same `Exchange` the in-process chain ships through and sends each
+//! shard the halo it yields. The round barrier is keyed by
+//! `(master_seed, round)`: every draw of round `r` is a pure function
+//! of `(seed, r, vertex-or-edge)` (counter-keyed randomness), halo
+//! proposals are recomputed locally (rules with `STATE_FREE_PROPOSE`),
+//! and ghost copies are refreshed every round — so the distributed
+//! trajectory is bit-identical to the in-process sharded chain, which
+//! is bit-identical to sequential. Because one `Exchange` counts
+//! communication on both tiers, the [`CommSummary`] is identical by
+//! construction — `messages ≤ 2·cut` and all.
 //!
 //! Property-tested against the single-process paths in
 //! `tests/cluster_identity.rs`, including under injected worker loss.
@@ -47,8 +51,8 @@ use lsl_mrf::{Mrf, Spin};
 
 use crate::codec::{Codec, StateBlob};
 use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
-use crate::engine::sharded::{exchange_plan, CommStats, ExchangePlan, ShardCore};
-use crate::engine::{Packing, RoundCtx, SyncRule};
+use crate::engine::sharded::{Exchange, ShardCore};
+use crate::engine::{RoundCtx, SyncRule};
 use crate::lifecycle::RejectReason;
 use crate::net::{Client, ConnectError, NetError};
 use crate::proto::{ClientFrame, ServerFrame};
@@ -374,66 +378,37 @@ impl Coordinator {
             };
             // INVARIANT: from here on, `index` is either resolved into
             // its slot or pushed back onto the queue — every path.
-            if client.is_none() {
-                match self.open_live(worker) {
-                    Ok(c) => client = Some(c),
-                    Err(e) => {
-                        queue.lock().expect("queue lock").push_back(index);
-                        failures += 1;
-                        let mut ev = events.lock().expect("events lock");
-                        ev.push(ClusterEvent::WorkerLost {
-                            worker: worker.to_string(),
-                            detail: e.to_string(),
-                        });
-                        ev.push(ClusterEvent::Requeued {
-                            member: index,
-                            worker: worker.to_string(),
-                        });
-                        drop(ev);
-                        if failures >= FAILURE_BUDGET {
-                            return;
-                        }
-                        continue;
-                    }
+            let session = match client.take() {
+                Some(c) => Ok(c),
+                None => self
+                    .open_live(worker)
+                    .map_err(|e| MemberFailure::Lost(e.to_string())),
+            };
+            let outcome = session.and_then(|mut c| {
+                let outcome = run_member(&mut c, &members[index]);
+                // A lost session is dropped; any other outcome keeps it.
+                if !matches!(outcome, Err(MemberFailure::Lost(_))) {
+                    client = Some(c);
                 }
-            }
-            let session = client.as_mut().expect("connected above");
-            match run_member(session, &members[index]) {
+                outcome
+            });
+            match outcome {
                 Ok(outcome) => {
                     failures = 0;
                     slots.lock().expect("slots lock")[index] = Some(outcome);
                     remaining.fetch_sub(1, Ordering::AcqRel);
                 }
-                Err(MemberFailure::Transient) => {
-                    // The worker is alive but declined (draining,
-                    // busy): give the member to someone else.
+                // Transient: the worker is alive but declined (draining,
+                // busy). Lost: it failed to connect or died mid-job.
+                // Either way the member goes to someone else.
+                Err(failure) => {
                     queue.lock().expect("queue lock").push_back(index);
                     failures += 1;
-                    events
-                        .lock()
-                        .expect("events lock")
-                        .push(ClusterEvent::Requeued {
-                            member: index,
-                            worker: worker.to_string(),
-                        });
-                    if failures >= FAILURE_BUDGET {
-                        return;
-                    }
-                }
-                Err(MemberFailure::Lost(detail)) => {
-                    queue.lock().expect("queue lock").push_back(index);
-                    failures += 1;
-                    client = None;
-                    let mut ev = events.lock().expect("events lock");
-                    ev.push(ClusterEvent::WorkerLost {
-                        worker: worker.to_string(),
-                        detail,
-                    });
-                    ev.push(ClusterEvent::Requeued {
-                        member: index,
-                        worker: worker.to_string(),
-                    });
-                    drop(ev);
+                    let lost = match failure {
+                        MemberFailure::Lost(detail) => Some(detail),
+                        MemberFailure::Transient => None,
+                    };
+                    requeued(events, worker, index, lost);
                     if failures >= FAILURE_BUDGET {
                         return;
                     }
@@ -475,16 +450,7 @@ impl Coordinator {
                     return;
                 }
                 Err(DistFailure::Lost { worker, detail }) => {
-                    let mut ev = events.lock().expect("events lock");
-                    ev.push(ClusterEvent::WorkerLost {
-                        worker: worker.clone(),
-                        detail,
-                    });
-                    ev.push(ClusterEvent::Requeued {
-                        member: index,
-                        worker: worker.clone(),
-                    });
-                    drop(ev);
+                    requeued(events, &worker, index, Some(detail));
                     fleet.retain(|w| w != &worker);
                     if fleet.is_empty() {
                         break;
@@ -496,46 +462,23 @@ impl Coordinator {
     }
 
     /// One attempt at a distributed member: open `k` shard sessions
-    /// over the fleet, relay the per-round boundary exchange, and
-    /// assemble the result — replaying the in-process communication
-    /// accounting so the [`CommSummary`] is bit-identical too.
+    /// over the fleet, relay the per-round boundary exchange through
+    /// the same [`Exchange`] the in-process chain uses (so the
+    /// [`CommSummary`] is bit-identical too), and assemble the result.
     fn try_distributed(
         &self,
         member: &JobSpec,
         fleet: &[String],
     ) -> Result<JobResult, DistFailure> {
         let started = Instant::now();
-        let model = member.build_model();
-        let BuiltModel::Mrf(mrf) = &model else {
-            return Err(DistFailure::Spec(SpecError::Unsupported {
-                message: "distributed shard sessions need an MRF model".into(),
-            }));
-        };
-        // Pre-flight the exact combination checks a worker applies, so
-        // impossible specs fail typed and without touching the fleet.
-        member
-            .sampler_builder(&model)
-            .burn_in(member.burn_in.unwrap_or(0))
-            .validate()
-            .map_err(|e| DistFailure::Spec(e.into()))?;
-        let JobKind::Run { rounds } = member.job_or_default() else {
-            return Err(DistFailure::Spec(SpecError::Unsupported {
-                message: "distributed shard sessions run `run` jobs only".into(),
-            }));
-        };
-        let n = mrf.num_vertices();
-        // The same min-then-max clamp the in-process builder applies.
-        let k = member.backend_or_default().worker_count().min(n).max(1);
-        let partition = member
-            .partitioner
-            .unwrap_or(Partitioner::Contiguous)
-            .partition(mrf.graph(), k);
-        let plan = exchange_plan(mrf.graph(), &partition);
-        let burn_in = member.burn_in.unwrap_or(0);
-        let total = burn_in + rounds;
-        let seed = member.seed_or_default();
-        let q = mrf.q();
-        let packing = Packing::auto_for(q);
+        // Derive the layout exactly as a worker does, so impossible
+        // specs fail typed and without touching the fleet.
+        let mut layout = ShardLayout::derive(member).map_err(DistFailure::Spec)?;
+        let (k, n, q) = (
+            layout.partition.num_shards(),
+            layout.mrf.num_vertices(),
+            layout.mrf.q(),
+        );
         let spec_line = member.to_string();
 
         // Shard s lives on worker s mod W (round-robin placement).
@@ -558,96 +501,34 @@ impl Coordinator {
             conns.push((worker.clone(), client));
         }
 
-        // Round routing, precomputed once: which vertex (if any) each
-        // round resolves — the same `active_vertex` answers the
-        // in-process chain gets, since both key off `(seed, round)`.
-        let alg = member.algorithm_or_default();
-        let sched = member.scheduler;
-        let routing: Vec<Option<VertexId>> = dispatch_rule!(alg, sched, mrf, |rule| {
-            (0..total)
-                .map(|r| rule.active_vertex(&RoundCtx::new(mrf, seed, r as u64)))
-                .collect()
-        });
-
-        // Channel accounting, replayed analytically. A ghost copy
-        // always equals the vertex's previous committed value (it is
-        // refreshed on every round that could have changed it), so one
-        // `cur` vector suffices: `subs_count[v]` channels deliver `v`
-        // whenever it ships, and a delivery `changed` iff the value
-        // moved since the last round.
-        let mut subs_count = vec![0u64; n];
-        let mut total_pairs = 0u64;
-        for (_owner, _subscriber, vertices) in &plan.channels {
-            for &v in vertices {
-                subs_count[v.index()] += 1;
-            }
-            total_pairs += vertices.len() as u64;
-        }
-        let mut cur = crate::single_site::default_start(mrf);
-        let mut comm = CommStats::default();
+        // The active vertex of every round — the answers the in-process
+        // chain gets, since both key off `(seed, round)`.
+        let routing = layout.active_vertices();
         // A shard frame may lag a full round of local compute behind a
         // ping, so the liveness budget here is the ping budget with
         // headroom.
         let frame_budget = self.ping_timeout.saturating_mul(4);
 
-        let mut fronts: Vec<Vec<Spin>> = vec![Vec::new(); k];
-        for r in 0..total {
+        let exchange = &mut layout.exchange;
+        for (r, &active) in routing.iter().enumerate() {
             for (s, (worker, client)) in conns.iter_mut().enumerate() {
                 let deadline = Instant::now() + frame_budget;
-                fronts[s] = recv_shard_sync(
-                    client,
-                    worker,
-                    s as u64,
-                    r as u64,
-                    plan.boundary_out[s].len(),
-                    deadline,
+                let frontier = exchange.frontier_mut(s);
+                recv_shard(
+                    client, worker, s as u64, r as u64, false, frontier, deadline,
                 )?;
             }
-            match routing[r] {
-                Some(v) => {
-                    // Single-site round: only `v` can have changed, and
-                    // only its subscribing channels carry a message.
-                    let vi = v.index();
-                    let s = partition.shard_of(v);
-                    let (messages, changed) = match plan.boundary_out[s].binary_search(&v) {
-                        Ok(pos) => {
-                            let new = fronts[s][pos];
-                            let delta = u64::from(new != cur[vi]);
-                            cur[vi] = new;
-                            (subs_count[vi], subs_count[vi] * delta)
-                        }
-                        // An interior vertex crosses no boundary.
-                        Err(_) => (0, 0),
-                    };
-                    comm.record(r as u64, messages, changed, packing.bits_per_spin());
-                }
-                None => {
-                    // Synchronous round: every channel ships its whole
-                    // frontier.
-                    let mut changed = 0u64;
-                    for s in 0..k {
-                        for (i, &v) in plan.boundary_out[s].iter().enumerate() {
-                            let new = fronts[s][i];
-                            let vi = v.index();
-                            if new != cur[vi] {
-                                changed += subs_count[vi];
-                            }
-                            cur[vi] = new;
-                        }
-                    }
-                    comm.record(r as u64, total_pairs, changed, packing.bits_per_spin());
-                }
-            }
+            // The workers hold their halos in their own slabs; here the
+            // exchange only routes and counts.
+            exchange.ship(r as u64, active, |_, _, _| {});
             // Release the barrier: every shard gets its full halo
-            // (unchanged entries are no-op ghost refreshes, identical
-            // to the in-process double buffer).
+            // (unchanged entries are no-op ghost refreshes).
             for (s, (worker, client)) in conns.iter_mut().enumerate() {
-                let spins: Vec<Spin> = plan.halos[s].iter().map(|&v| cur[v.index()]).collect();
                 client
                     .send_frame(&ClientFrame::ShardSync {
                         id: s as u64,
                         round: r as u64,
-                        blob: StateBlob::pack(&spins, q),
+                        blob: StateBlob::pack(exchange.halo(s), q),
                     })
                     .map_err(|e| DistFailure::Lost {
                         worker: worker.clone(),
@@ -660,26 +541,21 @@ impl Coordinator {
         let mut state: Vec<Spin> = vec![0; n];
         for (s, (worker, client)) in conns.iter_mut().enumerate() {
             let deadline = Instant::now() + frame_budget;
-            let owned = partition.members(s);
-            let spins = recv_shard_done(
-                client,
-                worker,
-                s as u64,
-                total as u64,
-                owned.len(),
-                deadline,
-            )?;
-            for (i, &v) in owned.iter().enumerate() {
-                state[v.index()] = spins[i];
+            let owned = layout.partition.members(s);
+            let mut spins = vec![0; owned.len()];
+            let total = layout.total as u64;
+            recv_shard(client, worker, s as u64, total, true, &mut spins, deadline)?;
+            for (&v, &spin) in owned.iter().zip(&spins) {
+                state[v.index()] = spin;
             }
         }
 
         let output = JobOutput::Run {
-            rounds: total as u64,
+            rounds: layout.total as u64,
             n,
-            feasible: mrf.is_feasible(&state),
+            feasible: layout.mrf.is_feasible(&state),
             fingerprint: fingerprint(&state),
-            comm: Some(CommSummary::of(&comm)),
+            comm: Some(CommSummary::of(layout.exchange.comm())),
         };
         Ok(JobResult {
             spec: spec_line,
@@ -687,6 +563,22 @@ impl Coordinator {
             elapsed_secs: started.elapsed().as_secs_f64(),
         })
     }
+}
+
+/// Records that `member` left `worker` for the queue — after the
+/// worker was lost, with what failed.
+fn requeued(events: &Mutex<Vec<ClusterEvent>>, worker: &str, member: usize, lost: Option<String>) {
+    let mut ev = events.lock().expect("events lock");
+    if let Some(detail) = lost {
+        ev.push(ClusterEvent::WorkerLost {
+            worker: worker.to_string(),
+            detail,
+        });
+    }
+    ev.push(ClusterEvent::Requeued {
+        member,
+        worker: worker.to_string(),
+    });
 }
 
 /// Whether a member executes as cross-process shards (Tier B) rather
@@ -766,86 +658,122 @@ enum DistFailure {
     },
 }
 
-/// Receives one `shard-sync` frame for `(id, round)` and unpacks its
-/// frontier, validating shape.
-fn recv_shard_sync(
+/// Receives shard `id`'s next frame — its `shard-sync` for `round`, or
+/// with `done` its `shard-done` after `round` rounds — and unpacks the
+/// frame's blob into `out`, validating shape.
+fn recv_shard(
     client: &mut Client,
     worker: &str,
     id: u64,
     round: u64,
-    expected_len: usize,
+    done: bool,
+    out: &mut [Spin],
     deadline: Instant,
-) -> Result<Vec<Spin>, DistFailure> {
+) -> Result<(), DistFailure> {
     let lost = |detail: String| DistFailure::Lost {
         worker: worker.to_string(),
         detail,
     };
-    match client.recv_frame(Some(deadline)) {
+    let blob = match client.recv_frame(Some(deadline)) {
         Ok(Some(ServerFrame::ShardSync {
-            id: got_id,
-            round: got_round,
+            id: i,
+            round: r,
             blob,
-        })) if got_id == id && got_round == round => {
-            let spins = blob.unpack();
-            if spins.len() != expected_len {
-                return Err(lost(format!(
-                    "shard {id} round {round}: frontier of {} spins, expected {expected_len}",
-                    spins.len()
-                )));
-            }
-            Ok(spins)
-        }
-        Ok(Some(ServerFrame::Error { message, .. })) => {
-            Err(lost(format!("shard {id}: worker error: {message}")))
-        }
-        Ok(Some(frame)) => Err(lost(format!(
-            "shard {id} round {round}: unexpected frame {frame}"
-        ))),
-        Ok(None) => Err(lost(format!("shard {id}: worker closed the connection"))),
-        Err(e) => Err(lost(format!("shard {id}: {e}"))),
-    }
-}
-
-/// Receives the terminal `shard-done` frame and unpacks the shard's
-/// owned states, validating shape.
-fn recv_shard_done(
-    client: &mut Client,
-    worker: &str,
-    id: u64,
-    total_rounds: u64,
-    expected_len: usize,
-    deadline: Instant,
-) -> Result<Vec<Spin>, DistFailure> {
-    let lost = |detail: String| DistFailure::Lost {
-        worker: worker.to_string(),
-        detail,
-    };
-    match client.recv_frame(Some(deadline)) {
+        })) if !done && (i, r) == (id, round) => blob,
         Ok(Some(ServerFrame::ShardDone {
-            id: got_id,
+            id: i,
             rounds,
             blob,
-        })) if got_id == id => {
-            if rounds != total_rounds {
-                return Err(lost(format!(
-                    "shard {id}: finished after {rounds} rounds, expected {total_rounds}"
-                )));
-            }
-            let spins = blob.unpack();
-            if spins.len() != expected_len {
-                return Err(lost(format!(
-                    "shard {id}: {} owned spins, expected {expected_len}",
-                    spins.len()
-                )));
-            }
-            Ok(spins)
-        }
+        })) if done && (i, rounds) == (id, round) => blob,
         Ok(Some(ServerFrame::Error { message, .. })) => {
-            Err(lost(format!("shard {id}: worker error: {message}")))
+            return Err(lost(format!("shard {id}: worker error: {message}")))
         }
-        Ok(Some(frame)) => Err(lost(format!("shard {id}: unexpected frame {frame}"))),
-        Ok(None) => Err(lost(format!("shard {id}: worker closed the connection"))),
-        Err(e) => Err(lost(format!("shard {id}: {e}"))),
+        Ok(Some(frame)) => {
+            return Err(lost(format!(
+                "shard {id} round {round}: unexpected frame {frame}"
+            )))
+        }
+        Ok(None) => return Err(lost(format!("shard {id}: worker closed the connection"))),
+        Err(e) => return Err(lost(format!("shard {id}: {e}"))),
+    };
+    let spins = blob.unpack();
+    if spins.len() != out.len() {
+        return Err(lost(format!(
+            "shard {id} round {round}: {} spins, expected {}",
+            spins.len(),
+            out.len()
+        )));
+    }
+    out.copy_from_slice(&spins);
+    Ok(())
+}
+
+/// What both sides of a `backend=cluster:k` run derive from its spec
+/// line — model, rule, partition, exchange, start, round count, seed —
+/// so coordinator and workers agree on the exchange without shipping
+/// it.
+struct ShardLayout {
+    mrf: Arc<Mrf>,
+    algorithm: Algorithm,
+    scheduler: Option<Sched>,
+    partition: Partition,
+    /// The exchange over `partition`, ghost copies at `start`.
+    exchange: Exchange,
+    start: Vec<Spin>,
+    /// Burn-in plus measured rounds.
+    total: usize,
+    seed: u64,
+}
+
+impl ShardLayout {
+    /// Derives the layout. Errors are typed: CSP models, non-`run`
+    /// jobs, and whatever an in-process build of the spec rejects.
+    fn derive(member: &JobSpec) -> Result<ShardLayout, SpecError> {
+        let model = member.build_model();
+        let BuiltModel::Mrf(mrf) = &model else {
+            return Err(SpecError::Unsupported {
+                message: "shard sessions need an MRF model".into(),
+            });
+        };
+        let JobKind::Run { rounds } = member.job_or_default() else {
+            return Err(SpecError::Unsupported {
+                message: "shard sessions run `run` jobs only".into(),
+            });
+        };
+        let burn_in = member.burn_in.unwrap_or(0);
+        member.sampler_builder(&model).burn_in(burn_in).validate()?;
+        // The same min-then-max clamp the in-process builder applies.
+        let k = member
+            .backend_or_default()
+            .worker_count()
+            .min(mrf.num_vertices())
+            .max(1);
+        let partition = member
+            .partitioner
+            .unwrap_or(Partitioner::Contiguous)
+            .partition(mrf.graph(), k);
+        let start = crate::single_site::default_start(mrf);
+        Ok(ShardLayout {
+            exchange: Exchange::new(mrf, &partition, &start),
+            mrf: Arc::clone(mrf),
+            algorithm: member.algorithm_or_default(),
+            scheduler: member.scheduler,
+            partition,
+            start,
+            total: burn_in + rounds,
+            seed: member.seed_or_default(),
+        })
+    }
+
+    /// The active vertex of every round (`None` for synchronous
+    /// rounds).
+    fn active_vertices(&self) -> Vec<Option<VertexId>> {
+        let mrf = &self.mrf;
+        dispatch_rule!(self.algorithm, self.scheduler, mrf, |rule| {
+            (0..self.total as u64)
+                .map(|r| rule.active_vertex(&RoundCtx::new(mrf, self.seed, r)))
+                .collect()
+        })
     }
 }
 
@@ -857,11 +785,10 @@ fn recv_shard_done(
 /// session loop spawns this on `shard-init` and feeds it the
 /// connection's subsequent `shard-sync` frames through `feed`.
 ///
-/// Everything is re-derived from the spec line (graph, model, rule,
-/// partition, start, seed), so coordinator and worker agree on the
-/// exchange plan without shipping it. Protocol violations answer with
-/// an `error` frame; a dropped coordinator (closed feed) just ends the
-/// session silently.
+/// The layout is re-derived from the spec line ([`ShardLayout`]), so
+/// coordinator and worker agree on the exchange plan without shipping
+/// it. Protocol violations answer with an `error` frame; a dropped
+/// coordinator (closed feed) just ends the session silently.
 pub(crate) fn run_shard(
     send: impl Fn(&ServerFrame),
     id: u64,
@@ -870,138 +797,82 @@ pub(crate) fn run_shard(
     spec: &str,
     feed: &Receiver<(u64, StateBlob)>,
 ) {
-    let fail = |message: String| {
+    let served = spec
+        .parse::<JobSpec>()
+        .map_err(|e| format!("shard spec rejected: {e}"))
+        .and_then(|member| ShardLayout::derive(&member).map_err(|e| e.to_string()))
+        .and_then(|layout| {
+            let k = layout.partition.num_shards();
+            if of as usize != k {
+                return Err(format!(
+                    "shard-init of={of} disagrees with the spec's {k} shards"
+                ));
+            }
+            if shard as usize >= k {
+                return Err(format!("shard {shard} out of range for {k} shards"));
+            }
+            let mrf = &layout.mrf;
+            dispatch_rule!(layout.algorithm, layout.scheduler, mrf, |rule| {
+                serve_shard(&send, id, &rule, &layout, shard as usize, feed)
+            })
+        });
+    if let Err(message) = served {
         send(&ServerFrame::Error {
             id: Some(id),
             message,
-        })
-    };
-    let member: JobSpec = match spec.parse() {
-        Ok(member) => member,
-        Err(e) => return fail(format!("shard spec rejected: {e}")),
-    };
-    let model = member.build_model();
-    let BuiltModel::Mrf(mrf) = &model else {
-        return fail("shard sessions need an MRF model".into());
-    };
-    let JobKind::Run { rounds } = member.job_or_default() else {
-        return fail("shard sessions run `run` jobs only".into());
-    };
-    if let Err(e) = member
-        .sampler_builder(&model)
-        .burn_in(member.burn_in.unwrap_or(0))
-        .validate()
-    {
-        return fail(SpecError::from(e).to_string());
+        });
     }
-    let n = mrf.num_vertices();
-    let k = member.backend_or_default().worker_count().min(n).max(1);
-    if of as usize != k {
-        return fail(format!(
-            "shard-init of={of} disagrees with the spec's {k} shards"
-        ));
-    }
-    if shard as usize >= k {
-        return fail(format!("shard {shard} out of range for {k} shards"));
-    }
-    let partition = member
-        .partitioner
-        .unwrap_or(Partitioner::Contiguous)
-        .partition(mrf.graph(), k);
-    let plan = exchange_plan(mrf.graph(), &partition);
-    let start = crate::single_site::default_start(mrf);
-    let burn_in = member.burn_in.unwrap_or(0);
-    let total = burn_in + rounds;
-    let seed = member.seed_or_default();
-    let q = mrf.q();
-    let packing = Packing::auto_for(q);
-    let s = shard as usize;
-    let alg = member.algorithm_or_default();
-    let sched = member.scheduler;
-    dispatch_rule!(alg, sched, mrf, |rule| drive_shard(
-        &send, id, &rule, mrf, &partition, &plan, s, &start, packing, q, seed, total, feed,
-    ));
 }
 
-/// The monomorphic shard loop: advance one round, publish the owned
-/// frontier, block on the coordinator's halo — the cross-process
-/// double buffer. Mirrors `ShardedChain::step_keyed` exactly (same
-/// [`ShardCore`] methods in the same order), which is the whole
-/// bit-identity argument.
-#[allow(clippy::too_many_arguments)]
-fn drive_shard<R: SyncRule>(
+/// The worker's half of the cross-process exchange: each round, advance
+/// the shard ([`ShardCore::advance`], the in-process chain's round
+/// body), publish its frontier, and block on the coordinator's halo.
+/// Returns the protocol violation to report, if any.
+fn serve_shard<R: SyncRule>(
     send: &impl Fn(&ServerFrame),
     id: u64,
     rule: &R,
-    mrf: &Arc<Mrf>,
-    partition: &Partition,
-    plan: &ExchangePlan,
+    layout: &ShardLayout,
     s: usize,
-    start: &[Spin],
-    packing: Packing,
-    q: usize,
-    seed: u64,
-    total: usize,
     feed: &Receiver<(u64, StateBlob)>,
-) {
-    let fail = |message: String| {
-        send(&ServerFrame::Error {
-            id: Some(id),
-            message,
-        })
-    };
-    // The owner-computes invariant: halo proposals must be recomputable
-    // from state alone (same guard as `ShardedChain::with_state`).
-    if R::HAS_PROPOSE && !R::STATE_FREE_PROPOSE {
-        return fail(format!(
-            "rule {} cannot recompute halo proposals shard-locally",
-            rule.name()
-        ));
-    }
-    let mut core = ShardCore::build(mrf, rule, partition, plan, s, start, packing);
-    for r in 0..total {
-        let ctx = RoundCtx::new(mrf, seed, r as u64);
-        if let Some(v) = rule.active_vertex(&ctx) {
-            if partition.shard_of(v) == s {
-                core.resolve_single(rule, &ctx, v);
-            }
-        } else {
-            core.propose_and_resolve(rule, &ctx);
-            core.commit(None);
-        }
-        let frontier = core.spins_of(&core.boundary_out);
+) -> Result<(), String> {
+    let mrf = &layout.mrf;
+    let q = mrf.q();
+    let plan = layout.exchange.plan();
+    let mut core = ShardCore::build(mrf, rule, &layout.partition, plan, s, &layout.start);
+    let mut frontier = vec![0; plan.boundary_out[s].len()];
+    for r in 0..layout.total as u64 {
+        let ctx = RoundCtx::new(mrf, layout.seed, r);
+        core.advance(rule, &ctx, rule.active_vertex(&ctx));
+        core.publish(&mut frontier);
         send(&ServerFrame::ShardSync {
             id,
-            round: r as u64,
+            round: r,
             blob: StateBlob::pack(&frontier, q),
         });
-        let (round, halo) = match feed.recv() {
-            Ok(pair) => pair,
-            // Coordinator gone (connection closed): end quietly.
-            Err(_) => return,
+        // Coordinator gone (connection closed): end quietly.
+        let Ok((round, halo)) = feed.recv() else {
+            return Ok(());
         };
-        if round != r as u64 {
-            return fail(format!(
+        if round != r {
+            return Err(format!(
                 "shard-sync for round {round} arrived during round {r}"
             ));
         }
         let halo = halo.unpack();
-        if halo.len() != core.halo.len() {
-            return fail(format!(
+        if halo.len() != plan.halos[s].len() {
+            return Err(format!(
                 "halo of {} spins, expected {}",
                 halo.len(),
-                core.halo.len()
+                plan.halos[s].len()
             ));
         }
-        for i in 0..halo.len() {
-            let v = core.halo[i];
-            core.set_remote(v, halo[i]);
-        }
+        core.set_halo(&halo);
     }
-    let owned = core.spins_of(&core.owned);
     send(&ServerFrame::ShardDone {
         id,
-        rounds: total as u64,
-        blob: StateBlob::pack(&owned, q),
+        rounds: layout.total as u64,
+        blob: StateBlob::pack(&core.owned_spins(), q),
     });
+    Ok(())
 }

@@ -936,12 +936,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&framed)
 }
 
-/// Incremental frame reassembly for a non-blocking read loop: feed
+/// Incremental frame reassembly for a read loop, in either codec: feed
 /// whatever bytes arrive with [`FrameBuffer::extend`], pull complete
-/// payloads with [`FrameBuffer::next_frame`].
+/// binary payloads with [`FrameBuffer::next_frame`] or text lines with
+/// [`FrameBuffer::next_line`]. One buffer serves both, so bytes
+/// buffered behind a `hello` are cut under the codec it switched to.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
+    /// `buf[..scanned]` holds no newline: the next line scan resumes
+    /// here instead of rescanning the partial line.
+    scanned: usize,
+    /// Dropping the rest of an over-cap line, up to its newline.
+    discarding: bool,
 }
 
 impl FrameBuffer {
@@ -976,6 +983,7 @@ impl FrameBuffer {
             return Ok(None);
         }
         let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
+        self.scanned = 0;
         if len > MAX_FRAME {
             self.buf.drain(..4);
             return Err(CodecError::Oversize { len: len as u64 });
@@ -986,6 +994,41 @@ impl FrameBuffer {
         let payload = self.buf[4..4 + len].to_vec();
         self.buf.drain(..4 + len);
         Ok(Some(payload))
+    }
+
+    /// Pops the next complete text line (without its `\n`), `Ok(None)`
+    /// if more bytes are needed. A line longer than [`MAX_FRAME`]
+    /// returns [`CodecError::Oversize`] once; the rest of it is dropped
+    /// and parsing resumes after its newline, so a peer that never
+    /// sends one cannot make the buffer grow past the cap.
+    pub fn next_line(&mut self) -> Result<Option<Vec<u8>>, CodecError> {
+        loop {
+            let Some(i) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') else {
+                let len = self.buf.len();
+                if self.discarding || len > MAX_FRAME {
+                    self.buf.clear();
+                    self.scanned = 0;
+                    if !std::mem::replace(&mut self.discarding, true) {
+                        return Err(CodecError::Oversize { len: len as u64 });
+                    }
+                } else {
+                    self.scanned = len;
+                }
+                return Ok(None);
+            };
+            let mut line: Vec<u8> = self.buf.drain(..=self.scanned + i).collect();
+            line.pop();
+            self.scanned = 0;
+            if std::mem::take(&mut self.discarding) {
+                continue;
+            }
+            if line.len() > MAX_FRAME {
+                return Err(CodecError::Oversize {
+                    len: line.len() as u64,
+                });
+            }
+            return Ok(Some(line));
+        }
     }
 }
 
@@ -1096,6 +1139,39 @@ mod tests {
             })
         );
         assert_eq!(fb.next_frame().unwrap(), Some(b"ok".to_vec()));
+    }
+
+    #[test]
+    fn frame_buffer_cuts_lines_across_codecs_and_resyncs_over_cap() {
+        let mut fb = FrameBuffer::new();
+        // Lines reassemble across arbitrary splits; a partial tail waits.
+        for &b in b"ping nonce=1\nhel" {
+            fb.extend(&[b]);
+        }
+        assert_eq!(fb.next_line().unwrap(), Some(b"ping nonce=1".to_vec()));
+        assert_eq!(fb.next_line().unwrap(), None);
+        // Bytes behind a switching line are cut under the new framing.
+        let mut wire = b"lo codec=binary\n".to_vec();
+        write_frame(&mut wire, b"bin").unwrap();
+        fb.extend(&wire);
+        let hello = fb.next_line().unwrap();
+        assert_eq!(hello, Some(b"hello codec=binary".to_vec()));
+        assert_eq!(fb.next_frame().unwrap(), Some(b"bin".to_vec()));
+        assert!(fb.is_empty());
+
+        // An over-cap line errors once, nothing of it is kept, and the
+        // next line parses.
+        fb.extend(&vec![b'x'; MAX_FRAME + 1]);
+        assert_eq!(
+            fb.next_line(),
+            Err(CodecError::Oversize {
+                len: MAX_FRAME as u64 + 1
+            })
+        );
+        assert!(fb.is_empty());
+        fb.extend(b"still the same line\nnext\n");
+        assert_eq!(fb.next_line().unwrap(), Some(b"next".to_vec()));
+        assert_eq!(fb.next_line().unwrap(), None);
     }
 
     #[test]

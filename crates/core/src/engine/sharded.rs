@@ -8,10 +8,10 @@
 //! shards by an [`lsl_graph::partition::Partition`]; each shard runs on
 //! its own worker with a **private state slab** and advances only the
 //! vertices it owns. Between rounds, shards exchange exactly the
-//! **boundary-vertex states** the cut demands, through double-buffered
-//! frontier buffers, and the exchange volume is recorded per round
-//! ([`CommStats`]) so experiments can plot communication against the
-//! `O(Δ·cut)` the LOCAL model charges for (experiment E14).
+//! **boundary-vertex states** the cut demands, and the exchange volume
+//! is recorded per round ([`CommStats`]) so experiments can plot
+//! communication against the `O(Δ·cut)` the LOCAL model charges for
+//! (experiment E14).
 //!
 //! # The owner-computes contract
 //!
@@ -30,10 +30,12 @@
 //! 2. **Resolve** (parallel, per shard): each owned vertex combines its
 //!    neighborhood's states and locals — all within the slab's valid
 //!    region — into its next spin, written to a per-shard next buffer.
-//! 3. **Exchange** (the only cross-shard step): every owner copies its
-//!    boundary vertices' new states into per-edge-of-the-shard-graph
-//!    frontier buffers, and every subscriber drains the buffers into
-//!    its halo. One state crossing one shard boundary is one message.
+//! 3. **Exchange** (the only cross-shard step): owners publish their
+//!    frontier states and one `Exchange` routes each to every
+//!    subscribing halo. One state crossing one shard boundary is one
+//!    message. The cluster coordinator ([`crate::cluster`]) runs the
+//!    same `Exchange` over frontiers that arrive by wire, so both tiers
+//!    count communication with one piece of code.
 //!
 //! Because every random draw of round `r` is already keyed by
 //! `(master, r, vertex-or-edge)`, sharded trajectories are
@@ -47,85 +49,206 @@ use lsl_graph::{Graph, VertexId};
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
 
-/// The boundary structure a [`Partition`] induces: the directed
-/// exchange channels plus, per shard, the halo it subscribes to and
-/// the owned frontier it publishes. Built once at construction by both
-/// the in-process [`ShardedChain`] and the cross-process cluster layer
-/// ([`crate::cluster`]), which must agree on it exactly — the
-/// coordinator's communication accounting replays these channels.
+/// The boundary structure a [`Partition`] induces: per shard, the halo
+/// it subscribes to and the owned frontier it publishes, plus one
+/// [`Route`] per (boundary vertex, subscriber) pair. Owned by an
+/// [`Exchange`], which the in-process [`ShardedChain`] and the cluster
+/// coordinator both build from the same partition.
 pub(crate) struct ExchangePlan {
-    /// Directed boundary channels `(owner, subscriber, vertices)`,
-    /// vertices ascending, channels in `(owner, subscriber)` order.
-    pub(crate) channels: Vec<(usize, usize, Vec<VertexId>)>,
     /// Per-shard halo: vertices owned elsewhere whose state the shard
     /// must mirror (ascending).
     pub(crate) halos: Vec<Vec<VertexId>>,
     /// Per-shard published frontier: owned vertices some other shard's
     /// halo subscribes to (ascending).
     pub(crate) boundary_out: Vec<Vec<VertexId>>,
+    /// Every (boundary vertex, subscriber) pair, sorted by vertex —
+    /// one message each when the vertex ships.
+    routes: Vec<Route>,
 }
 
-/// Computes the [`ExchangePlan`] of a partition: per-shard distance-1
-/// halos and the directed owner→subscriber channels they induce.
-pub(crate) fn exchange_plan(g: &Graph, partition: &Partition) -> ExchangePlan {
-    let k = partition.num_shards();
-    let mut halos = Vec::with_capacity(k);
-    let mut plan_map: std::collections::BTreeMap<(usize, usize), Vec<VertexId>> =
-        std::collections::BTreeMap::new();
-    for s in 0..k {
-        let mut halo: Vec<VertexId> = partition
-            .members(s)
-            .iter()
-            .flat_map(|&v| g.neighbors(v))
-            .filter(|&u| partition.shard_of(u) != s)
+/// Where one boundary state travels: from slot `from` of its owner's
+/// frontier to slot `to` of a subscriber's halo.
+#[derive(Clone, Copy)]
+struct Route {
+    vertex: VertexId,
+    owner: usize,
+    from: usize,
+    subscriber: usize,
+    to: usize,
+}
+
+impl ExchangePlan {
+    /// Computes the plan of a partition: per-shard distance-1 halos,
+    /// the frontiers they subscribe to, and the routes between them.
+    fn new(g: &Graph, partition: &Partition) -> Self {
+        let k = partition.num_shards();
+        let halos: Vec<Vec<VertexId>> = (0..k)
+            .map(|s| {
+                let mut halo: Vec<VertexId> = partition
+                    .members(s)
+                    .iter()
+                    .flat_map(|&v| g.neighbors(v))
+                    .filter(|&u| partition.shard_of(u) != s)
+                    .collect();
+                halo.sort_unstable();
+                halo.dedup();
+                halo
+            })
             .collect();
-        halo.sort_unstable();
-        halo.dedup();
-        for &v in &halo {
-            plan_map
-                .entry((partition.shard_of(v), s))
-                .or_default()
-                .push(v);
+        let mut routes: Vec<Route> = halos
+            .iter()
+            .enumerate()
+            .flat_map(|(subscriber, halo)| {
+                halo.iter().enumerate().map(move |(to, &vertex)| Route {
+                    vertex,
+                    owner: partition.shard_of(vertex),
+                    from: 0,
+                    subscriber,
+                    to,
+                })
+            })
+            .collect();
+        routes.sort_unstable_by_key(|r| (r.vertex, r.subscriber));
+        // Frontiers come out ascending because the routes are sorted.
+        let mut boundary_out: Vec<Vec<VertexId>> = vec![Vec::new(); k];
+        for r in &mut routes {
+            let frontier = &mut boundary_out[r.owner];
+            if frontier.last() != Some(&r.vertex) {
+                frontier.push(r.vertex);
+            }
+            r.from = frontier.len() - 1;
         }
-        halos.push(halo);
+        ExchangePlan {
+            halos,
+            boundary_out,
+            routes,
+        }
     }
-    let mut boundary_out = vec![Vec::new(); k];
-    let channels: Vec<(usize, usize, Vec<VertexId>)> = plan_map
-        .into_iter()
-        .map(|((owner, subscriber), mut vertices)| {
-            vertices.sort_unstable();
-            vertices.dedup();
-            boundary_out[owner].extend_from_slice(&vertices);
-            (owner, subscriber, vertices)
-        })
-        .collect();
-    for frontier in &mut boundary_out {
-        frontier.sort_unstable();
-        frontier.dedup();
+
+    /// The routes a round ships: all of them on a synchronous round,
+    /// only the active vertex's on a single-site round (none when it
+    /// is interior to its shard).
+    fn routes_of(&self, active: Option<VertexId>) -> &[Route] {
+        match active {
+            None => &self.routes,
+            Some(v) => {
+                let lo = self.routes.partition_point(|r| r.vertex < v);
+                let len = self.routes[lo..].partition_point(|r| r.vertex == v);
+                &self.routes[lo..lo + len]
+            }
+        }
     }
-    ExchangePlan {
-        channels,
-        halos,
-        boundary_out,
+}
+
+/// The boundary exchange of one sharded chain, counted once: the
+/// [`ExchangePlan`], each shard's published frontier, each subscriber's
+/// ghost copies, and the [`CommStats`] record. Owners publish into it,
+/// [`Exchange::ship`] routes and accounts a round, and subscribers read
+/// their halo values back: the in-process [`ShardedChain`] through the
+/// delivery callback, the cluster coordinator through
+/// [`Exchange::halo`].
+pub(crate) struct Exchange {
+    plan: ExchangePlan,
+    /// Published values, parallel to `plan.boundary_out`.
+    frontiers: Vec<Vec<Spin>>,
+    /// Last received values, parallel to `plan.halos`.
+    ghosts: Vec<Vec<Spin>>,
+    /// The packed width, which the byte accounting charges for.
+    bits_per_spin: u32,
+    comm: CommStats,
+}
+
+impl Exchange {
+    /// The exchange of `partition` over `mrf`'s graph, ghost copies
+    /// seeded from the start configuration `state`.
+    pub(crate) fn new(mrf: &Mrf, partition: &Partition, state: &[Spin]) -> Self {
+        let plan = ExchangePlan::new(mrf.graph(), partition);
+        let mut exchange = Exchange {
+            frontiers: plan.boundary_out.iter().map(|f| vec![0; f.len()]).collect(),
+            ghosts: Vec::new(),
+            plan,
+            bits_per_spin: Packing::auto_for(mrf.q()).bits_per_spin(),
+            comm: CommStats::default(),
+        };
+        exchange.reset(state);
+        exchange
+    }
+
+    /// The boundary structure.
+    pub(crate) fn plan(&self) -> &ExchangePlan {
+        &self.plan
+    }
+
+    /// The communication record so far.
+    pub(crate) fn comm(&self) -> &CommStats {
+        &self.comm
+    }
+
+    /// Overwrites every ghost copy from a full configuration.
+    fn reset(&mut self, state: &[Spin]) {
+        let halo_of = |h: &Vec<VertexId>| h.iter().map(|v| state[v.index()]).collect();
+        self.ghosts = self.plan.halos.iter().map(halo_of).collect();
+    }
+
+    /// Shard `s`'s frontier buffer, for the owner to publish into
+    /// (parallel to `plan().boundary_out[s]`).
+    pub(crate) fn frontier_mut(&mut self, s: usize) -> &mut [Spin] {
+        &mut self.frontiers[s]
+    }
+
+    /// Publishes one vertex's new state — all a single-site round
+    /// changes. A no-op for vertices interior to their shard.
+    fn publish(&mut self, v: VertexId, spin: Spin) {
+        if let Some(r) = self.plan.routes_of(Some(v)).first() {
+            self.frontiers[r.owner][r.from] = spin;
+        }
+    }
+
+    /// Shard `s`'s halo values as of the last [`Exchange::ship`]
+    /// (parallel to `plan().halos[s]`).
+    pub(crate) fn halo(&self, s: usize) -> &[Spin] {
+        &self.ghosts[s]
+    }
+
+    /// Ships round `round`'s published states into the ghost copies —
+    /// all of them on a synchronous round, only `active`'s on a
+    /// single-site round — calling `deliver(subscriber, vertex, spin)`
+    /// per message, and accounts the round.
+    pub(crate) fn ship(
+        &mut self,
+        round: u64,
+        active: Option<VertexId>,
+        mut deliver: impl FnMut(usize, VertexId, Spin),
+    ) {
+        let routes = self.plan.routes_of(active);
+        let mut changed = 0u64;
+        for r in routes {
+            let spin = self.frontiers[r.owner][r.from];
+            let ghost = &mut self.ghosts[r.subscriber][r.to];
+            changed += u64::from(*ghost != spin);
+            *ghost = spin;
+            deliver(r.subscriber, r.vertex, spin);
+        }
+        self.comm
+            .record(round, routes.len() as u64, changed, self.bits_per_spin);
     }
 }
 
 /// One shard's private execution state — the per-shard unit shared by
 /// the in-process [`ShardedChain`] and the cross-process cluster
-/// workers ([`crate::cluster`]). Both advance the *same* code here,
-/// which is what makes distributed trajectories bit-identical to local
-/// ones by construction.
+/// workers ([`crate::cluster`]). Both advance it with the same
+/// [`ShardCore::advance`], which is what makes distributed trajectories
+/// bit-identical to local ones by construction.
 pub(crate) struct ShardCore<R: SyncRule> {
     /// Vertices this shard owns (ascending).
-    pub(crate) owned: Vec<VertexId>,
+    owned: Vec<VertexId>,
     /// Owned ∪ halo: the vertices whose slab entries are maintained
     /// (ascending). Proposals are computed over this whole set.
-    pub(crate) active: Vec<VertexId>,
-    /// Halo vertices (ascending) — what a remote exchange must feed.
-    pub(crate) halo: Vec<VertexId>,
-    /// Owned frontier vertices (ascending) — what a remote exchange
-    /// must publish.
-    pub(crate) boundary_out: Vec<VertexId>,
+    active: Vec<VertexId>,
+    /// Halo vertices (ascending).
+    halo: Vec<VertexId>,
+    /// Owned frontier vertices (ascending).
+    boundary_out: Vec<VertexId>,
     /// Full-length private state slab, packed at the model's auto
     /// packing (rules read it through
     /// [`StateView`](super::StateView)). Global indexing keeps the
@@ -143,6 +266,10 @@ pub(crate) struct ShardCore<R: SyncRule> {
 impl<R: SyncRule> ShardCore<R> {
     /// Builds shard `s`'s core from the shared plan and a full start
     /// configuration.
+    ///
+    /// # Panics
+    /// Panics if the rule has a state-dependent propose phase (see the
+    /// module docs for the owner-computes contract).
     pub(crate) fn build(
         mrf: &Arc<Mrf>,
         rule: &R,
@@ -150,8 +277,12 @@ impl<R: SyncRule> ShardCore<R> {
         plan: &ExchangePlan,
         s: usize,
         state: &[Spin],
-        packing: Packing,
     ) -> Self {
+        assert!(
+            !R::HAS_PROPOSE || R::STATE_FREE_PROPOSE,
+            "the sharded backend recomputes halo proposals locally, which \
+             requires state-free proposals (SyncRule::STATE_FREE_PROPOSE)"
+        );
         let owned: Vec<VertexId> = partition.members(s).to_vec();
         let halo = plan.halos[s].clone();
         let mut active = owned.clone();
@@ -163,112 +294,110 @@ impl<R: SyncRule> ShardCore<R> {
             active,
             halo,
             boundary_out: plan.boundary_out[s].clone(),
-            slab: StateSlab::from_spins(packing, state),
+            slab: StateSlab::from_spins(Packing::auto_for(mrf.q()), state),
             next_owned,
             locals: vec![R::Local::default(); state.len()],
             scratch: rule.make_scratch(mrf),
         }
     }
 
-    /// Phase 1+2 of a synchronous round: propose over owned ∪ halo
-    /// (halo proposals recomputed locally — see the module docs), then
-    /// resolve the owned vertices into the private next buffer.
-    pub(crate) fn propose_and_resolve(&mut self, rule: &R, ctx: &RoundCtx) {
-        if R::HAS_PROPOSE {
-            for &v in &self.active {
-                let mut rng = ctx.propose_rng(v);
-                self.locals[v.index()] =
-                    rule.propose(ctx, v, &self.slab, rng.raw(), &mut self.scratch);
+    /// Advances this shard through the round `ctx` keys, whose active
+    /// vertex (if any) is `active`. A single-site round resolves and
+    /// commits the active vertex when this shard owns it and does
+    /// nothing otherwise; a synchronous round proposes over owned ∪
+    /// halo (halo proposals recomputed locally — see the module docs),
+    /// resolves the owned vertices, and commits them.
+    pub(crate) fn advance(&mut self, rule: &R, ctx: &RoundCtx, active: Option<VertexId>) {
+        match active {
+            Some(v) => {
+                if self.owned.binary_search(&v).is_ok() {
+                    // Single-site rules skip the propose phase, so the
+                    // (default-valued) locals slab stands in, exactly
+                    // as in the flat backends.
+                    let mut rng = ctx.resolve_rng(v);
+                    let spin = rule.resolve(
+                        ctx,
+                        v,
+                        &self.slab,
+                        &self.locals,
+                        rng.raw(),
+                        &mut self.scratch,
+                    );
+                    self.slab.set(v.index(), spin);
+                }
+            }
+            None => {
+                if R::HAS_PROPOSE {
+                    for &v in &self.active {
+                        let mut rng = ctx.propose_rng(v);
+                        self.locals[v.index()] =
+                            rule.propose(ctx, v, &self.slab, rng.raw(), &mut self.scratch);
+                    }
+                }
+                // Resolve into the private next buffer, then commit: no
+                // slab entry is written while the round still reads it.
+                for (i, &v) in self.owned.iter().enumerate() {
+                    let mut rng = ctx.resolve_rng(v);
+                    self.next_owned[i] = rule.resolve(
+                        ctx,
+                        v,
+                        &self.slab,
+                        &self.locals,
+                        rng.raw(),
+                        &mut self.scratch,
+                    );
+                }
+                for (i, &v) in self.owned.iter().enumerate() {
+                    self.slab.set(v.index(), self.next_owned[i]);
+                }
             }
         }
+    }
+
+    /// Copies the owned vertices' states into a full configuration
+    /// (valid after a synchronous round, from its next buffer).
+    fn mirror_into(&self, state: &mut [Spin]) {
         for (i, &v) in self.owned.iter().enumerate() {
-            let mut rng = ctx.resolve_rng(v);
-            self.next_owned[i] = rule.resolve(
-                ctx,
-                v,
-                &self.slab,
-                &self.locals,
-                rng.raw(),
-                &mut self.scratch,
-            );
+            state[v.index()] = self.next_owned[i];
         }
     }
 
-    /// Commits the resolved next states into this shard's slab,
-    /// mirroring them into `mirror` (the canonical observer-facing
-    /// configuration) when one is kept.
-    pub(crate) fn commit(&mut self, mirror: Option<&mut [Spin]>) {
-        if let Some(mirror) = mirror {
-            for (i, &v) in self.owned.iter().enumerate() {
-                self.slab.set(v.index(), self.next_owned[i]);
-                mirror[v.index()] = self.next_owned[i];
-            }
-        } else {
-            for (i, &v) in self.owned.iter().enumerate() {
-                self.slab.set(v.index(), self.next_owned[i]);
-            }
-        }
-    }
-
-    /// Resolves the active vertex of a single-site round (the caller
-    /// must own it) and commits it immediately; returns the new spin.
-    /// Single-site rules skip the propose phase, so the
-    /// (default-valued) locals slab stands in, exactly as in the flat
-    /// backends.
-    pub(crate) fn resolve_single(&mut self, rule: &R, ctx: &RoundCtx, v: VertexId) -> Spin {
-        let mut rng = ctx.resolve_rng(v);
-        let spin = rule.resolve(
-            ctx,
-            v,
-            &self.slab,
-            &self.locals,
-            rng.raw(),
-            &mut self.scratch,
-        );
-        self.slab.set(v.index(), spin);
-        spin
-    }
-
-    /// The slab's value at `v` (valid for `active` vertices).
-    pub(crate) fn get(&self, v: VertexId) -> Spin {
+    /// The slab's value at `v` (valid for owned and halo vertices).
+    fn get(&self, v: VertexId) -> Spin {
         self.slab.get(v.index())
     }
 
-    /// Drains one remotely-owned state into the halo; returns whether
-    /// the ghost copy actually changed (the `changed` accounting).
-    pub(crate) fn set_remote(&mut self, v: VertexId, spin: Spin) -> bool {
-        let changed = self.slab.get(v.index()) != spin;
-        self.slab.set(v.index(), spin);
-        changed
+    /// Writes the frontier's states into `out` (parallel to
+    /// `boundary_out`).
+    pub(crate) fn publish(&self, out: &mut [Spin]) {
+        for (o, &v) in out.iter_mut().zip(&self.boundary_out) {
+            *o = self.slab.get(v.index());
+        }
     }
 
-    /// Reads the slab's values of `vs`, in order (e.g. the published
-    /// frontier, for the wire).
-    pub(crate) fn spins_of(&self, vs: &[VertexId]) -> Vec<Spin> {
-        vs.iter().map(|&v| self.slab.get(v.index())).collect()
+    /// Overwrites one ghost copy with a delivered state.
+    fn set_ghost(&mut self, v: VertexId, spin: Spin) {
+        self.slab.set(v.index(), spin);
+    }
+
+    /// Overwrites the whole halo (parallel to `halo`).
+    pub(crate) fn set_halo(&mut self, spins: &[Spin]) {
+        for (&v, &spin) in self.halo.iter().zip(spins) {
+            self.slab.set(v.index(), spin);
+        }
+    }
+
+    /// The owned vertices' states, in `owned` order.
+    pub(crate) fn owned_spins(&self) -> Vec<Spin> {
+        self.owned.iter().map(|&v| self.get(v)).collect()
     }
 
     /// Refreshes every maintained slab entry from a full configuration.
-    pub(crate) fn refresh(&mut self, state: &[Spin]) {
+    fn refresh(&mut self, state: &[Spin]) {
         for &v in &self.active {
             self.slab.set(v.index(), state[v.index()]);
         }
     }
-}
-
-/// One directed boundary channel of the shard graph: `owner` sends the
-/// states of `vertices` to `subscriber` every round, staged through
-/// `buffer` (the shared half of the double buffering — owners fill it
-/// after the barrier, subscribers drain it before the next round).
-struct Exchange {
-    owner: usize,
-    subscriber: usize,
-    /// Boundary vertices owned by `owner` that `subscriber`'s halo
-    /// needs (ascending, so membership is a binary search).
-    vertices: Vec<VertexId>,
-    /// Packed like the slabs — what crosses a boundary is the packed
-    /// representation, which is what the byte accounting charges for.
-    buffer: StateSlab,
 }
 
 /// Per-round boundary-communication record of a [`ShardedChain`].
@@ -346,9 +475,8 @@ impl CommStats {
         self.total_changed = 0;
     }
 
-    /// Accounts one round. `pub(crate)` so the cluster coordinator can
-    /// replay the exact channel accounting of the in-process exchange.
-    pub(crate) fn record(&mut self, round: u64, messages: u64, changed: u64, bits_per_spin: u32) {
+    /// Accounts one round — called only by [`Exchange::ship`].
+    fn record(&mut self, round: u64, messages: u64, changed: u64, bits_per_spin: u32) {
         let bytes = (messages * u64::from(bits_per_spin)).div_ceil(8);
         if self.rounds.len() < MAX_ROUND_RECORDS {
             self.rounds.push(RoundComm {
@@ -397,14 +525,10 @@ pub struct ShardedChain<R: SyncRule> {
     rule: R,
     partition: Partition,
     shards: Vec<ShardCore<R>>,
-    plan: Vec<Exchange>,
+    exchange: Exchange,
     /// Canonical observer-facing configuration, refreshed from the
-    /// owners' next buffers every round.
+    /// owners every round.
     state: Vec<Spin>,
-    /// The packing every slab and exchange buffer uses
-    /// ([`Packing::auto_for`] the model's `q`).
-    packing: Packing,
-    comm: CommStats,
     master: u64,
     round: u64,
     last_key: Option<(u64, u64)>,
@@ -455,43 +579,17 @@ impl<R: SyncRule> ShardedChain<R> {
             "partition covers {} vertices, model has {n}",
             partition.len()
         );
-        assert!(
-            !R::HAS_PROPOSE || R::STATE_FREE_PROPOSE,
-            "the sharded backend recomputes halo proposals locally, which \
-             requires state-free proposals (SyncRule::STATE_FREE_PROPOSE)"
-        );
-        let g = mrf.graph();
-        let k = partition.num_shards();
-        let packing = Packing::auto_for(mrf.q());
-
-        // The shared plan: per-shard halos, and the boundary channels
-        // they induce (the cluster layer rebuilds the same plan).
-        let ep = exchange_plan(g, &partition);
-        let shards = (0..k)
-            .map(|s| ShardCore::build(&mrf, &rule, &partition, &ep, s, &state, packing))
-            .collect();
-        let plan = ep
-            .channels
-            .into_iter()
-            .map(|(owner, subscriber, vertices)| {
-                let buffer = StateSlab::new(packing, vertices.len());
-                Exchange {
-                    owner,
-                    subscriber,
-                    vertices,
-                    buffer,
-                }
-            })
+        let exchange = Exchange::new(&mrf, &partition, &state);
+        let shards = (0..partition.num_shards())
+            .map(|s| ShardCore::build(&mrf, &rule, &partition, exchange.plan(), s, &state))
             .collect();
         ShardedChain {
             mrf,
             rule,
             partition,
             shards,
-            plan,
+            exchange,
             state,
-            packing,
-            comm: CommStats::default(),
             master,
             round: 0,
             last_key: None,
@@ -523,9 +621,10 @@ impl<R: SyncRule> ShardedChain<R> {
         self.partition.num_shards()
     }
 
-    /// The packing of every shard slab and exchange buffer.
+    /// The packing of every shard slab and of the exchange accounting
+    /// ([`Packing::auto_for`] the model's `q`).
     pub fn packing(&self) -> Packing {
-        self.packing
+        Packing::auto_for(self.mrf.q())
     }
 
     /// The current configuration.
@@ -544,6 +643,7 @@ impl<R: SyncRule> ShardedChain<R> {
         for w in &mut self.shards {
             w.refresh(state);
         }
+        self.exchange.reset(state);
     }
 
     /// The number of rounds executed so far.
@@ -558,12 +658,12 @@ impl<R: SyncRule> ShardedChain<R> {
 
     /// The boundary-communication record so far.
     pub fn comm(&self) -> &CommStats {
-        &self.comm
+        self.exchange.comm()
     }
 
     /// Clears the boundary-communication record (e.g. after burn-in).
     pub fn reset_comm(&mut self) {
-        self.comm.clear();
+        self.exchange.comm.clear();
     }
 
     /// Advances one round using this chain's own master seed.
@@ -576,14 +676,44 @@ impl<R: SyncRule> ShardedChain<R> {
     /// [`SyncChain::step_keyed`](super::SyncChain::step_keyed)).
     pub fn step_keyed(&mut self, master: u64) {
         // A cheap handle clone keeps `ctx` independent of `self`, so the
-        // `&mut self` round bodies below can borrow freely.
+        // shards can be borrowed mutably below.
         let mrf = Arc::clone(&self.mrf);
-        let ctx = RoundCtx::new(&mrf, master, self.round);
-        if let Some(v) = self.rule.active_vertex(&ctx) {
-            self.single_site_round(&ctx, v);
+        let ctx = &RoundCtx::new(&mrf, master, self.round);
+        let rule = &self.rule;
+        let active = rule.active_vertex(ctx);
+        // Every shard advances; only a synchronous round has enough
+        // work per shard to be worth a thread each.
+        if active.is_some() || self.shards.len() == 1 {
+            for w in &mut self.shards {
+                w.advance(rule, ctx, active);
+            }
         } else {
-            self.synchronous_round(&ctx);
+            std::thread::scope(|scope| {
+                for w in self.shards.iter_mut() {
+                    scope.spawn(move || w.advance(rule, ctx, None));
+                }
+            });
         }
+
+        // Owners publish into the exchange and the canonical mirror —
+        // on a single-site round, only the active vertex moved.
+        match active {
+            Some(v) => {
+                let spin = self.shards[self.partition.shard_of(v)].get(v);
+                self.state[v.index()] = spin;
+                self.exchange.publish(v, spin);
+            }
+            None => {
+                for (s, w) in self.shards.iter().enumerate() {
+                    w.mirror_into(&mut self.state);
+                    w.publish(self.exchange.frontier_mut(s));
+                }
+            }
+        }
+        let shards = &mut self.shards;
+        self.exchange.ship(self.round, active, |s, v, spin| {
+            shards[s].set_ghost(v, spin)
+        });
         self.last_key = Some((master, self.round));
         self.round += 1;
     }
@@ -593,68 +723,6 @@ impl<R: SyncRule> ShardedChain<R> {
         for _ in 0..t {
             self.step();
         }
-    }
-
-    /// A single-site round: only the owner of the active vertex works,
-    /// and the exchange ships that one state to subscribing halos.
-    fn single_site_round(&mut self, ctx: &RoundCtx, v: VertexId) {
-        let s = self.partition.shard_of(v);
-        let spin = self.shards[s].resolve_single(&self.rule, ctx, v);
-        self.state[v.index()] = spin;
-        let (mut messages, mut changed) = (0u64, 0u64);
-        for ex in &self.plan {
-            if ex.owner != s || ex.vertices.binary_search(&v).is_err() {
-                continue;
-            }
-            messages += 1;
-            changed += u64::from(self.shards[ex.subscriber].set_remote(v, spin));
-        }
-        self.comm
-            .record(self.round, messages, changed, self.packing.bits_per_spin());
-    }
-
-    /// A synchronous round: per-shard propose + resolve in parallel,
-    /// then commit and boundary exchange.
-    fn synchronous_round(&mut self, ctx: &RoundCtx) {
-        let rule = &self.rule;
-        // Phase 1+2: every shard proposes over owned ∪ halo and
-        // resolves its owned vertices, all within its private slab.
-        if self.shards.len() == 1 {
-            self.shards[0].propose_and_resolve(rule, ctx);
-        } else {
-            std::thread::scope(|scope| {
-                for w in self.shards.iter_mut() {
-                    scope.spawn(move || w.propose_and_resolve(rule, ctx));
-                }
-            });
-        }
-
-        // Commit: owners publish their next states (private half of the
-        // double buffer) into their own slab and the canonical mirror.
-        let state = &mut self.state;
-        for w in &mut self.shards {
-            w.commit(Some(&mut state[..]));
-        }
-
-        // Exchange, stage 1: owners fill the packed frontier buffers.
-        for ex in &mut self.plan {
-            let owner = &self.shards[ex.owner];
-            for (i, &v) in ex.vertices.iter().enumerate() {
-                ex.buffer.set(i, owner.get(v));
-            }
-        }
-        // Exchange, stage 2: subscribers drain them into their halos.
-        let (mut messages, mut changed) = (0u64, 0u64);
-        for ex in &self.plan {
-            let sub = &mut self.shards[ex.subscriber];
-            for (i, &v) in ex.vertices.iter().enumerate() {
-                let spin = ex.buffer.get(i);
-                messages += 1;
-                changed += u64::from(sub.set_remote(v, spin));
-            }
-        }
-        self.comm
-            .record(self.round, messages, changed, self.packing.bits_per_spin());
     }
 }
 

@@ -323,7 +323,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
     // that follows it — bytes already buffered behind the hello are
     // re-interpreted under the new codec, exactly as the client that
     // switched immediately after sending it intended.
-    let mut inbuf: Vec<u8> = Vec::new();
+    let mut inbuf = codec::FrameBuffer::new();
     let mut binary = false;
     let mut tmp = vec![0u8; 64 * 1024];
     loop {
@@ -339,43 +339,33 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
         match sock.read(&mut tmp) {
             Ok(0) => break,
             Ok(n) => {
-                inbuf.extend_from_slice(&tmp[..n]);
+                inbuf.extend(&tmp[..n]);
                 // Drain every complete frame at the mode it arrives
-                // under.
+                // under. Over-cap frames and lines answer a typed error
+                // and resync (the malformed-frame contract).
                 loop {
                     let parsed: Result<ClientFrame, String> = if binary {
-                        if inbuf.len() < 4 {
-                            break;
-                        }
-                        let len =
-                            u32::from_le_bytes([inbuf[0], inbuf[1], inbuf[2], inbuf[3]]) as usize;
-                        if len > codec::MAX_FRAME {
-                            // Resync after the 4 header bytes; the
-                            // typed error is the malformed-frame
-                            // contract, binary edition.
-                            inbuf.drain(..4);
-                            Err(CodecError::Oversize { len: len as u64 }.to_string())
-                        } else if inbuf.len() < 4 + len {
-                            break;
-                        } else {
-                            let payload: Vec<u8> = inbuf[4..4 + len].to_vec();
-                            inbuf.drain(..4 + len);
-                            codec::decode_client(&payload).map_err(|e| e.to_string())
+                        match inbuf.next_frame() {
+                            Ok(None) => break,
+                            Ok(Some(payload)) => {
+                                codec::decode_client(&payload).map_err(|e| e.to_string())
+                            }
+                            Err(e) => Err(e.to_string()),
                         }
                     } else {
-                        let Some(pos) = inbuf.iter().position(|&b| b == b'\n') else {
-                            break;
-                        };
-                        let line: Vec<u8> = inbuf.drain(..=pos).collect();
-                        match std::str::from_utf8(&line) {
-                            Ok(s) => {
-                                let s = s.trim();
-                                if s.is_empty() {
-                                    continue;
+                        match inbuf.next_line() {
+                            Ok(None) => break,
+                            Ok(Some(line)) => match std::str::from_utf8(&line) {
+                                Ok(s) => {
+                                    let s = s.trim();
+                                    if s.is_empty() {
+                                        continue;
+                                    }
+                                    s.parse::<ClientFrame>().map_err(|e| e.to_string())
                                 }
-                                s.parse::<ClientFrame>().map_err(|e| e.to_string())
-                            }
-                            Err(_) => Err("malformed frame: not UTF-8".to_string()),
+                                Err(_) => Err("malformed frame: not UTF-8".to_string()),
+                            },
+                            Err(e) => Err(e.to_string()),
                         }
                     };
                     if let Some(mode) = handle_frame(
@@ -679,7 +669,7 @@ pub struct Client {
     codec: Codec,
     /// Raw receive buffer, shared by both codecs (bytes buffered
     /// across a codec switch are re-cut under the new framing).
-    inbuf: Vec<u8>,
+    inbuf: codec::FrameBuffer,
 }
 
 struct Pending {
@@ -715,7 +705,7 @@ impl Client {
             pending: HashMap::new(),
             order: Vec::new(),
             codec: Codec::Text,
-            inbuf: Vec::new(),
+            inbuf: codec::FrameBuffer::new(),
         })
     }
 
@@ -736,7 +726,7 @@ impl Client {
         client
             .send(&ClientFrame::Hello { codec })
             .map_err(|e| invalid(format!("codec handshake write failed: {e}")))?;
-        match client.read_frame_deadline(None) {
+        match client.recv_frame(None) {
             Ok(Some(ServerFrame::Hello { codec: acked })) if acked == codec => {
                 client.codec = codec;
                 Ok(client)
@@ -797,7 +787,7 @@ impl Client {
             .map_err(NetError::Io)?;
         let deadline = Instant::now() + timeout;
         loop {
-            match self.read_frame_deadline(Some(deadline))? {
+            match self.recv_frame(Some(deadline))? {
                 None => return Err(NetError::Disconnected),
                 Some(ServerFrame::Pong { nonce: got }) if got == nonce => return Ok(()),
                 Some(ServerFrame::Pong { .. }) => {}
@@ -813,19 +803,6 @@ impl Client {
         self.send(frame).map_err(NetError::Io)
     }
 
-    /// Blocks for the next raw server frame until `deadline` (`None`
-    /// waits forever). `Ok(None)` means the server closed.
-    ///
-    /// # Errors
-    /// [`NetError::Timeout`] past the deadline; socket/decode errors
-    /// otherwise.
-    pub(crate) fn recv_frame(
-        &mut self,
-        deadline: Option<Instant>,
-    ) -> Result<Option<ServerFrame>, NetError> {
-        self.read_frame_deadline(deadline)
-    }
-
     /// Sends one client frame under the negotiated codec, as a single
     /// `write_all` either way (no Nagle-stalled half-frames).
     fn send(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
@@ -835,16 +812,14 @@ impl Client {
         }
     }
 
-    /// Blocks for the next server frame under the negotiated codec.
-    /// `Ok(None)` means the server closed the connection.
-    fn read_frame(&mut self) -> Result<Option<ServerFrame>, NetError> {
-        self.read_frame_deadline(None)
-    }
-
-    /// Blocks for the next server frame, retrying timed socket reads
-    /// until `deadline` (forever when `None`). `Ok(None)` means the
-    /// server closed the connection.
-    fn read_frame_deadline(
+    /// Blocks for the next server frame under the negotiated codec,
+    /// retrying timed socket reads until `deadline` (forever when
+    /// `None`). `Ok(None)` means the server closed the connection.
+    ///
+    /// # Errors
+    /// [`NetError::Timeout`] past the deadline; socket/decode errors
+    /// otherwise.
+    pub(crate) fn recv_frame(
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<Option<ServerFrame>, NetError> {
@@ -858,7 +833,7 @@ impl Client {
             }
             match self.stream.read(&mut tmp) {
                 Ok(0) => return Ok(None),
-                Ok(n) => self.inbuf.extend_from_slice(&tmp[..n]),
+                Ok(n) => self.inbuf.extend(&tmp[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -878,10 +853,9 @@ impl Client {
         loop {
             match self.codec {
                 Codec::Text => {
-                    let Some(pos) = self.inbuf.iter().position(|&b| b == b'\n') else {
+                    let Some(line) = self.inbuf.next_line().map_err(NetError::Codec)? else {
                         return Ok(None);
                     };
-                    let line: Vec<u8> = self.inbuf.drain(..=pos).collect();
                     let line = std::str::from_utf8(&line)
                         .map_err(|_| NetError::Protocol("server frame not UTF-8".into()))?
                         .trim();
@@ -894,23 +868,9 @@ impl Client {
                         .map_err(NetError::Wire);
                 }
                 Codec::Binary => {
-                    if self.inbuf.len() < 4 {
+                    let Some(payload) = self.inbuf.next_frame().map_err(NetError::Codec)? else {
                         return Ok(None);
-                    }
-                    let len = u32::from_le_bytes([
-                        self.inbuf[0],
-                        self.inbuf[1],
-                        self.inbuf[2],
-                        self.inbuf[3],
-                    ]) as usize;
-                    if len > codec::MAX_FRAME {
-                        return Err(NetError::Codec(CodecError::Oversize { len: len as u64 }));
-                    }
-                    if self.inbuf.len() < 4 + len {
-                        return Ok(None);
-                    }
-                    let payload: Vec<u8> = self.inbuf[4..4 + len].to_vec();
-                    self.inbuf.drain(..4 + len);
+                    };
                     return codec::decode_server(&payload)
                         .map(Some)
                         .map_err(NetError::Codec);
@@ -988,7 +948,7 @@ impl Client {
     /// errors here; they come back inside [`RemoteOutcome::members`].
     pub fn drain(&mut self) -> Result<Vec<RemoteOutcome>, NetError> {
         while !self.all_resolved() {
-            let frame = self.read_frame()?.ok_or(NetError::Disconnected)?;
+            let frame = self.recv_frame(None)?.ok_or(NetError::Disconnected)?;
             self.apply(frame)?;
         }
         let mut outcomes = Vec::with_capacity(self.order.len());
@@ -1202,6 +1162,18 @@ mod tests {
             matches!(frame, ServerFrame::Error { id: None, .. }),
             "{frame:?}"
         );
+        // A line one byte over the frame cap: typed, then resync.
+        let mut huge = vec![b'x'; codec::MAX_FRAME + 1];
+        huge.push(b'\n');
+        writer.write_all(&huge).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        match line.trim_end().parse::<ServerFrame>().unwrap() {
+            ServerFrame::Error { id: None, message } => {
+                assert!(message.contains("exceeds cap"), "{message}");
+            }
+            other => panic!("expected an error frame, got {other:?}"),
+        }
         // A frame whose spec is rejected: typed, with the id.
         writeln!(writer, "submit id=5 spec=graph=moebius:9 model=mis").unwrap();
         line.clear();

@@ -1044,24 +1044,7 @@ impl JobSpec {
                     .sampler_builder(model)
                     .burn_in(self.burn_in.unwrap_or(0))
                     .build()?;
-                // Sliced stepping: `run(a); run(b)` equals `run(a+b)`
-                // by the determinism contract, so ticking every slice
-                // is free of observable effect on the trajectory.
-                let slice = (rounds / 16).max(1);
-                let mut ran = 0usize;
-                while ran < rounds {
-                    let now = slice.min(rounds - ran);
-                    sampler.run(now);
-                    ran += now;
-                    if progress(ran as u64, rounds.max(1) as u64).is_break() {
-                        // Preempted (cancellation): the caller discards
-                        // the result, so stop at this slice boundary.
-                        break;
-                    }
-                }
-                if rounds == 0 {
-                    let _ = progress(1, 1);
-                }
+                run_sliced(rounds, progress, |now| sampler.run(now));
                 let state = sampler.state();
                 let feasible = match model {
                     BuiltModel::Mrf(mrf) => mrf.is_feasible(state),
@@ -1125,19 +1108,7 @@ impl JobSpec {
                         .sampler_builder(model)
                         .burn_in(self.burn_in.unwrap_or(0))
                         .build()?;
-                    let slice = (rounds / 16).max(1);
-                    let mut ran = 0usize;
-                    while ran < rounds {
-                        let now = slice.min(rounds - ran);
-                        sampler.run(now);
-                        ran += now;
-                        if progress(ran as u64, rounds.max(1) as u64).is_break() {
-                            break;
-                        }
-                    }
-                    if rounds == 0 {
-                        let _ = progress(1, 1);
-                    }
+                    run_sliced(rounds, progress, |now| sampler.run(now));
                     JobOutput::Sample {
                         rounds: sampler.round(),
                         states: vec![StateBlob::pack(sampler.state(), q)],
@@ -1148,19 +1119,7 @@ impl JobSpec {
                         .burn_in(self.burn_in.unwrap_or(0))
                         .replicas(count)
                         .build()?;
-                    let slice = (rounds / 16).max(1);
-                    let mut ran = 0usize;
-                    while ran < rounds {
-                        let now = slice.min(rounds - ran);
-                        replicas.run(now);
-                        ran += now;
-                        if progress(ran as u64, rounds.max(1) as u64).is_break() {
-                            break;
-                        }
-                    }
-                    if rounds == 0 {
-                        let _ = progress(1, 1);
-                    }
+                    run_sliced(rounds, progress, |now| replicas.run(now));
                     JobOutput::Sample {
                         rounds: replicas.round(),
                         states: (0..count)
@@ -1214,6 +1173,33 @@ impl JobSpec {
             output,
             elapsed_secs: started.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// Advances `rounds` rounds through `run` in up to 16 slices, ticking
+/// `progress` after each (once, at `(1, 1)`, for zero rounds). Sliced
+/// stepping is free of observable effect on the trajectory:
+/// `run(a); run(b)` equals `run(a+b)` by the determinism contract. A
+/// break from `progress` (cancellation) stops at the slice boundary;
+/// the caller discards the result.
+fn run_sliced(
+    rounds: usize,
+    progress: crate::mixing::ProgressSink<'_>,
+    mut run: impl FnMut(usize),
+) {
+    if rounds == 0 {
+        let _ = progress(1, 1);
+        return;
+    }
+    let slice = (rounds / 16).max(1);
+    let mut ran = 0usize;
+    while ran < rounds {
+        let now = slice.min(rounds - ran);
+        run(now);
+        ran += now;
+        if progress(ran as u64, rounds as u64).is_break() {
+            break;
+        }
     }
 }
 
@@ -2394,6 +2380,22 @@ mod tests {
                 assert!(comm.is_none(), "flat backends have no comm record");
             }
             other => panic!("wrong output: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ising_default_start_is_feasible_at_every_size() {
+        // The start's weight underflows f64 from about 32² on; the
+        // feasibility flag must not.
+        for side in [8, 16, 32, 64, 128] {
+            let spec = parse(&format!(
+                "graph=torus:{side}x{side} model=ising:beta=0.4 \
+                 algorithm=local-metropolis seed=7 job=run:rounds=0"
+            ));
+            match spec.run().unwrap().output {
+                JobOutput::Run { feasible, .. } => assert!(feasible, "{side}x{side}"),
+                other => panic!("wrong output: {other:?}"),
+            }
         }
     }
 

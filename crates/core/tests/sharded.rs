@@ -9,6 +9,7 @@ use lsl_core::engine::sharded::ShardedChain;
 use lsl_core::engine::{SyncChain, SyncRule};
 use lsl_core::prelude::*;
 use lsl_core::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
+use lsl_core::spec::{JobOutput, JobSpec};
 use lsl_graph::partition::{Partition, Partitioner};
 use lsl_graph::Graph;
 use lsl_mrf::{models, Mrf};
@@ -260,5 +261,148 @@ fn one_shard_per_vertex_matches_sequential() {
     let m = mrf.graph().num_edges() as u64;
     for rc in sharded.comm().per_round() {
         assert_eq!(rc.messages, 2 * m);
+    }
+}
+
+/// The `sharded:k` spec lines the golden pins cover, in pin order:
+/// every synchronous and single-site rule, k ∈ {2, 3}, contiguous and
+/// BFS partitions, with and without burn-in.
+fn golden_lines() -> Vec<String> {
+    let chains = [
+        ("model=potts:q=3,beta=0.5 algorithm=local-metropolis", 30),
+        (
+            "model=coloring:q=11 algorithm=local-metropolis-no-rule3",
+            30,
+        ),
+        (
+            "model=coloring:q=11 algorithm=luby-glauber scheduler=luby",
+            30,
+        ),
+        (
+            "model=coloring:q=11 algorithm=luby-glauber scheduler=singleton",
+            30,
+        ),
+        (
+            "model=hardcore:lambda=1.5 algorithm=luby-glauber scheduler=bernoulli:0.3",
+            30,
+        ),
+        (
+            "model=coloring:q=11 algorithm=luby-glauber scheduler=chromatic",
+            30,
+        ),
+        ("model=ising:beta=0.4 algorithm=glauber", 120),
+        ("model=coloring:q=11 algorithm=metropolis", 120),
+    ];
+    let mut lines = Vec::new();
+    for (chain, rounds) in chains {
+        for k in [2, 3] {
+            for part in ["contiguous", "bfs"] {
+                for burn in ["", " burn-in=7"] {
+                    lines.push(format!(
+                        "graph=torus:6x6 {chain} backend=sharded:{k} partitioner={part} \
+                         seed=5{burn} job=run:rounds={rounds}"
+                    ));
+                }
+            }
+        }
+    }
+    lines
+}
+
+/// `(fingerprint, [rounds_seen, total_messages, total_bytes,
+/// total_changed])` of each [`golden_lines`] run, recorded before the
+/// in-process exchange and the cluster relay were folded into one
+/// exchange type. Any change to the shard loop must keep these.
+const GOLDEN: [(u64, [u64; 4]); 64] = [
+    (0xe3754c17845131b6, [30, 720, 720, 47]),
+    (0x3259b1f8c70ad1d7, [37, 888, 888, 58]),
+    (0xe3754c17845131b6, [30, 600, 600, 33]),
+    (0x3259b1f8c70ad1d7, [37, 740, 740, 45]),
+    (0xe3754c17845131b6, [30, 1080, 1080, 70]),
+    (0x3259b1f8c70ad1d7, [37, 1332, 1332, 87]),
+    (0xe3754c17845131b6, [30, 1050, 1050, 65]),
+    (0x3259b1f8c70ad1d7, [37, 1295, 1295, 79]),
+    (0x093e2758e337b77f, [30, 720, 720, 277]),
+    (0x24bef6c1d9cdabe7, [37, 888, 888, 341]),
+    (0x093e2758e337b77f, [30, 600, 600, 228]),
+    (0x24bef6c1d9cdabe7, [37, 740, 740, 285]),
+    (0x093e2758e337b77f, [30, 1080, 1080, 424]),
+    (0x24bef6c1d9cdabe7, [37, 1332, 1332, 524]),
+    (0x093e2758e337b77f, [30, 1050, 1050, 417]),
+    (0x24bef6c1d9cdabe7, [37, 1295, 1295, 511]),
+    (0x1393a8efee06a234, [30, 720, 720, 122]),
+    (0x76910bf502412d1c, [37, 888, 888, 148]),
+    (0x1393a8efee06a234, [30, 600, 600, 105]),
+    (0x76910bf502412d1c, [37, 740, 740, 125]),
+    (0x1393a8efee06a234, [30, 1080, 1080, 186]),
+    (0x76910bf502412d1c, [37, 1332, 1332, 223]),
+    (0x1393a8efee06a234, [30, 1050, 1050, 180]),
+    (0x76910bf502412d1c, [37, 1295, 1295, 218]),
+    (0xc8a6c9091c71dc48, [30, 24, 24, 23]),
+    (0xb4b4faab3f8ecd1c, [37, 26, 26, 25]),
+    (0xc8a6c9091c71dc48, [30, 15, 15, 15]),
+    (0xb4b4faab3f8ecd1c, [37, 21, 21, 21]),
+    (0xc8a6c9091c71dc48, [30, 30, 30, 29]),
+    (0xb4b4faab3f8ecd1c, [37, 37, 37, 36]),
+    (0xc8a6c9091c71dc48, [30, 26, 26, 25]),
+    (0xb4b4faab3f8ecd1c, [37, 35, 35, 34]),
+    (0xc1213898edf3dd35, [30, 720, 90, 9]),
+    (0x26a97c9d61222dd5, [37, 888, 111, 13]),
+    (0xc1213898edf3dd35, [30, 600, 90, 11]),
+    (0x26a97c9d61222dd5, [37, 740, 111, 14]),
+    (0xc1213898edf3dd35, [30, 1080, 150, 14]),
+    (0x26a97c9d61222dd5, [37, 1332, 185, 20]),
+    (0xc1213898edf3dd35, [30, 1050, 150, 14]),
+    (0x26a97c9d61222dd5, [37, 1295, 185, 17]),
+    (0x332522328ce6bba2, [30, 720, 720, 307]),
+    (0x050222a04f9b6b1e, [37, 888, 888, 378]),
+    (0x332522328ce6bba2, [30, 600, 600, 259]),
+    (0x050222a04f9b6b1e, [37, 740, 740, 318]),
+    (0x332522328ce6bba2, [30, 1080, 1080, 465]),
+    (0x050222a04f9b6b1e, [37, 1332, 1332, 574]),
+    (0x332522328ce6bba2, [30, 1050, 1050, 453]),
+    (0x050222a04f9b6b1e, [37, 1295, 1295, 557]),
+    (0x8205df03ca1406b5, [120, 80, 80, 28]),
+    (0x2fe5b7785ec811b4, [127, 84, 84, 30]),
+    (0x8205df03ca1406b5, [120, 67, 67, 26]),
+    (0x2fe5b7785ec811b4, [127, 72, 72, 28]),
+    (0x8205df03ca1406b5, [120, 120, 120, 44]),
+    (0x2fe5b7785ec811b4, [127, 127, 127, 47]),
+    (0x8205df03ca1406b5, [120, 127, 93, 51]),
+    (0x2fe5b7785ec811b4, [127, 132, 97, 54]),
+    (0x31bec89820e69263, [120, 80, 80, 46]),
+    (0x27c0dd87c3ef52cf, [127, 84, 84, 50]),
+    (0x31bec89820e69263, [120, 67, 67, 41]),
+    (0x27c0dd87c3ef52cf, [127, 72, 72, 46]),
+    (0x31bec89820e69263, [120, 120, 120, 75]),
+    (0x27c0dd87c3ef52cf, [127, 127, 127, 82]),
+    (0x31bec89820e69263, [120, 127, 127, 78]),
+    (0x27c0dd87c3ef52cf, [127, 132, 132, 83]),
+];
+
+/// Trajectories and communication accounting of `sharded:k` runs are
+/// pinned: the fingerprint and every `CommSummary` field must equal the
+/// recorded values. `cluster_identity` ties `cluster:k` to these runs.
+#[test]
+fn sharded_runs_match_golden_pins() {
+    let lines = golden_lines();
+    assert_eq!(lines.len(), GOLDEN.len());
+    for (line, &(fingerprint, comm)) in lines.iter().zip(&GOLDEN) {
+        let result = line.parse::<JobSpec>().unwrap().run().unwrap();
+        let JobOutput::Run {
+            fingerprint: got,
+            comm: Some(c),
+            ..
+        } = result.output
+        else {
+            panic!("{line}: expected a run with comm stats, got {result:?}");
+        };
+        let got_comm = [
+            c.rounds_seen,
+            c.total_messages,
+            c.total_bytes,
+            c.total_changed,
+        ];
+        assert_eq!((got, got_comm), (fingerprint, comm), "{line}");
     }
 }

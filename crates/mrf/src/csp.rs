@@ -222,9 +222,13 @@ impl Csp {
         w
     }
 
-    /// Whether `w(σ) > 0`.
+    /// Whether `w(σ) > 0`: a scan for a zero factor, so unlike
+    /// `weight(σ) > 0` it stays exact where the product underflows.
     pub fn is_feasible(&self, config: &[Spin]) -> bool {
-        self.weight(config) > 0.0
+        assert_eq!(config.len(), self.graph.num_vertices());
+        self.constraints
+            .iter()
+            .all(|c| c.evaluate(self.q, config) > 0.0)
     }
 
     /// Unnormalized conditional marginal of `v` given the rest of `config`:

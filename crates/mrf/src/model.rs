@@ -229,9 +229,21 @@ impl Mrf {
         lw
     }
 
-    /// Whether `µ(σ) > 0`.
+    /// Whether `µ(σ) > 0`: a scan for a zero factor, so unlike
+    /// `weight(σ) > 0` it stays exact where the product underflows.
+    ///
+    /// # Panics
+    /// Panics if `config.len() != n` or a spin is out of range.
     pub fn is_feasible(&self, config: &[Spin]) -> bool {
-        self.weight(config) > 0.0
+        self.check_config(config);
+        self.graph.edges().all(|(e, u, v)| {
+            self.edge_activity(e)
+                .get(config[u.index()], config[v.index()])
+                > 0.0
+        }) && self
+            .graph
+            .vertices()
+            .all(|v| self.vertex_activity(v).get(config[v.index()]) > 0.0)
     }
 
     /// The unnormalized conditional marginal of eq. (2) at `v`:
