@@ -2,11 +2,12 @@
 //! algorithms, exact machinery, and the LOCAL simulator's overhead.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use lsl_core::engine::rules::scheduled_mask;
+use lsl_core::engine::RoundCtx;
 use lsl_core::kernel::{local_metropolis_kernel, luby_set_distribution};
 use lsl_core::programs::LocalMetropolisProgram;
-use lsl_core::schedule::{LubyScheduler, Scheduler};
+use lsl_core::schedule::{LubyScheduler, VertexScheduler};
 use lsl_graph::{generators, traversal, VertexId};
-use lsl_local::rng::Xoshiro256pp;
 use lsl_local::runtime::Simulator;
 use lsl_lowerbound::gadget::{Gadget, GadgetParams};
 use lsl_mrf::models;
@@ -19,11 +20,21 @@ fn bench_substrate(c: &mut Criterion) {
     let torus = generators::torus(32, 32);
 
     c.bench_function("luby_step/torus32x32", |b| {
-        let mut sched = LubyScheduler::new();
-        let mut rng = Xoshiro256pp::seed_from(1);
+        // One round's marks from the per-vertex propose streams, then
+        // the local-maximum selection — the Luby step of a LubyGlauber
+        // round.
+        let sched = LubyScheduler::new();
+        let mrf = models::uniform_independent_set(torus.clone());
+        let mut marks = vec![0.0; torus.num_vertices()];
         let mut mask = vec![false; torus.num_vertices()];
+        let mut round = 0u64;
         b.iter(|| {
-            sched.sample(&torus, &mut rng, &mut mask);
+            let ctx = RoundCtx::new(&mrf, 1, round);
+            for v in torus.vertices() {
+                marks[v.index()] = sched.mark(v, ctx.propose_rng(v).raw());
+            }
+            scheduled_mask(&sched, &ctx, &marks, &mut mask);
+            round += 1;
             black_box(mask[0])
         });
     });

@@ -13,21 +13,7 @@
 
 use lsl_bench::{coalescence_output, f, header, header_row, row, scaled};
 use lsl_core::sampler::Sched;
-use lsl_core::schedule::{
-    BernoulliFilterScheduler, ChromaticScheduler, LubyScheduler, Scheduler, SingletonScheduler,
-};
 use lsl_core::spec::{BuiltModel, JobSpec};
-
-/// The γ of Theorem 3.2's remark for a [`Sched`] choice on this network
-/// (None for the deterministic chromatic scan).
-fn gamma(sched: Sched, g: &lsl_graph::Graph) -> Option<f64> {
-    match sched {
-        Sched::Luby => LubyScheduler::new().gamma(g),
-        Sched::Singleton => SingletonScheduler.gamma(g),
-        Sched::Bernoulli(p) => BernoulliFilterScheduler::new(p).gamma(g),
-        Sched::Chromatic => ChromaticScheduler::greedy(g).gamma(g),
-    }
-}
 
 fn main() {
     header(&[
@@ -62,7 +48,7 @@ fn main() {
         ("Singleton", Sched::Singleton),
         ("Chromatic", Sched::Chromatic),
     ] {
-        let gm = gamma(sched, &graph);
+        let gm = sched.gamma(&graph);
         let mut spec = base.clone();
         spec.scheduler = Some(sched);
         let result = spec

@@ -730,6 +730,10 @@ impl ShardLayout {
     /// jobs, and whatever an in-process build of the spec rejects.
     fn derive(member: &JobSpec) -> Result<ShardLayout, SpecError> {
         let model = member.build_model();
+        // Validate first, so a spec the in-process build rejects (a CSP
+        // on `cluster:k`, say) fails with the single-server error.
+        let burn_in = member.burn_in.unwrap_or(0);
+        member.sampler_builder(&model).burn_in(burn_in).validate()?;
         let BuiltModel::Mrf(mrf) = &model else {
             return Err(SpecError::Unsupported {
                 message: "shard sessions need an MRF model".into(),
@@ -740,8 +744,6 @@ impl ShardLayout {
                 message: "shard sessions run `run` jobs only".into(),
             });
         };
-        let burn_in = member.burn_in.unwrap_or(0);
-        member.sampler_builder(&model).burn_in(burn_in).validate()?;
         // The same min-then-max clamp the in-process builder applies.
         let k = member
             .backend_or_default()

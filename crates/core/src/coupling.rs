@@ -7,22 +7,23 @@
 //! from different starts, feeding every copy the *same* randomness each
 //! step, and record the round at which they all coincide.
 //!
-//! Our chains consume a fresh PRNG per step, seeded from a per-step key,
-//! so the shared-randomness coupling is exact regardless of how many
-//! draws each copy makes. For LocalMetropolis this realizes the identity
-//! coupling of §4.2.2 (same proposals and coins); for heat-bath chains it
-//! is the standard inverse-CDF grand coupling.
+//! Engine rounds draw every random choice from counter-style streams
+//! keyed by `(master, round, vertex-or-edge id)`, so copies sharing a
+//! master seed share all randomness regardless of their states. For
+//! LocalMetropolis this realizes the identity coupling of §4.2.2 (same
+//! proposals and coins); for heat-bath chains it is the standard
+//! inverse-CDF grand coupling.
 
 use crate::engine::replicas::ReplicaSet;
 use crate::engine::SyncRule;
-use crate::Chain;
+use crate::sampler::Sampler;
 use lsl_local::rng::{derive_seed, Xoshiro256pp};
 use lsl_mrf::{Mrf, Spin};
 use rand::RngExt;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-/// Label for per-step coupling seeds.
+/// Label for the per-trial step keys of [`one_step_drift`].
 const STEP_LABEL: u64 = 0x4350_4c53_5445_5000; // "CPLSTEP\0"
 
 /// Result of a coalescence run.
@@ -42,32 +43,6 @@ impl Coalescence {
             Coalescence::TimedOut => None,
         }
     }
-}
-
-/// Runs the grand coupling on `copies` until all states coincide or
-/// `max_steps` elapse. Every copy receives an identically seeded PRNG in
-/// every step (derived from `master_seed` and the step index).
-pub fn coalesce<C: Chain>(copies: &mut [C], master_seed: u64, max_steps: usize) -> Coalescence {
-    assert!(!copies.is_empty(), "need at least one copy");
-    if all_equal(copies) {
-        return Coalescence::At(0);
-    }
-    for t in 0..max_steps {
-        let step_seed = derive_seed(master_seed, STEP_LABEL, t as u64);
-        for chain in copies.iter_mut() {
-            let mut rng = Xoshiro256pp::seed_from(step_seed);
-            chain.step(&mut rng);
-        }
-        if all_equal(copies) {
-            return Coalescence::At(t + 1);
-        }
-    }
-    Coalescence::TimedOut
-}
-
-fn all_equal<C: Chain>(copies: &[C]) -> bool {
-    let first = copies[0].state();
-    copies[1..].iter().all(|c| c.state() == first)
 }
 
 /// Standard adversarial start set for an MRF: the deterministic default
@@ -145,8 +120,9 @@ pub fn coalesce_batched_observed<R: SyncRule>(
     Coalescence::TimedOut
 }
 
-/// Batched counterpart of [`coalescence_times`]: `trials` independent
-/// grand couplings of an engine rule, each a coupled replica set.
+/// Measures coalescence times over `trials` independent grand couplings
+/// of an engine rule, each a coupled replica set; returns the observed
+/// times (timed-out runs are omitted) and the number of timeouts.
 pub fn coalescence_times_batched<R: SyncRule + Clone>(
     mrf: &Arc<Mrf>,
     rule: &R,
@@ -210,39 +186,15 @@ pub fn coalescence_times_batched_observed<R: SyncRule + Clone>(
     (times, timeouts)
 }
 
-/// Measures coalescence times over `trials` independent grand couplings;
-/// returns the observed times (timed-out runs are omitted) and the number
-/// of timeouts.
-pub fn coalescence_times<C: Chain>(
-    mut make: impl FnMut(&[Spin]) -> C,
-    starts: &[Vec<Spin>],
-    trials: usize,
-    max_steps: usize,
-    seed: u64,
-) -> (Vec<usize>, usize) {
-    let mut times = Vec::with_capacity(trials);
-    let mut timeouts = 0;
-    for trial in 0..trials {
-        let mut copies: Vec<C> = starts.iter().map(|s| make(s)).collect();
-        match coalesce(
-            &mut copies,
-            derive_seed(seed, 0x545249414c, trial as u64),
-            max_steps,
-        ) {
-            Coalescence::At(t) => times.push(t),
-            Coalescence::TimedOut => timeouts += 1,
-        }
-    }
-    (times, timeouts)
-}
-
 /// One-step path-coupling contraction estimate for a chain on colorings:
 /// starting from a feasible pair `(X, Y)` differing at one uniformly
-/// random vertex, couples one step with shared randomness and reports the
-/// average change in Hamming distance. Negative drift corroborates the
-/// path-coupling contractions of Lemmas 4.4/4.5.
-pub fn one_step_drift<C: Chain>(
-    mut make: impl FnMut(&[Spin]) -> C,
+/// random vertex, couples one step with shared randomness (both samplers
+/// take the same [`Sampler::step_keyed`] key) and reports the average
+/// change in Hamming distance. `make` builds a fresh sampler from a
+/// start. Negative drift corroborates the path-coupling contractions of
+/// Lemmas 4.4/4.5.
+pub fn one_step_drift(
+    mut make: impl FnMut(&[Spin]) -> Sampler,
     base: &[Spin],
     disagree_at: usize,
     alternative: Spin,
@@ -255,11 +207,9 @@ pub fn one_step_drift<C: Chain>(
     for trial in 0..trials {
         let mut a = make(base);
         let mut b = make(&other);
-        let step_seed = derive_seed(seed, STEP_LABEL ^ 0xABCD, trial as u64);
-        let mut rng_a = Xoshiro256pp::seed_from(step_seed);
-        let mut rng_b = Xoshiro256pp::seed_from(step_seed);
-        a.step(&mut rng_a);
-        b.step(&mut rng_b);
+        let key = derive_seed(seed, STEP_LABEL, trial as u64);
+        a.step_keyed(key);
+        b.step_keyed(key);
         let after = hamming(a.state(), b.state());
         total += after as f64 - 1.0;
     }
@@ -301,91 +251,83 @@ pub fn random_disagreeing_pair(
 
 #[cfg(test)]
 mod tests {
-    // Grand couplings through the deprecated legacy constructors are
-    // deliberately kept covered (the facade shims onto them).
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::local_metropolis::LocalMetropolis;
-    use crate::luby_glauber::LubyGlauber;
-    use crate::single_site::GlauberChain;
+    use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule};
+    use crate::sampler::Algorithm;
     use lsl_graph::generators;
     use lsl_mrf::models;
 
     #[test]
     fn coalescence_detects_equal_starts() {
+        // A coupled facade batch from equal starts is coalesced before
+        // its first round.
         let mrf = models::proper_coloring(generators::cycle(5), 6);
-        let mut copies = vec![
-            GlauberChain::with_state(&mrf, vec![0; 5]),
-            GlauberChain::with_state(&mrf, vec![0; 5]),
-        ];
-        assert_eq!(coalesce(&mut copies, 1, 10), Coalescence::At(0));
+        let batch = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::Glauber)
+            .replicas(2)
+            .starts(vec![vec![0; 5]; 2])
+            .coupled()
+            .build()
+            .unwrap();
+        assert!(batch.coalesced());
     }
 
     #[test]
     fn glauber_grand_coupling_coalesces() {
         // Ample colors: the grand coupling coalesces quickly on a cycle.
-        let mrf = models::proper_coloring(generators::cycle(6), 8);
+        let mrf = Arc::new(models::proper_coloring(generators::cycle(6), 8));
         let starts = adversarial_starts(&mrf, 2, 7);
-        let (times, timeouts) = coalescence_times(
-            |s| GlauberChain::with_state(&mrf, s.to_vec()),
-            &starts,
-            5,
-            20_000,
-            11,
-        );
+        let (times, timeouts) =
+            coalescence_times_batched(&mrf, &GlauberRule, &starts, 5, 20_000, 11);
         assert_eq!(timeouts, 0, "couplings timed out");
         assert!(!times.is_empty());
     }
 
     #[test]
     fn local_metropolis_identity_coupling_coalesces_fast() {
+        // The facade's coalescence job over the batched couplings.
         let mrf = models::proper_coloring(generators::torus(4, 4), 24);
-        let starts = adversarial_starts(&mrf, 2, 3);
-        let (times, timeouts) = coalescence_times(
-            |s| LocalMetropolis::with_state(&mrf, s.to_vec()),
-            &starts,
-            5,
-            5_000,
-            13,
+        let report = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::LocalMetropolis)
+            .seed(13)
+            .coalescence(5, 5_000)
+            .unwrap();
+        assert_eq!(report.timeouts, 0);
+        assert!(
+            report.summary.max < 500.0,
+            "coalescence too slow: {report:?}"
         );
-        assert_eq!(timeouts, 0);
-        let max = *times.iter().max().unwrap();
-        assert!(max < 500, "coalescence too slow: {max}");
     }
 
     #[test]
     fn luby_glauber_coalesces() {
         let mrf = models::proper_coloring(generators::cycle(8), 6);
-        let starts = adversarial_starts(&mrf, 1, 3);
-        let (times, timeouts) = coalescence_times(
-            |s| {
-                let mut c = LubyGlauber::new(&mrf);
-                c.set_state(s);
-                c
-            },
-            &starts,
-            5,
-            20_000,
-            17,
-        );
-        assert_eq!(timeouts, 0);
-        assert!(!times.is_empty());
+        let report = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::LubyGlauber)
+            .seed(17)
+            .coalescence(5, 20_000)
+            .unwrap();
+        assert_eq!(report.timeouts, 0);
+        assert!(report.summary.n > 0);
     }
 
     #[test]
     fn coupled_chains_share_randomness() {
-        // Two copies from the SAME start must track each other exactly.
+        // Two copies from the SAME start, built under different seeds but
+        // stepped with the same keys, must track each other exactly.
         let mrf = models::proper_coloring(generators::cycle(6), 5);
-        let mut copies = [
-            LocalMetropolis::with_state(&mrf, vec![0, 1, 0, 1, 0, 1]),
-            LocalMetropolis::with_state(&mrf, vec![0, 1, 0, 1, 0, 1]),
-        ];
+        let build = |seed| {
+            Sampler::for_mrf(&mrf)
+                .start(vec![0, 1, 0, 1, 0, 1])
+                .seed(seed)
+                .build()
+                .unwrap()
+        };
+        let mut copies = [build(1), build(2)];
         for t in 0..50 {
-            let seed = derive_seed(5, STEP_LABEL, t);
+            let key = derive_seed(5, STEP_LABEL, t);
             for c in copies.iter_mut() {
-                let mut rng = Xoshiro256pp::seed_from(seed);
-                c.step(&mut rng);
+                c.step_keyed(key);
             }
             assert_eq!(copies[0].state(), copies[1].state(), "diverged at {t}");
         }
@@ -393,7 +335,6 @@ mod tests {
 
     #[test]
     fn batched_grand_coupling_coalesces() {
-        use crate::engine::rules::LocalMetropolisRule;
         let mrf = Arc::new(models::proper_coloring(generators::torus(4, 4), 24));
         let starts = adversarial_starts(&mrf, 2, 3);
         let (times, timeouts) =
@@ -405,7 +346,6 @@ mod tests {
 
     #[test]
     fn batched_coalesce_detects_equal_starts() {
-        use crate::engine::rules::GlauberRule;
         let mrf = Arc::new(models::proper_coloring(generators::cycle(5), 6));
         let starts = vec![vec![0; 5], vec![0; 5]];
         assert_eq!(
@@ -416,7 +356,6 @@ mod tests {
 
     #[test]
     fn batched_luby_glauber_coalesces() {
-        use crate::engine::rules::LubyGlauberRule;
         let mrf = Arc::new(models::proper_coloring(generators::cycle(8), 6));
         let starts = adversarial_starts(&mrf, 1, 3);
         let (times, timeouts) =
@@ -445,10 +384,16 @@ mod tests {
         // Path coupling contraction: for q well above 2+√2 Δ, the
         // one-step drift of LocalMetropolis from a disagreeing pair is
         // negative.
-        let mrf = models::proper_coloring(generators::cycle(8), 12);
+        let mrf = Arc::new(models::proper_coloring(generators::cycle(8), 12));
         let (base, v, c) = random_disagreeing_pair(&mrf, 400, 3).expect("pair exists");
         let drift = one_step_drift(
-            |s| LocalMetropolis::with_state(&mrf, s.to_vec()),
+            |s| {
+                Sampler::for_mrf(Arc::clone(&mrf))
+                    .algorithm(Algorithm::LocalMetropolis)
+                    .start(s.to_vec())
+                    .build()
+                    .unwrap()
+            },
             &base,
             v,
             c,

@@ -14,14 +14,12 @@
 //! filter of Algorithm 2, which [`csp_local_metropolis_kernel`]'s tests
 //! verify by comparing kernels entrywise against the MRF chain.
 
-use crate::Chain;
 use lsl_analysis::Kernel;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::csp::{Constraint, Csp};
 use lsl_mrf::gibbs::{checked_pow, decode_config};
 use lsl_mrf::Spin;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// The mixture-product pass probability of constraint `c` given the
 /// current spins and proposals of its scope: `Π_{∅ ≠ S ⊆ [k]} f̃(τ_S)`
@@ -57,96 +55,40 @@ pub fn constraint_pass_probability(
     p
 }
 
-/// LocalMetropolis over a weighted local CSP.
-///
-/// # Example (preferred construction: the sampler facade)
-/// ```
-/// use lsl_core::prelude::*;
-/// use lsl_graph::generators;
-/// use lsl_mrf::csp::Csp;
-/// use std::sync::Arc;
-///
-/// let csp = Csp::dominating_set(Arc::new(generators::cycle(6)));
-/// let mut sampler = Sampler::for_csp(&csp)
-///     .algorithm(Algorithm::LocalMetropolis)
-///     .start(vec![1; 6])
-///     .seed(4)
-///     .build()
-///     .unwrap();
-/// sampler.run(50);
-/// assert!(csp.is_feasible(sampler.state()));
-/// ```
-#[derive(Clone, Debug)]
-pub struct CspLocalMetropolis {
-    csp: Arc<Csp>,
-    state: Vec<Spin>,
-    proposals: Vec<Spin>,
-    accept: Vec<bool>,
-}
-
-impl CspLocalMetropolis {
-    /// Creates the chain from an explicit start.
-    ///
-    /// # Panics
-    /// Panics if the start has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_csp(&csp).algorithm(Algorithm::LocalMetropolis).start(start).build()`")]
-    pub fn new(csp: impl Into<Arc<Csp>>, start: Vec<Spin>) -> Self {
-        let csp = csp.into();
-        assert_eq!(start.len(), csp.graph().num_vertices());
-        let n = start.len();
-        CspLocalMetropolis {
-            csp,
-            state: start,
-            proposals: vec![0; n],
-            accept: vec![false; n],
-        }
+/// One LocalMetropolis round over a weighted local CSP: every vertex
+/// proposes a uniform spin, then every constraint (in order) flips one
+/// coin against its mixture-product pass probability, and a vertex takes
+/// its proposal iff every constraint containing it passed. `proposals`
+/// and `accept` are reusable scratch of length `n`.
+pub(crate) fn round(
+    csp: &Csp,
+    state: &mut [Spin],
+    proposals: &mut [Spin],
+    accept: &mut [bool],
+    rng: &mut Xoshiro256pp,
+) {
+    let q = csp.q();
+    for slot in proposals.iter_mut() {
+        *slot = (rng.uniform_f64() * q as f64) as Spin;
     }
-
-    /// The CSP this chain samples from.
-    pub fn csp(&self) -> &Csp {
-        &self.csp
-    }
-}
-
-impl Chain for CspLocalMetropolis {
-    fn state(&self) -> &[Spin] {
-        &self.state
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        assert_eq!(state.len(), self.state.len());
-        self.state.copy_from_slice(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        let q = self.csp.q();
-        for slot in self.proposals.iter_mut() {
-            *slot = (rng.uniform_f64() * q as f64) as Spin;
-        }
-        self.accept.fill(true);
-        for c in self.csp.constraints() {
-            let p = constraint_pass_probability(c, q, &self.state, &self.proposals);
-            let coin = rng.uniform_f64();
-            if coin >= p {
-                for &v in c.scope() {
-                    self.accept[v as usize] = false;
-                }
-            }
-        }
-        for v in 0..self.state.len() {
-            if self.accept[v] {
-                self.state[v] = self.proposals[v];
+    accept.fill(true);
+    for c in csp.constraints() {
+        let p = constraint_pass_probability(c, q, state, proposals);
+        if rng.uniform_f64() >= p {
+            for &v in c.scope() {
+                accept[v as usize] = false;
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "CspLocalMetropolis"
+    for ((x, &s), &ok) in state.iter_mut().zip(proposals.iter()).zip(accept.iter()) {
+        if ok {
+            *x = s;
+        }
     }
 }
 
-/// The exact transition kernel of [`CspLocalMetropolis`] on a small CSP,
+/// The exact transition kernel of the CSP LocalMetropolis chain on a
+/// small CSP,
 /// by enumerating proposal vectors and constraint-coin patterns.
 ///
 /// # Panics
@@ -216,9 +158,6 @@ pub fn csp_local_metropolis_kernel(csp: &Csp) -> Kernel {
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructor is the surface under test here.
-    #![allow(deprecated)]
-
     use super::*;
     use lsl_graph::generators;
     use lsl_mrf::models;
@@ -306,14 +245,23 @@ mod tests {
         assert!(k.detailed_balance_residual(&pi) < 1e-12);
     }
 
+    /// The facade's CSP LocalMetropolis sampler from `start`.
+    fn sampler(csp: &Arc<Csp>, start: Vec<Spin>, seed: u64) -> crate::sampler::Sampler {
+        crate::sampler::Sampler::for_csp(Arc::clone(csp))
+            .algorithm(crate::sampler::Algorithm::LocalMetropolis)
+            .start(start)
+            .seed(seed)
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn hard_constraints_preserve_feasibility() {
-        let csp = Csp::maximal_independent_set(Arc::new(generators::cycle(5)));
+        let csp = Arc::new(Csp::maximal_independent_set(Arc::new(generators::cycle(5))));
         let sols = csp.enumerate();
-        let mut chain = CspLocalMetropolis::new(&csp, sols[0].0.clone());
-        let mut rng = Xoshiro256pp::seed_from(5);
+        let mut chain = sampler(&csp, sols[0].0.clone(), 5);
         for _ in 0..200 {
-            chain.step(&mut rng);
+            chain.step();
             assert!(csp.is_feasible(chain.state()));
         }
     }
@@ -322,14 +270,12 @@ mod tests {
     fn dominating_set_sampling_converges() {
         use lsl_analysis::EmpiricalDistribution;
         use lsl_mrf::gibbs::encode_config;
-        let csp = Csp::dominating_set(Arc::new(generators::path(3)));
+        let csp = Arc::new(Csp::dominating_set(Arc::new(generators::path(3))));
         let sols = csp.enumerate();
         let mut emp = EmpiricalDistribution::new();
-        let reps = 20_000u64;
-        for rep in 0..reps {
-            let mut rng = Xoshiro256pp::seed_from(2_000 + rep);
-            let mut chain = CspLocalMetropolis::new(&csp, vec![1, 1, 1]);
-            chain.run(80, &mut rng);
+        for rep in 0..20_000u64 {
+            let mut chain = sampler(&csp, vec![1, 1, 1], 2_000 + rep);
+            chain.run(80);
             emp.record(encode_config(chain.state(), 2));
         }
         for (sol, _) in &sols {

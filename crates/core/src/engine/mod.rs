@@ -618,9 +618,11 @@ impl<R: SyncRule> SyncChain<R> {
     }
 
     /// Advances one round whose randomness is keyed by an externally
-    /// supplied master seed (used by the [`crate::Chain`] adapters, which
-    /// derive per-step masters from the caller's generator so that grand
-    /// couplings keep working through the legacy interface).
+    /// supplied master seed (what [`Sampler::step_keyed`] runs: copies
+    /// fed the same keys at equal rounds share every draw, which
+    /// realizes grand couplings driven from outside).
+    ///
+    /// [`Sampler::step_keyed`]: crate::sampler::Sampler::step_keyed
     pub fn step_keyed(&mut self, master: u64) {
         let ctx = RoundCtx::new(&self.mrf, master, self.round);
         let workers = self.workers.min(self.scratches.len());

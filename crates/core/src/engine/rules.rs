@@ -63,6 +63,22 @@ impl HeatBathScratch {
 /// probability exactly 0 or 1 are decided without consulting the coin
 /// stream (identically in every backend), which makes hard-constraint
 /// models — where *every* coin is deterministic — coin-free.
+///
+/// # Example (through the sampler facade)
+/// ```
+/// use lsl_core::prelude::*;
+/// use lsl_graph::generators;
+/// use lsl_mrf::models;
+///
+/// let mrf = models::proper_coloring(generators::complete_bipartite(6, 6), 24);
+/// let mut sampler = Sampler::for_mrf(&mrf)
+///     .algorithm(Algorithm::LocalMetropolis)
+///     .seed(2)
+///     .build()
+///     .unwrap();
+/// sampler.run(50);
+/// assert!(mrf.is_feasible(sampler.state()));
+/// ```
 #[derive(Clone, Debug)]
 pub struct LocalMetropolisRule {
     rule3: bool,
@@ -172,6 +188,23 @@ impl SyncRule for LocalMetropolisRule {
 /// Bernoulli volunteer bit, ...). Resolve phase: vertices the scheduler
 /// selects resample from their conditional marginal µ_v(· | X_Γ(v));
 /// everyone else keeps their spin.
+///
+/// # Example (through the sampler facade)
+/// ```
+/// use lsl_core::prelude::*;
+/// use lsl_graph::generators;
+/// use lsl_mrf::models;
+///
+/// let mrf = models::proper_coloring(generators::torus(4, 4), 10);
+/// let mut sampler = Sampler::for_mrf(&mrf)
+///     .algorithm(Algorithm::LubyGlauber)
+///     .scheduler(Sched::Luby)
+///     .seed(5)
+///     .build()
+///     .unwrap();
+/// sampler.run(80);
+/// assert!(mrf.is_feasible(sampler.state()));
+/// ```
 #[derive(Clone, Debug)]
 pub struct LubyGlauberRule<S: VertexScheduler = LubyScheduler> {
     scheduler: S,
@@ -276,6 +309,21 @@ pub fn scheduled_mask<S: VertexScheduler>(
 /// The single-site heat-bath Glauber dynamics as an engine rule: each
 /// round, the round-shared stream picks one vertex, which resamples from
 /// its conditional marginal.
+///
+/// # Example (through the sampler facade)
+/// ```
+/// use lsl_core::prelude::*;
+/// use lsl_graph::generators;
+/// use lsl_mrf::models;
+///
+/// let mrf = models::proper_coloring(generators::cycle(8), 5);
+/// let mut sampler = Sampler::for_mrf(&mrf)
+///     .algorithm(Algorithm::Glauber)
+///     .build()
+///     .unwrap();
+/// sampler.run(200);
+/// assert!(mrf.is_feasible(sampler.state()));
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct GlauberRule;
 
@@ -396,6 +444,124 @@ mod tests {
             chain.step();
             assert!(mrf.is_feasible(chain.state()));
         }
+    }
+
+    #[test]
+    fn never_moves_to_less_proper() {
+        // Once feasible, the facade's LocalMetropolis stays feasible
+        // (absorption, Thm 4.1 proof).
+        use crate::sampler::{Algorithm, Sampler};
+        let mrf = models::proper_coloring(generators::torus(4, 4), 8);
+        let mut sampler = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::LocalMetropolis)
+            .seed(4)
+            .build()
+            .unwrap();
+        sampler.run(30);
+        assert!(mrf.is_feasible(sampler.state()));
+        for _ in 0..50 {
+            sampler.step();
+            assert!(mrf.is_feasible(sampler.state()));
+        }
+    }
+
+    /// TV between the exact Gibbs distribution and the facade's
+    /// LocalMetropolis at `steps` rounds.
+    fn local_metropolis_tv(mrf: &Mrf, steps: usize, replicas: usize) -> f64 {
+        use crate::sampler::{Algorithm, Sampler};
+        let exact = lsl_mrf::gibbs::Enumeration::new(mrf).unwrap();
+        Sampler::for_mrf(mrf)
+            .algorithm(Algorithm::LocalMetropolis)
+            .seed(77)
+            .tv(&exact, steps, replicas)
+            .unwrap()
+    }
+
+    #[test]
+    fn absorbs_from_infeasible_start() {
+        // Start all-same-color (maximally infeasible); with q ≥ Δ+2 the
+        // chain must become proper quickly.
+        let mrf = models::proper_coloring(generators::cycle(8), 5);
+        let mut chain = SyncChain::with_state(&mrf, LocalMetropolisRule::new(), 6, vec![0; 8]);
+        let became_proper = (0..200).any(|_| {
+            chain.step();
+            mrf.is_feasible(chain.state())
+        });
+        assert!(became_proper, "never became proper");
+    }
+
+    #[test]
+    fn samples_gibbs_colorings_small() {
+        let mrf = models::proper_coloring(generators::cycle(4), 4);
+        let tv = local_metropolis_tv(&mrf, 80, 8000);
+        assert!(tv < 0.05, "tv = {tv}");
+    }
+
+    #[test]
+    fn samples_soft_constraint_models() {
+        // Ising (soft activities exercise the fractional coin path).
+        let mrf = models::ising(generators::path(3), 0.6);
+        let tv = local_metropolis_tv(&mrf, 80, 8000);
+        assert!(tv < 0.05, "tv = {tv}");
+    }
+
+    #[test]
+    fn samples_hardcore() {
+        let mrf = models::hardcore(generators::path(3), 1.0);
+        let tv = local_metropolis_tv(&mrf, 60, 8000);
+        assert!(tv < 0.05, "tv = {tv}");
+    }
+
+    #[test]
+    fn rule3_chain_correct_where_ablation_differs() {
+        // The full chain stays correct on instances where the rule-3
+        // ablation changes the transition structure (the exact-kernel
+        // tests in `kernel` quantify the ablation's failure).
+        let mrf = models::proper_coloring(generators::path(3), 3);
+        let tv = local_metropolis_tv(&mrf, 400, 8000);
+        assert!(tv < 0.05, "tv = {tv}");
+    }
+
+    #[test]
+    fn large_degree_still_correct() {
+        // LocalMetropolis correctness (not mixing speed) only needs the
+        // chain rules; test on a star with ample colors.
+        let mrf = models::proper_coloring(generators::star(3), 4);
+        let tv = local_metropolis_tv(&mrf, 300, 20_000);
+        assert!(tv < 0.06, "tv = {tv}");
+    }
+
+    #[test]
+    fn coloring_filter_rules_truth_table() {
+        // On one edge u–v with q = 4, v keeps its proposal `sv` iff the
+        // filter passes for (xu, xv, su, sv). Coloring coins are 0 or 1,
+        // so the coin stream is never consulted.
+        let mrf = models::proper_coloring(generators::path(2), 4);
+        let ctx = RoundCtx::new(&mrf, 0, 0);
+        let passes = |rule: &LocalMetropolisRule, [xu, xv, su, sv]: [Spin; 4]| {
+            let mut rng = Xoshiro256pp::seed_from(0);
+            rule.resolve(
+                &ctx,
+                VertexId(1),
+                &[xu, xv][..],
+                &[su, sv],
+                &mut rng,
+                &mut (),
+            ) == sv
+        };
+        let full = LocalMetropolisRule::new();
+        // No conflicts: pass with certainty.
+        assert!(passes(&full, [0, 1, 2, 3]));
+        // Rule 1 at v: v proposed u's current color (sv = xu).
+        assert!(!passes(&full, [0, 1, 2, 0]));
+        // Rule 2: identical proposals.
+        assert!(!passes(&full, [0, 1, 3, 3]));
+        // Rule 3: u proposed v's current color (su = xv).
+        assert!(!passes(&full, [0, 1, 1, 3]));
+        // The ablated chain ignores rule 3 only.
+        let ablated = LocalMetropolisRule::without_rule3();
+        assert!(passes(&ablated, [0, 1, 1, 3]));
+        assert!(!passes(&ablated, [0, 1, 2, 0]));
     }
 
     #[test]

@@ -15,17 +15,20 @@
 //!   backends (sequential, parallel, owner-computes sharded, batched
 //!   replicas) with bit-identical trajectories — see `DESIGN.md` for
 //!   the layering and the determinism contract;
-//! * [`single_site`] — the classic sequential chains: heat-bath **Glauber
-//!   dynamics**, single-site **Metropolis**, and **systematic scan**;
+//! * [`engine::rules`] — the chains as engine rules: **Algorithm 1
+//!   (LubyGlauber)**, heat-bath updates on a scheduled independent set
+//!   each round; **Algorithm 2 (LocalMetropolis)**, simultaneous
+//!   proposals at every vertex filtered by per-edge coins, with the
+//!   rule-three ablation the paper warns about; and the sequential
+//!   single-site **Glauber** and **Metropolis** baselines;
 //! * [`schedule`] — the paper's "Luby step" and the other
 //!   independent-set schedulers its Theorem 3.2 remark allows
 //!   (chromatic classes, singletons, filtered-Bernoulli);
-//! * [`luby_glauber`] — **Algorithm 1 (LubyGlauber)**: heat-bath updates on
-//!   a scheduled independent set each round, plus the weighted-CSP variant
-//!   on strongly independent sets;
-//! * [`local_metropolis`] — **Algorithm 2 (LocalMetropolis)**: simultaneous
-//!   proposals at every vertex filtered by per-edge coins, with the
-//!   rule-three ablation the paper warns about;
+//! * [`single_site`] — start configurations and the **systematic scan**
+//!   baseline;
+//! * [`csp_metropolis`] — the weighted-CSP filter of LocalMetropolis and
+//!   its exact kernel (both CSP chains run behind the facade, via
+//!   [`Sampler::for_csp`](sampler::Sampler::for_csp));
 //! * [`programs`] — both algorithms as LOCAL-model vertex programs with
 //!   message-size accounting (one LOCAL round per chain step);
 //! * [`kernel`] — *exact* transition kernels of all three chains on small
@@ -77,8 +80,7 @@ pub mod engine;
 pub mod kernel;
 pub mod labeling;
 pub mod lifecycle;
-pub mod local_metropolis;
-pub mod luby_glauber;
+mod luby_glauber;
 pub mod mixing;
 pub mod net;
 pub mod programs;
@@ -92,9 +94,8 @@ pub mod store;
 pub mod update;
 
 /// The facade in one `use`: the [`sampler`] builder types, the
-/// declarative [`spec`] layer and its serving [`service`], the legacy
-/// [`Chain`] trait, the engine [`Backend`](engine::Backend), and the
-/// workspace PRNG.
+/// declarative [`spec`] layer and its serving [`service`], the engine
+/// [`Backend`](engine::Backend), and the workspace PRNG.
 pub mod prelude {
     pub use crate::cluster::{ClusterError, ClusterEvent, ClusterRun, Coordinator};
     pub use crate::codec::{Codec, StateBlob};
@@ -110,39 +111,5 @@ pub mod prelude {
         JobOutput, JobResult, JobSpec, ScenarioRegistry, SpecError, SweepResult, SweepSpec,
     };
     pub use crate::store::{ResultStore, StoreStats};
-    pub use crate::Chain;
     pub use lsl_local::rng::Xoshiro256pp;
-}
-
-use lsl_local::rng::Xoshiro256pp;
-use lsl_mrf::Spin;
-
-/// A Markov chain over spin configurations, stepped with an explicit PRNG.
-///
-/// The concrete [`Xoshiro256pp`] generator (rather than a generic `Rng`)
-/// makes *grand couplings* trivial: stepping two chains with identically
-/// seeded generators realizes the shared-randomness coupling used in all
-/// coalescence experiments.
-pub trait Chain {
-    /// The current configuration.
-    fn state(&self) -> &[Spin];
-
-    /// Overwrites the current configuration.
-    ///
-    /// # Panics
-    /// Implementations panic if the length or spin range is wrong.
-    fn set_state(&mut self, state: &[Spin]);
-
-    /// Advances the chain by one step.
-    fn step(&mut self, rng: &mut Xoshiro256pp);
-
-    /// Human-readable chain name for experiment output.
-    fn name(&self) -> &'static str;
-
-    /// Advances the chain by `t` steps.
-    fn run(&mut self, t: usize, rng: &mut Xoshiro256pp) {
-        for _ in 0..t {
-            self.step(rng);
-        }
-    }
 }

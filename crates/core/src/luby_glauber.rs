@@ -1,327 +1,183 @@
-//! Algorithm 1: the LubyGlauber chain.
+//! Algorithm 1 (LubyGlauber) on weighted CSPs (paper remark after
+//! Algorithm 1).
 //!
 //! Each round: sample a random independent set `I` (by default the Luby
 //! step), then resample every `v ∈ I` in parallel from its conditional
-//! marginal µ_v(·|X_Γ(v)) (paper eq. 2). Because `I` is independent and
-//! marginals read only neighbors (which are not in `I`), the "parallel"
-//! resampling is implemented as an in-place sweep over `I` with identical
-//! semantics.
+//! marginal µ_v(·|X_Γ(v)) (paper eq. 2). On an MRF the chain is the
+//! engine rule [`LubyGlauberRule`](crate::engine::rules::LubyGlauberRule).
+//! On a CSP, neighborhoods are redefined through shared constraint
+//! scopes, so the scheduled set must be *strongly* independent: the
+//! scheduler runs on the primal graph of the scope hypergraph. This
+//! module holds that CSP round; the facade's CSP sampler drives it.
 //!
 //! Theorem 3.2: under Dobrushin's condition (total influence `α < 1`) the
 //! chain mixes in `O(Δ/(1−α) · log(n/ε))` rounds — and more generally
 //! `O(1/((1−α)γ) · log(n/ε))` for any scheduler with `Pr[v ∈ I] ≥ γ`.
 
-use crate::engine::rules::{scheduled_mask, LubyGlauberRule};
-use crate::engine::{Backend, RoundCtx, SyncChain};
-use crate::schedule::{LubyScheduler, Scheduler, VertexScheduler};
-use crate::Chain;
+use crate::sampler::Sched;
+use lsl_graph::coloring::ProperColoring;
+use lsl_graph::{Graph, VertexId};
 use lsl_local::rng::Xoshiro256pp;
-use lsl_mrf::csp::Csp;
-use lsl_mrf::{Mrf, Spin};
-use std::sync::Arc;
+use lsl_mrf::csp::{Csp, MarginalScratch};
+use lsl_mrf::Spin;
+use rand::RngExt;
 
-/// The LubyGlauber chain (Algorithm 1), generic over the independent-set
-/// scheduler and running on the step engine: the chain logic lives in
-/// [`LubyGlauberRule`], and this
-/// wrapper adapts it to the [`Chain`] interface (each step's randomness
-/// is keyed by one draw from the caller's generator, preserving grand
-/// couplings through the legacy interface).
+/// Fills `out` with round `round`'s update set on the primal graph —
+/// an independent set there is a strongly independent set of the scope
+/// hypergraph. Every draw comes from `rng`, in a fixed order:
 ///
-/// # Example (preferred construction: the sampler facade)
-/// ```
-/// use lsl_core::prelude::*;
-/// use lsl_graph::generators;
-/// use lsl_mrf::models;
+/// * Luby: `n` uniforms `β_v`, then the local maxima of `(β_v, v)`;
+/// * Bernoulli(p): `n` uniforms, volunteers are those `< p`, then every
+///   volunteer with a volunteering neighbor withdraws;
+/// * Singleton: one `random_range(0..n)`;
+/// * Chromatic: no draw; class `round mod classes` of `coloring`.
 ///
-/// let mrf = models::proper_coloring(generators::torus(4, 4), 10);
-/// let mut sampler = Sampler::for_mrf(&mrf)
-///     .algorithm(Algorithm::LubyGlauber)
-///     .scheduler(Sched::Luby)
-///     .seed(5)
-///     .build()
-///     .unwrap();
-/// sampler.run(80);
-/// assert!(mrf.is_feasible(sampler.state()));
-/// ```
-#[derive(Debug)]
-pub struct LubyGlauber<S: VertexScheduler = LubyScheduler> {
-    inner: SyncChain<LubyGlauberRule<S>>,
-    mask: Vec<bool>,
-}
-
-impl LubyGlauber<LubyScheduler> {
-    /// Creates the chain with the paper's Luby-step scheduler and the
-    /// deterministic default start.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LubyGlauber).build()`")]
-    pub fn new(mrf: impl Into<Arc<Mrf>>) -> Self {
-        Self::wire(mrf, LubyScheduler::new())
-    }
-}
-
-impl<S: VertexScheduler> LubyGlauber<S> {
-    /// Creates the chain with a custom scheduler.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::LubyGlauber).scheduler(sched)\
-                .build()` with the matching `Sched` variant")]
-    pub fn with_scheduler(mrf: impl Into<Arc<Mrf>>, scheduler: S) -> Self {
-        Self::wire(mrf, scheduler)
-    }
-
-    /// The shared wiring behind both deprecated constructors.
-    fn wire(mrf: impl Into<Arc<Mrf>>, scheduler: S) -> Self {
-        let mrf = mrf.into();
-        let n = mrf.num_vertices();
-        LubyGlauber {
-            inner: crate::sampler::wire(
-                mrf,
-                LubyGlauberRule::with_scheduler(scheduler),
-                0,
-                None,
-                Backend::Sequential,
-            ),
-            mask: vec![false; n],
-        }
-    }
-
-    /// The model this chain samples from.
-    pub fn mrf(&self) -> &Mrf {
-        self.inner.mrf()
-    }
-
-    /// The scheduler in use.
-    pub fn scheduler(&self) -> &S {
-        self.inner.rule().scheduler()
-    }
-
-    /// Switches the execution backend (trajectories are unaffected — see
-    /// the engine's determinism contract).
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.inner.set_backend(backend);
-    }
-
-    /// The update mask of the most recent step (for instrumentation),
-    /// recovered lazily from the round's published marks — steps that
-    /// nobody inspects don't pay for a second selection pass.
-    pub fn last_mask(&mut self) -> &[bool] {
-        if let Some((master, round)) = self.inner.last_round_key() {
-            let ctx = RoundCtx::new(self.inner.mrf(), master, round);
-            scheduled_mask(
-                self.inner.rule().scheduler(),
-                &ctx,
-                self.inner.locals(),
-                &mut self.mask,
-            );
-        }
-        &self.mask
-    }
-}
-
-impl<S: VertexScheduler> Chain for LubyGlauber<S> {
-    fn state(&self) -> &[Spin] {
-        self.inner.state()
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        self.inner.set_state(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        self.inner.step_keyed(rng.next());
-        #[cfg(debug_assertions)]
-        {
-            let mask = self.last_mask().to_vec();
-            debug_assert!(
-                self.mrf().graph().is_independent_set(&mask),
-                "scheduler violated independence"
-            );
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "LubyGlauber"
-    }
-}
-
-/// The weighted-CSP variant of LubyGlauber (paper remark after Algorithm
-/// 1): neighborhoods are redefined through shared constraint scopes, so
-/// the scheduled set must be *strongly* independent. Implemented by
-/// running the scheduler on the primal graph of the scope hypergraph.
-#[derive(Clone, Debug)]
-pub struct CspLubyGlauber<S: Scheduler = LubyScheduler> {
-    csp: Arc<Csp>,
-    primal: lsl_graph::Graph,
-    scheduler: S,
-    state: Vec<Spin>,
-    mask: Vec<bool>,
-    scratch: lsl_mrf::csp::MarginalScratch,
-}
-
-impl CspLubyGlauber<LubyScheduler> {
-    /// Creates the chain with the Luby scheduler, starting from the given
-    /// configuration (CSPs often have constrained feasible spaces, so the
-    /// caller provides a sensible start — e.g. any maximal independent
-    /// set for the MIS distribution).
-    ///
-    /// # Panics
-    /// Panics if the start has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_csp(&csp).start(start).build()`")]
-    pub fn new(csp: impl Into<Arc<Csp>>, start: Vec<Spin>) -> Self {
-        #[allow(deprecated)] // one shim delegating to the other
-        Self::with_scheduler(csp, start, LubyScheduler::new())
-    }
-}
-
-impl<S: Scheduler> CspLubyGlauber<S> {
-    /// Creates the chain with a custom scheduler.
-    ///
-    /// # Panics
-    /// Panics if the start has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_csp(&csp).scheduler(sched).start(start).build()` \
-                with the matching `Sched` variant")]
-    pub fn with_scheduler(csp: impl Into<Arc<Csp>>, start: Vec<Spin>, scheduler: S) -> Self {
-        let csp = csp.into();
-        assert_eq!(start.len(), csp.graph().num_vertices());
-        let primal = csp.scope_hypergraph().primal_graph();
-        let n = csp.graph().num_vertices();
-        let scratch = lsl_mrf::csp::MarginalScratch::new(&csp);
-        CspLubyGlauber {
-            csp,
-            primal,
-            scheduler,
-            state: start,
-            mask: vec![false; n],
-            scratch,
-        }
-    }
-
-    /// The CSP this chain samples from.
-    pub fn csp(&self) -> &Csp {
-        &self.csp
-    }
-}
-
-impl<S: Scheduler> Chain for CspLubyGlauber<S> {
-    fn state(&self) -> &[Spin] {
-        &self.state
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        assert_eq!(state.len(), self.state.len());
-        self.state.copy_from_slice(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        // Schedule on the primal graph: an independent set there is a
-        // strongly independent set of the scope hypergraph.
-        self.scheduler.sample(&self.primal, rng, &mut self.mask);
-        for v in self.primal.vertices() {
-            if !self.mask[v.index()] {
-                continue;
+/// `draws` is reusable scratch for the per-vertex uniforms.
+pub(crate) fn select(
+    sched: Sched,
+    primal: &Graph,
+    coloring: Option<&ProperColoring>,
+    round: u64,
+    rng: &mut Xoshiro256pp,
+    draws: &mut Vec<f64>,
+    out: &mut [bool],
+) {
+    let n = primal.num_vertices();
+    match sched {
+        Sched::Luby => {
+            draws.clear();
+            draws.extend((0..n).map(|_| rng.uniform_f64()));
+            for v in primal.vertices() {
+                let key = (draws[v.index()], v.0);
+                out[v.index()] = primal.neighbors(v).all(|u| key > (draws[u.index()], u.0));
             }
-            if let Some(pick) =
-                self.csp
-                    .sample_marginal_with(v, &self.state, rng, &mut self.scratch)
-            {
-                self.state[v.index()] = pick;
+        }
+        Sched::Bernoulli(p) => {
+            draws.clear();
+            draws.extend((0..n).map(|_| rng.uniform_f64()));
+            for v in primal.vertices() {
+                out[v.index()] =
+                    draws[v.index()] < p && primal.neighbors(v).all(|u| draws[u.index()] >= p);
             }
-            // An ill-defined marginal (all-zero weights) can only occur
-            // from infeasible starts; keeping the old spin preserves
-            // correctness on the feasible space.
+        }
+        Sched::Singleton => {
+            out.fill(false);
+            if n > 0 {
+                out[rng.random_range(0..n)] = true;
+            }
+        }
+        Sched::Chromatic => {
+            let coloring = coloring.expect("the chromatic schedule needs its coloring");
+            let class = (round % coloring.num_classes().max(1) as u64) as u32;
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = coloring.color(VertexId(i as u32)) == class;
+            }
         }
     }
+}
 
-    fn name(&self) -> &'static str {
-        "CspLubyGlauber"
+/// Resamples every vertex in `mask` from its conditional marginal, in
+/// vertex order. The mask is strongly independent, so the in-place
+/// sweep equals the simultaneous update.
+pub(crate) fn heat_bath(
+    csp: &Csp,
+    mask: &[bool],
+    state: &mut [Spin],
+    rng: &mut Xoshiro256pp,
+    scratch: &mut MarginalScratch,
+) {
+    for (i, &scheduled) in mask.iter().enumerate() {
+        if !scheduled {
+            continue;
+        }
+        // An ill-defined marginal (all-zero weights) can only occur from
+        // infeasible starts; keeping the old spin preserves correctness
+        // on the feasible space.
+        if let Some(pick) = csp.sample_marginal_with(VertexId(i as u32), state, rng, scratch) {
+            state[i] = pick;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructors are the surface under test here.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
+    use crate::sampler::{Algorithm, Sampler};
     use lsl_analysis::EmpiricalDistribution;
     use lsl_graph::generators;
     use lsl_mrf::gibbs::{encode_config, Enumeration};
     use lsl_mrf::models;
     use std::sync::Arc;
 
-    fn chain_tv<C: Chain>(
-        mut make: impl FnMut() -> C,
-        q: usize,
-        steps: usize,
-        replicas: u64,
-        exact: &Enumeration,
-    ) -> f64 {
-        let mut emp = EmpiricalDistribution::new();
-        for rep in 0..replicas {
-            let mut chain = make();
-            let mut rng = Xoshiro256pp::seed_from(31 + rep);
-            chain.run(steps, &mut rng);
-            emp.record(encode_config(chain.state(), q));
-        }
-        emp.tv_against_dense(&exact.distribution())
+    /// TV between the exact Gibbs distribution and the facade's
+    /// LubyGlauber at `steps` rounds under `sched`.
+    fn luby_glauber_tv(mrf: &lsl_mrf::Mrf, sched: Sched, steps: usize, replicas: usize) -> f64 {
+        let exact = Enumeration::new(mrf).unwrap();
+        Sampler::for_mrf(mrf)
+            .algorithm(Algorithm::LubyGlauber)
+            .scheduler(sched)
+            .seed(31)
+            .tv(&exact, steps, replicas)
+            .unwrap()
     }
 
     #[test]
     fn luby_glauber_updates_are_independent_sets() {
-        let mrf = models::proper_coloring(generators::torus(4, 4), 9);
-        let mut chain = LubyGlauber::new(&mrf);
-        let mut rng = Xoshiro256pp::seed_from(1);
-        for _ in 0..30 {
-            chain.step(&mut rng);
-            assert!(mrf.graph().is_independent_set(chain.last_mask()));
+        // Every scheduler's CSP update set is independent on the primal
+        // graph, i.e. strongly independent on the scope hypergraph.
+        let csp = Csp::dominating_set(Arc::new(generators::torus(4, 4)));
+        let primal = csp.scope_hypergraph().primal_graph();
+        let coloring = lsl_graph::coloring::greedy(&primal);
+        let mut draws = Vec::new();
+        let mut mask = vec![false; primal.num_vertices()];
+        for sched in [
+            Sched::Luby,
+            Sched::Singleton,
+            Sched::Bernoulli(0.3),
+            Sched::Chromatic,
+        ] {
+            let mut rng = Xoshiro256pp::seed_from(1);
+            for round in 0..30 {
+                select(
+                    sched,
+                    &primal,
+                    Some(&coloring),
+                    round,
+                    &mut rng,
+                    &mut draws,
+                    &mut mask,
+                );
+                assert!(primal.is_independent_set(&mask), "{sched:?} round {round}");
+            }
         }
-        assert!(mrf.is_feasible(chain.state()));
     }
 
     #[test]
     fn luby_glauber_samples_gibbs_small() {
         // Colorings of C4 with q = 3: TV to exact must vanish.
         let mrf = models::proper_coloring(generators::cycle(4), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(|| LubyGlauber::new(&mrf), 3, 120, 6000, &exact);
+        let tv = luby_glauber_tv(&mrf, Sched::Luby, 120, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn luby_glauber_hardcore_small() {
         let mrf = models::hardcore(generators::path(4), 1.5);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(|| LubyGlauber::new(&mrf), 2, 100, 6000, &exact);
+        let tv = luby_glauber_tv(&mrf, Sched::Luby, 100, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn singleton_scheduler_equals_glauber_distribution() {
         let mrf = models::uniform_independent_set(generators::path(3));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LubyGlauber::with_scheduler(&mrf, SingletonScheduler),
-            2,
-            80,
-            6000,
-            &exact,
-        );
+        let tv = luby_glauber_tv(&mrf, Sched::Singleton, 80, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
     #[test]
     fn bernoulli_scheduler_also_converges() {
         let mrf = models::proper_coloring(generators::path(3), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LubyGlauber::with_scheduler(&mrf, BernoulliFilterScheduler::new(0.3)),
-            3,
-            100,
-            6000,
-            &exact,
-        );
+        let tv = luby_glauber_tv(&mrf, Sched::Bernoulli(0.3), 100, 6000);
         assert!(tv < 0.05, "tv = {tv}");
     }
 
@@ -330,44 +186,48 @@ mod tests {
         // The chromatic scheduler is a systematic scan; after whole sweeps
         // it still targets the Gibbs distribution.
         let mrf = models::proper_coloring(generators::cycle(4), 3);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = chain_tv(
-            || LubyGlauber::with_scheduler(&mrf, ChromaticScheduler::greedy(mrf.graph())),
-            3,
-            121, // odd number of rounds? classes=2, 121 rounds ≈ 60.5 sweeps
-            6000,
-            &exact,
-        );
+        // classes = 2, so 121 rounds ≈ 60.5 sweeps.
+        let tv = luby_glauber_tv(&mrf, Sched::Chromatic, 121, 6000);
         assert!(tv < 0.06, "tv = {tv}");
+    }
+
+    /// Empirical distribution of `reps` CSP LubyGlauber runs of `rounds`
+    /// rounds each (seeds `seed..seed + reps`), each from `start()`.
+    fn csp_runs(
+        csp: &Arc<Csp>,
+        reps: u64,
+        rounds: usize,
+        seed: u64,
+        mut start: impl FnMut() -> Vec<Spin>,
+    ) -> EmpiricalDistribution {
+        let mut emp = EmpiricalDistribution::new();
+        for rep in 0..reps {
+            let mut sampler = Sampler::for_csp(Arc::clone(csp))
+                .start(start())
+                .seed(seed + rep)
+                .build()
+                .unwrap();
+            sampler.run(rounds);
+            assert!(csp.is_feasible(sampler.state()), "left the feasible space");
+            emp.record(encode_config(sampler.state(), 2));
+        }
+        emp
     }
 
     #[test]
     fn csp_luby_glauber_samples_uniform_mis() {
-        // MIS of the star K_{1,3}: exactly 2 solutions — hub or all leaves.
-        // Single-site dynamics cannot move between them (they differ in
-        // ≥ 2 coordinates through infeasible intermediates)… in fact for
-        // MIS the single-site chain is NOT irreducible in general. Use C5,
-        // whose MIS space is connected under single-site moves? C5's MISs
-        // are the 5 pairs of non-adjacent vertices; moving between them
-        // one flip at a time passes through non-maximal sets — also
-        // infeasible. So instead validate *invariance*: starting from a
+        // MIS of C5: its 5 MISs are the pairs of non-adjacent vertices,
+        // and moving between them one flip at a time passes through
+        // non-maximal (infeasible) sets, so single-site dynamics cannot
+        // mix here. Validate *invariance* instead: starting from a
         // uniform random MIS, the chain keeps the uniform distribution.
-        let g = Arc::new(generators::cycle(5));
-        let csp = Csp::maximal_independent_set(Arc::clone(&g));
+        let csp = Arc::new(Csp::maximal_independent_set(Arc::new(generators::cycle(5))));
         let sols = csp.enumerate();
         assert_eq!(sols.len(), 5);
-        let mut emp = EmpiricalDistribution::new();
-        let reps = 8000u64;
-        for rep in 0..reps {
-            let mut rng = Xoshiro256pp::seed_from(900 + rep);
-            // Exact-uniform start over solutions.
-            let pick = (rand::RngExt::random_range(&mut rng, 0..sols.len() as u64)) as usize;
-            let mut chain = CspLubyGlauber::new(&csp, sols[pick].0.clone());
-            chain.run(20, &mut rng);
-            assert!(csp.is_feasible(chain.state()), "left the MIS space");
-            emp.record(encode_config(chain.state(), 2));
-        }
-        // Uniformity preserved.
+        let mut pick = Xoshiro256pp::seed_from(900);
+        let emp = csp_runs(&csp, 8000, 20, 900, || {
+            sols[pick.random_range(0..sols.len())].0.clone()
+        });
         for (sol, _) in &sols {
             let f = emp.frequency(encode_config(sol, 2));
             assert!((f - 0.2).abs() < 0.02, "sol {sol:?}: freq {f}");
@@ -378,18 +238,10 @@ mod tests {
     fn csp_luby_glauber_dominating_sets_mix() {
         // Dominating sets of P3 are connected under single-site moves:
         // {1} ↔ {0,1} ↔ {0,1,2} etc. The chain should reach uniform.
-        let g = Arc::new(generators::path(3));
-        let csp = Csp::dominating_set(Arc::clone(&g));
+        let csp = Arc::new(Csp::dominating_set(Arc::new(generators::path(3))));
         let sols = csp.enumerate();
         assert_eq!(sols.len(), 5);
-        let mut emp = EmpiricalDistribution::new();
-        let reps = 10_000u64;
-        for rep in 0..reps {
-            let mut rng = Xoshiro256pp::seed_from(1700 + rep);
-            let mut chain = CspLubyGlauber::new(&csp, vec![1, 1, 1]);
-            chain.run(60, &mut rng);
-            emp.record(encode_config(chain.state(), 2));
-        }
+        let emp = csp_runs(&csp, 10_000, 60, 1700, || vec![1, 1, 1]);
         for (sol, _) in &sols {
             let f = emp.frequency(encode_config(sol, 2));
             assert!((f - 0.2).abs() < 0.025, "sol {sol:?}: freq {f}");

@@ -162,6 +162,8 @@ const KNOWN_WHATS: &[&str] = &[
     "the tv_curve job",
     "the coalescence job",
     "replica batching",
+    "the sharded backend",
+    "the cluster backend",
 ];
 
 /// Encodes a [`BuildError`] as one token (the `combo-*` family).

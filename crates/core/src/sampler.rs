@@ -56,14 +56,13 @@ use crate::engine::replicas::ReplicaSet;
 use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
 use crate::engine::sharded::{CommStats, ShardedChain};
 use crate::engine::{Backend, HotPath, SyncChain, SyncRule};
-use crate::schedule::{
-    BernoulliFilterScheduler, ChromaticScheduler, LubyScheduler, SingletonScheduler,
-};
-use crate::Chain;
+use crate::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
 use lsl_analysis::stats::Summary;
 use lsl_analysis::EmpiricalDistribution;
+use lsl_graph::coloring::ProperColoring;
+use lsl_graph::Graph;
 use lsl_local::rng::{derive_seed, Xoshiro256pp};
-use lsl_mrf::csp::Csp;
+use lsl_mrf::csp::{Csp, MarginalScratch};
 use lsl_mrf::gibbs::Enumeration;
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
@@ -172,6 +171,18 @@ impl Sched {
             Sched::Singleton => "Singleton",
             Sched::Bernoulli(_) => "BernoulliFilter",
             Sched::Chromatic => "Chromatic",
+        }
+    }
+
+    /// A lower bound on `Pr[v ∈ I]` on network `g` — the γ of Theorem
+    /// 3.2's remark — or `None` for the chromatic scan, which is not an
+    /// independent per-round sampler.
+    pub fn gamma(self, g: &Graph) -> Option<f64> {
+        match self {
+            Sched::Luby => Some(1.0 / (g.max_degree() as f64 + 1.0)),
+            Sched::Singleton => Some(1.0 / g.num_vertices().max(1) as f64),
+            Sched::Bernoulli(p) => Some(p * (1.0 - p).powi(g.max_degree() as i32)),
+            Sched::Chromatic => None,
         }
     }
 }
@@ -407,8 +418,9 @@ impl SamplerBuilder {
     }
 
     /// The execution backend. Trajectories are backend-independent by
-    /// the engine's determinism contract; CSP chains are sequential and
-    /// ignore this.
+    /// the engine's determinism contract. CSP chains run sequentially:
+    /// they ignore the flat backends and reject the sharded and cluster
+    /// ones with [`BuildError::UnsupportedOnCsp`].
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
@@ -501,6 +513,19 @@ impl SamplerBuilder {
                 Algorithm::LubyGlauber | Algorithm::LocalMetropolis => {}
                 other => return Err(BuildError::UnsupportedOnCsp { what: other.name() }),
             }
+            match self.backend {
+                Backend::Sharded { .. } => {
+                    return Err(BuildError::UnsupportedOnCsp {
+                        what: "the sharded backend",
+                    })
+                }
+                Backend::Cluster { .. } => {
+                    return Err(BuildError::UnsupportedOnCsp {
+                        what: "the cluster backend",
+                    })
+                }
+                _ => {}
+            }
             if self.start.is_none() {
                 return Err(BuildError::StartRequiredForCsp);
             }
@@ -520,7 +545,9 @@ impl SamplerBuilder {
         let backend = self.backend;
         let mut sampler = match self.model {
             Model::Mrf(mrf) => {
-                let start = self.start;
+                let start = self
+                    .start
+                    .unwrap_or_else(|| crate::single_site::default_start(&mrf));
                 let seed = self.seed;
                 let hotpath = self.hotpath;
                 dispatch_rule!(self.algorithm, self.scheduler, &mrf, |rule| {
@@ -531,29 +558,29 @@ impl SamplerBuilder {
                     // with the same partition — the distributed run (see
                     // `crate::cluster`) is bit-identical to it by the
                     // determinism contract.
-                    let inner: Box<dyn DynSampler + Send> =
-                        if let Backend::Sharded { .. } | Backend::Cluster { .. } = backend {
-                            // min-then-max (not clamp) so a hypothetical
-                            // empty model degrades instead of panicking.
-                            let k = backend.worker_count().min(mrf.num_vertices()).max(1);
-                            let partition = self.partitioner.partition(mrf.graph(), k);
-                            let start =
-                                start.unwrap_or_else(|| crate::single_site::default_start(&mrf));
-                            Box::new(ShardedChain::with_state(
-                                Arc::clone(&mrf),
-                                rule,
-                                seed,
-                                start,
-                                partition,
-                            ))
-                        } else {
-                            let mut chain = wire(Arc::clone(&mrf), rule, seed, start, backend);
-                            if let Some(hp) = hotpath {
-                                // Validated above, so this cannot panic.
-                                chain.set_hotpath(hp);
-                            }
-                            Box::new(chain)
-                        };
+                    let inner: Box<dyn DynSampler + Send> = if let Backend::Sharded { .. }
+                    | Backend::Cluster { .. } = backend
+                    {
+                        // min-then-max (not clamp) so a hypothetical
+                        // empty model degrades instead of panicking.
+                        let k = backend.worker_count().min(mrf.num_vertices()).max(1);
+                        let partition = self.partitioner.partition(mrf.graph(), k);
+                        Box::new(ShardedChain::with_state(
+                            Arc::clone(&mrf),
+                            rule,
+                            seed,
+                            start,
+                            partition,
+                        ))
+                    } else {
+                        let mut chain = SyncChain::with_state(Arc::clone(&mrf), rule, seed, start);
+                        chain.set_backend(backend);
+                        if let Some(hp) = hotpath {
+                            // Validated above, so this cannot panic.
+                            chain.set_hotpath(hp);
+                        }
+                        Box::new(chain)
+                    };
                     Sampler {
                         inner,
                         mrf: Some(mrf),
@@ -562,65 +589,18 @@ impl SamplerBuilder {
                     }
                 })
             }
-            Model::Csp(csp) => {
-                let start = self.start.expect("validated above");
-                // The facade owns the wiring the legacy CSP constructors
-                // shim to, so it may use them without the deprecation lint.
-                #[allow(deprecated)]
-                let inner: Box<dyn DynSampler + Send> = match self.algorithm {
-                    Algorithm::LubyGlauber => {
-                        match self.scheduler.unwrap_or(Sched::Luby) {
-                            Sched::Luby => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    LubyScheduler::new(),
-                                ),
-                                self.seed,
-                            )),
-                            Sched::Singleton => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    SingletonScheduler,
-                                ),
-                                self.seed,
-                            )),
-                            Sched::Bernoulli(p) => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    BernoulliFilterScheduler::new(p),
-                                ),
-                                self.seed,
-                            )),
-                            Sched::Chromatic => Box::new(KeyedLegacy::new(
-                                crate::luby_glauber::CspLubyGlauber::with_scheduler(
-                                    Arc::clone(&csp),
-                                    start,
-                                    ChromaticScheduler::greedy(
-                                        // Schedule on the primal graph of the
-                                        // scope hypergraph, as the chain does.
-                                        &csp.scope_hypergraph().primal_graph(),
-                                    ),
-                                ),
-                                self.seed,
-                            )),
-                        }
-                    }
-                    Algorithm::LocalMetropolis => Box::new(KeyedLegacy::new(
-                        crate::csp_metropolis::CspLocalMetropolis::new(Arc::clone(&csp), start),
-                        self.seed,
-                    )),
-                    _ => unreachable!("validated above"),
-                };
-                Sampler {
-                    inner,
-                    mrf: None,
-                    algorithm,
-                    backend,
-                }
-            }
+            Model::Csp(csp) => Sampler {
+                inner: Box::new(CspSampler::new(
+                    csp,
+                    self.algorithm,
+                    self.scheduler.unwrap_or(Sched::Luby),
+                    self.start.expect("validated above"),
+                    self.seed,
+                )),
+                mrf: None,
+                algorithm,
+                backend,
+            },
         };
         sampler.run(self.burn_in);
         Ok(sampler)
@@ -629,8 +609,7 @@ impl SamplerBuilder {
     // ----- job verbs ------------------------------------------------
     //
     // Jobs spawn their own replicas from the validated spec and run
-    // through the batched step-engine entry points. They are the typed
-    // successors of the deprecated free functions in `mixing`. Replicas
+    // through the batched step-engine entry points in `mixing`. Replicas
     // start from `.start(..)` when given (important for models whose
     // default start is unsafe, e.g. list colorings) and the
     // deterministic default start otherwise; `.burn_in(..)` configures
@@ -914,30 +893,12 @@ impl ReplicaBuilder {
     }
 }
 
-/// The shared wiring every MRF chain construction goes through — the
-/// builder's `build()` and the deprecated legacy constructors both end
-/// up here, so there is exactly one place that turns (model, rule, seed,
-/// start, backend) into a running engine chain.
-pub(crate) fn wire<R: SyncRule>(
-    mrf: impl Into<Arc<Mrf>>,
-    rule: R,
-    seed: u64,
-    start: Option<Vec<Spin>>,
-    backend: Backend,
-) -> SyncChain<R> {
-    let mrf = mrf.into();
-    let start = start.unwrap_or_else(|| crate::single_site::default_start(&mrf));
-    let mut chain = SyncChain::with_state(mrf, rule, seed, start);
-    chain.set_backend(backend);
-    chain
-}
-
 // ---------------------------------------------------------------------
 // Type erasure: one Sampler type over every (rule, scheduler) combo.
 // ---------------------------------------------------------------------
 
 /// Object-safe surface of a single chain (implemented by every
-/// `SyncChain<R>` and by keyed legacy `Chain`s for CSP models).
+/// `SyncChain<R>` and `ShardedChain<R>`, and by [`CspSampler`]).
 trait DynSampler {
     fn step(&mut self);
     fn step_keyed(&mut self, master: u64);
@@ -1001,59 +962,125 @@ impl<R: SyncRule> DynSampler for SyncChain<R> {
     }
 }
 
-/// Adapts a legacy [`Chain`] (stepped by an external generator) to the
-/// facade's self-keyed stepping: round `r` draws from a generator seeded
-/// by `derive(master, "CSPSTEP", r)`, so the determinism contract's
-/// `(master, round)` purity holds for CSP chains too.
-struct KeyedLegacy<C: Chain> {
-    chain: C,
+/// Both CSP chains, under every scheduler, as one sampler: LubyGlauber
+/// on strongly independent sets (the scheduler runs on the primal graph
+/// of the scope hypergraph) and the per-constraint LocalMetropolis.
+/// Round `r` draws all its randomness, in a fixed order, from one
+/// generator seeded by `derive(master, "CSPSTEP", r)`, so the
+/// determinism contract's `(master, round)` purity holds for CSP chains
+/// too.
+struct CspSampler {
+    csp: Arc<Csp>,
+    primal: Graph,
+    algorithm: Algorithm,
+    sched: Sched,
+    /// Greedy coloring of the primal graph, for the chromatic schedule.
+    coloring: Option<ProperColoring>,
+    state: Vec<Spin>,
     master: u64,
     round: u64,
+    // Per-round scratch.
+    draws: Vec<f64>,
+    mask: Vec<bool>,
+    proposals: Vec<Spin>,
+    marginal: MarginalScratch,
 }
 
-impl<C: Chain> KeyedLegacy<C> {
-    fn new(chain: C, master: u64) -> Self {
-        KeyedLegacy {
-            chain,
+impl CspSampler {
+    fn new(
+        csp: Arc<Csp>,
+        algorithm: Algorithm,
+        sched: Sched,
+        start: Vec<Spin>,
+        master: u64,
+    ) -> Self {
+        let primal = csp.scope_hypergraph().primal_graph();
+        let coloring = (algorithm == Algorithm::LubyGlauber && sched == Sched::Chromatic)
+            .then(|| lsl_graph::coloring::greedy(&primal));
+        let n = start.len();
+        let marginal = MarginalScratch::new(&csp);
+        CspSampler {
+            csp,
+            primal,
+            algorithm,
+            sched,
+            coloring,
+            state: start,
             master,
             round: 0,
+            draws: Vec::with_capacity(n),
+            mask: vec![false; n],
+            proposals: vec![0; n],
+            marginal,
         }
+    }
+
+    fn advance(&mut self, master: u64) {
+        let mut rng = Xoshiro256pp::seed_from(derive_seed(master, CSP_STEP_LABEL, self.round));
+        if self.algorithm == Algorithm::LubyGlauber {
+            crate::luby_glauber::select(
+                self.sched,
+                &self.primal,
+                self.coloring.as_ref(),
+                self.round,
+                &mut rng,
+                &mut self.draws,
+                &mut self.mask,
+            );
+            crate::luby_glauber::heat_bath(
+                &self.csp,
+                &self.mask,
+                &mut self.state,
+                &mut rng,
+                &mut self.marginal,
+            );
+        } else {
+            // `mask` doubles as the accept flags.
+            crate::csp_metropolis::round(
+                &self.csp,
+                &mut self.state,
+                &mut self.proposals,
+                &mut self.mask,
+                &mut rng,
+            );
+        }
+        self.round += 1;
     }
 }
 
-impl<C: Chain> DynSampler for KeyedLegacy<C> {
+impl DynSampler for CspSampler {
     fn step(&mut self) {
-        let key = derive_seed(self.master, CSP_STEP_LABEL, self.round);
-        self.chain.step(&mut Xoshiro256pp::seed_from(key));
-        self.round += 1;
+        self.advance(self.master);
     }
     fn step_keyed(&mut self, master: u64) {
-        // Mix the round index into the key, matching the MRF path
+        // The round index is mixed into the key, matching the MRF path
         // (`SyncChain::step_keyed` derives from `(master, round)`): a
         // caller feeding a constant key still gets fresh randomness per
         // round, and coupled copies at equal rounds share every draw.
-        let key = derive_seed(master, CSP_STEP_LABEL, self.round);
-        self.chain.step(&mut Xoshiro256pp::seed_from(key));
-        self.round += 1;
+        self.advance(master);
     }
     fn state(&self) -> &[Spin] {
-        self.chain.state()
+        &self.state
     }
     fn set_state(&mut self, state: &[Spin]) {
-        self.chain.set_state(state);
+        self.state.copy_from_slice(state);
     }
     fn round(&self) -> u64 {
         self.round
     }
     fn name(&self) -> &'static str {
-        self.chain.name()
+        if self.algorithm == Algorithm::LubyGlauber {
+            "CspLubyGlauber"
+        } else {
+            "CspLocalMetropolis"
+        }
     }
 }
 
 /// One trajectory built by the facade. `step`/`run` advance self-keyed
 /// rounds (pure functions of the builder's seed and the round index);
 /// [`Sampler::step_keyed`] exists for grand couplings driven by external
-/// randomness, exactly like the legacy `Chain` wrappers.
+/// randomness.
 pub struct Sampler {
     inner: Box<dyn DynSampler + Send>,
     mrf: Option<Arc<Mrf>>,
@@ -1089,6 +1116,23 @@ impl Sampler {
     /// strongly independent sets, or the per-constraint
     /// LocalMetropolis). CSPs require an explicit `.start(..)`. Takes
     /// `impl Into<Arc<Csp>>`, exactly like [`Sampler::for_mrf`].
+    ///
+    /// ```
+    /// use lsl_core::prelude::*;
+    /// use lsl_graph::generators;
+    /// use lsl_mrf::csp::Csp;
+    /// use std::sync::Arc;
+    ///
+    /// let csp = Csp::dominating_set(Arc::new(generators::cycle(6)));
+    /// let mut sampler = Sampler::for_csp(&csp)
+    ///     .algorithm(Algorithm::LocalMetropolis)
+    ///     .start(vec![1; 6])
+    ///     .seed(4)
+    ///     .build()
+    ///     .unwrap();
+    /// sampler.run(50);
+    /// assert!(csp.is_feasible(sampler.state()));
+    /// ```
     pub fn for_csp(csp: impl Into<Arc<Csp>>) -> SamplerBuilder {
         SamplerBuilder {
             model: Model::Csp(csp.into()),
@@ -1109,13 +1153,11 @@ impl Sampler {
         self.inner.step();
     }
 
-    /// Advances one round keyed by an externally supplied master seed —
-    /// feed identical keys to coupled samplers to realize a grand
-    /// coupling, exactly like stepping the legacy wrappers with
-    /// identically seeded generators. The round index is mixed into the
-    /// key (as the legacy wrappers mix their internal round counter),
-    /// so coupled partners must be at equal round counts — couple fresh
-    /// builds, not one burnt-in and one not.
+    /// Advances one round keyed by an externally supplied master seed
+    /// instead of the builder's — feed identical keys to coupled
+    /// samplers to realize a grand coupling. The round index is mixed
+    /// into the key, so coupled partners must be at equal round counts
+    /// — couple fresh builds, not one burnt-in and one not.
     pub fn step_keyed(&mut self, master: u64) {
         self.inner.step_keyed(master);
     }

@@ -24,30 +24,15 @@ use crate::engine::RoundCtx;
 use lsl_graph::coloring::ProperColoring;
 use lsl_graph::{Graph, VertexId};
 use lsl_local::rng::Xoshiro256pp;
-use rand::RngExt;
 
-/// A strategy for picking the set of vertices to update this round,
-/// expressed as one sequential draw (the legacy formulation; the CSP
-/// chains and the exact-kernel machinery still consume it).
-pub trait Scheduler {
-    /// Fills `out` (length `n`) with the membership mask of this round's
-    /// update set. The set must be independent in `g`.
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]);
-
-    /// Scheduler name for experiment output.
-    fn name(&self) -> &'static str;
-
-    /// A lower bound on `Pr[v ∈ I]` (the γ of Theorem 3.2's remark), if
-    /// the scheduler samples independently each round.
-    fn gamma(&self, g: &Graph) -> Option<f64>;
-}
-
-/// The same selection logic in the step engine's per-vertex form: a
-/// **mark** drawn from each vertex's private round stream, then a pure
-/// **selection** predicate over the neighborhood's marks (plus the
-/// round-shared stream for global draws). This is what lets LubyGlauber
-/// rounds execute in parallel — or batched across replicas — without
-/// changing the scheduled set's distribution. Schedulers are
+/// A strategy for picking the set of vertices to update this round, in
+/// the step engine's per-vertex form: a **mark** drawn from each
+/// vertex's private round stream, then a pure **selection** predicate
+/// over the neighborhood's marks (plus the round-shared stream for
+/// global draws). This is what lets LubyGlauber rounds execute in
+/// parallel — or batched across replicas — without changing the
+/// scheduled set's distribution. The γ of each scheduler is
+/// [`Sched::gamma`](crate::sampler::Sched::gamma). Schedulers are
 /// `Send + Sync` so the rules that embed them make `Send` chains, and
 /// `Clone + 'static` so the hot-path kernels can own a copy.
 pub trait VertexScheduler: Send + Sync + Clone + 'static {
@@ -77,36 +62,12 @@ pub trait VertexScheduler: Send + Sync + Clone + 'static {
 /// `β_v > max{β_u : u ∈ Γ(v)}`. Ties (probability ~2⁻⁵³ per pair) are
 /// broken by vertex id, preserving independence.
 #[derive(Clone, Debug, Default)]
-pub struct LubyScheduler {
-    betas: Vec<f64>,
-}
+pub struct LubyScheduler;
 
 impl LubyScheduler {
     /// Creates a Luby scheduler.
     pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Scheduler for LubyScheduler {
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        let n = g.num_vertices();
-        self.betas.resize(n, 0.0);
-        for slot in self.betas.iter_mut() {
-            *slot = rng.uniform_f64();
-        }
-        for v in g.vertices() {
-            let key = (self.betas[v.index()], v.0);
-            out[v.index()] = g.neighbors(v).all(|u| key > (self.betas[u.index()], u.0));
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Luby"
-    }
-
-    fn gamma(&self, g: &Graph) -> Option<f64> {
-        Some(1.0 / (g.max_degree() as f64 + 1.0))
+        LubyScheduler
     }
 }
 
@@ -128,24 +89,6 @@ impl VertexScheduler for LubyScheduler {
 /// degenerate scheduler (`γ = 1/n`).
 #[derive(Clone, Debug, Default)]
 pub struct SingletonScheduler;
-
-impl Scheduler for SingletonScheduler {
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        out.fill(false);
-        let n = g.num_vertices();
-        if n > 0 {
-            out[rng.random_range(0..n)] = true;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Singleton"
-    }
-
-    fn gamma(&self, g: &Graph) -> Option<f64> {
-        Some(1.0 / g.num_vertices().max(1) as f64)
-    }
-}
 
 impl VertexScheduler for SingletonScheduler {
     type Mark = ();
@@ -171,7 +114,6 @@ impl VertexScheduler for SingletonScheduler {
 #[derive(Clone, Debug)]
 pub struct BernoulliFilterScheduler {
     p: f64,
-    volunteered: Vec<bool>,
 }
 
 impl BernoulliFilterScheduler {
@@ -184,32 +126,7 @@ impl BernoulliFilterScheduler {
             p > 0.0 && p <= 1.0,
             "volunteering probability must be in (0, 1]"
         );
-        BernoulliFilterScheduler {
-            p,
-            volunteered: Vec::new(),
-        }
-    }
-}
-
-impl Scheduler for BernoulliFilterScheduler {
-    fn sample(&mut self, g: &Graph, rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        let n = g.num_vertices();
-        self.volunteered.resize(n, false);
-        for slot in self.volunteered.iter_mut() {
-            *slot = rng.uniform_f64() < self.p;
-        }
-        for v in g.vertices() {
-            out[v.index()] =
-                self.volunteered[v.index()] && g.neighbors(v).all(|u| !self.volunteered[u.index()]);
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "BernoulliFilter"
-    }
-
-    fn gamma(&self, g: &Graph) -> Option<f64> {
-        Some(self.p * (1.0 - self.p).powi(g.max_degree() as i32))
+        BernoulliFilterScheduler { p }
     }
 }
 
@@ -230,16 +147,12 @@ impl VertexScheduler for BernoulliFilterScheduler {
 #[derive(Clone, Debug)]
 pub struct ChromaticScheduler {
     coloring: ProperColoring,
-    next_class: u32,
 }
 
 impl ChromaticScheduler {
     /// Builds the scheduler from a proper coloring of the network.
     pub fn new(coloring: ProperColoring) -> Self {
-        ChromaticScheduler {
-            coloring,
-            next_class: 0,
-        }
+        ChromaticScheduler { coloring }
     }
 
     /// Builds the scheduler from the greedy (Δ+1)-coloring of `g`.
@@ -253,33 +166,13 @@ impl ChromaticScheduler {
     }
 }
 
-impl Scheduler for ChromaticScheduler {
-    fn sample(&mut self, _g: &Graph, _rng: &mut Xoshiro256pp, out: &mut [bool]) {
-        let class = self.next_class;
-        self.next_class = (self.next_class + 1) % self.coloring.num_classes().max(1) as u32;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.coloring.color(VertexId(i as u32)) == class;
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "Chromatic"
-    }
-
-    fn gamma(&self, _g: &Graph) -> Option<f64> {
-        // Deterministic schedule: not an independent per-round sampler.
-        None
-    }
-}
-
 impl VertexScheduler for ChromaticScheduler {
     type Mark = ();
 
     fn mark(&self, _v: VertexId, _rng: &mut Xoshiro256pp) {}
 
     fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
-        // Engine form: the class is a function of the round index (the
-        // legacy form keeps a cursor instead).
+        // The class is a function of the round index.
         let classes = self.coloring.num_classes().max(1) as u64;
         self.coloring.color(v) == (ctx.round() % classes) as u32
     }
@@ -288,28 +181,51 @@ impl VertexScheduler for ChromaticScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::rules::scheduled_mask;
+    use crate::sampler::Sched;
     use lsl_graph::generators;
+    use lsl_mrf::models;
 
-    fn check_independent(g: &Graph, s: &mut impl Scheduler, seeds: u64) {
+    /// The update mask of round `round` of a chain keyed by `master` on
+    /// `g`: every vertex's mark from its propose stream, then the
+    /// selection predicate — exactly what a LubyGlauber round schedules.
+    fn draw<S: VertexScheduler>(sched: &S, g: &Graph, master: u64, round: u64) -> Vec<bool> {
+        let mrf = models::uniform_independent_set(g.clone());
+        let ctx = RoundCtx::new(&mrf, master, round);
+        let marks: Vec<S::Mark> = g
+            .vertices()
+            .map(|v| sched.mark(v, ctx.propose_rng(v).raw()))
+            .collect();
         let mut out = vec![false; g.num_vertices()];
+        scheduled_mask(sched, &ctx, &marks, &mut out);
+        out
+    }
+
+    fn check_independent<S: VertexScheduler + std::fmt::Debug>(g: &Graph, s: &S, seeds: u64) {
         for seed in 0..seeds {
-            let mut rng = Xoshiro256pp::seed_from(seed);
-            s.sample(g, &mut rng, &mut out);
-            assert!(
-                g.is_independent_set(&out),
-                "{} produced a dependent set",
-                s.name()
-            );
+            let out = draw(s, g, seed, seed);
+            assert!(g.is_independent_set(&out), "{s:?} produced a dependent set");
         }
     }
 
     #[test]
     fn all_schedulers_produce_independent_sets() {
         let g = generators::torus(4, 4);
-        check_independent(&g, &mut LubyScheduler::new(), 50);
-        check_independent(&g, &mut SingletonScheduler, 50);
-        check_independent(&g, &mut BernoulliFilterScheduler::new(0.4), 50);
-        check_independent(&g, &mut ChromaticScheduler::greedy(&g), 50);
+        check_independent(&g, &LubyScheduler::new(), 50);
+        check_independent(&g, &SingletonScheduler, 50);
+        check_independent(&g, &BernoulliFilterScheduler::new(0.4), 50);
+        check_independent(&g, &ChromaticScheduler::greedy(&g), 50);
+    }
+
+    /// Per-vertex inclusion frequencies of `sched` over `trials` rounds.
+    fn inclusion_frequencies<S: VertexScheduler>(sched: &S, g: &Graph, trials: u64) -> Vec<f64> {
+        let mut counts = vec![0usize; g.num_vertices()];
+        for round in 0..trials {
+            for (c, b) in counts.iter_mut().zip(draw(sched, g, 7, round)) {
+                *c += b as usize;
+            }
+        }
+        counts.iter().map(|&c| c as f64 / trials as f64).collect()
     }
 
     #[test]
@@ -317,21 +233,9 @@ mod tests {
         // Pr[v ∈ I] = 1/(deg(v)+1) exactly: on a star, hub has 1/(n+1),
         // leaves 1/2.
         let g = generators::star(4);
-        let mut sched = LubyScheduler::new();
-        let mut out = vec![false; g.num_vertices()];
-        let trials = 60_000;
-        let mut hub = 0usize;
-        let mut leaf = 0usize;
-        for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from(seed as u64);
-            sched.sample(&g, &mut rng, &mut out);
-            hub += out[0] as usize;
-            leaf += out[1] as usize;
-        }
-        let hub_freq = hub as f64 / trials as f64;
-        let leaf_freq = leaf as f64 / trials as f64;
-        assert!((hub_freq - 0.2).abs() < 0.01, "hub = {hub_freq}");
-        assert!((leaf_freq - 0.5).abs() < 0.01, "leaf = {leaf_freq}");
+        let freq = inclusion_frequencies(&LubyScheduler::new(), &g, 60_000);
+        assert!((freq[0] - 0.2).abs() < 0.01, "hub = {}", freq[0]);
+        assert!((freq[1] - 0.5).abs() < 0.01, "leaf = {}", freq[1]);
     }
 
     #[test]
@@ -339,38 +243,20 @@ mod tests {
         // Empirical Pr[v ∈ I] ≥ γ = 1/(Δ+1) for every vertex on an
         // irregular graph.
         let g = generators::caterpillar(4, 2);
-        let mut sched = LubyScheduler::new();
-        let gamma = sched.gamma(&g).unwrap();
-        let mut out = vec![false; g.num_vertices()];
-        let trials = 40_000;
-        let mut counts = vec![0usize; g.num_vertices()];
-        for seed in 0..trials {
-            let mut rng = Xoshiro256pp::seed_from(seed as u64);
-            sched.sample(&g, &mut rng, &mut out);
-            for (c, &b) in counts.iter_mut().zip(out.iter()) {
-                *c += b as usize;
-            }
-        }
-        for (v, &c) in counts.iter().enumerate() {
-            let freq = c as f64 / trials as f64;
-            assert!(
-                freq >= gamma - 0.01,
-                "vertex {v}: freq {freq} < gamma {gamma}"
-            );
+        let gamma = Sched::Luby.gamma(&g).unwrap();
+        let freq = inclusion_frequencies(&LubyScheduler::new(), &g, 40_000);
+        for (v, &f) in freq.iter().enumerate() {
+            assert!(f >= gamma - 0.01, "vertex {v}: freq {f} < gamma {gamma}");
         }
     }
 
     #[test]
     fn chromatic_covers_everyone_per_sweep() {
         let g = generators::cycle(6);
-        let mut sched = ChromaticScheduler::greedy(&g);
-        let classes = sched.num_classes();
+        let sched = ChromaticScheduler::greedy(&g);
         let mut covered = [false; 6];
-        let mut out = vec![false; 6];
-        let mut rng = Xoshiro256pp::seed_from(0);
-        for _ in 0..classes {
-            sched.sample(&g, &mut rng, &mut out);
-            for (c, &b) in covered.iter_mut().zip(out.iter()) {
+        for round in 0..sched.num_classes() as u64 {
+            for (c, b) in covered.iter_mut().zip(draw(&sched, &g, 0, round)) {
                 *c |= b;
             }
         }
@@ -383,11 +269,8 @@ mod tests {
     #[test]
     fn singleton_picks_exactly_one() {
         let g = generators::complete(5);
-        let mut out = vec![false; 5];
-        let mut sched = SingletonScheduler;
-        let mut rng = Xoshiro256pp::seed_from(8);
-        for _ in 0..20 {
-            sched.sample(&g, &mut rng, &mut out);
+        for round in 0..20 {
+            let out = draw(&SingletonScheduler, &g, 8, round);
             assert_eq!(out.iter().filter(|&&b| b).count(), 1);
         }
     }
@@ -395,19 +278,14 @@ mod tests {
     #[test]
     fn bernoulli_gamma_formula() {
         let g = generators::cycle(5);
-        let s = BernoulliFilterScheduler::new(0.25);
-        let gamma = s.gamma(&g).unwrap();
+        let gamma = Sched::Bernoulli(0.25).gamma(&g).unwrap();
         assert!((gamma - 0.25 * 0.75 * 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn luby_empty_graph_selects_all() {
         // With no neighbors everyone is a local maximum.
-        let g = lsl_graph::Graph::from_edges(3, &[]);
-        let mut out = vec![false; 3];
-        let mut sched = LubyScheduler::new();
-        let mut rng = Xoshiro256pp::seed_from(0);
-        sched.sample(&g, &mut rng, &mut out);
-        assert!(out.iter().all(|&b| b));
+        let g = Graph::from_edges(3, &[]);
+        assert!(draw(&LubyScheduler::new(), &g, 0, 0).iter().all(|&b| b));
     }
 }

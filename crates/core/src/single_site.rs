@@ -1,20 +1,20 @@
-//! Sequential single-site chains: the baselines the paper parallelizes.
+//! Start configurations and the systematic-scan baseline.
 //!
-//! * [`GlauberChain`] — the heat-bath Glauber dynamics of §3: pick a
-//!   uniform vertex, resample it from the conditional marginal (eq. 2).
-//!   Mixes in `O(n/(1−α) · log(n/ε))` under Dobrushin's condition.
-//! * [`MetropolisChain`] — the natural single-site Metropolis chain
-//!   (footnote 2 of the paper): propose from the vertex activity, accept
-//!   with probability `Π_{u∼v} Ã(c, X_u)`. This is exactly LocalMetropolis
-//!   restricted to one updating vertex, so it shares its stationary
-//!   distribution and connectivity structure.
+//! The sequential single-site chains the paper parallelizes — heat-bath
+//! **Glauber** dynamics (§3) and single-site **Metropolis** (footnote 2)
+//! — are engine rules
+//! ([`GlauberRule`](crate::engine::rules::GlauberRule),
+//! [`MetropolisRule`](crate::engine::rules::MetropolisRule)) built
+//! through the sampler facade. This module keeps what sits outside the
+//! engine:
+//!
+//! * [`default_start`] and [`arbitrary_start`] — the start
+//!   configurations every chain and measurement begins from;
 //! * [`ScanChain`] — systematic scan (Dyer–Goldberg–Jerrum): heat-bath
-//!   updates in a fixed vertex order; one [`Chain::step`] = one full sweep.
+//!   updates in a fixed vertex order; one [`ScanChain::step`] = one full
+//!   sweep.
 
-use crate::engine::rules::{GlauberRule, MetropolisRule};
-use crate::engine::{Backend, SyncChain};
 use crate::update::Resampler;
-use crate::Chain;
 use lsl_local::rng::Xoshiro256pp;
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
@@ -27,125 +27,6 @@ pub fn arbitrary_start(mrf: &Mrf, rng: &mut Xoshiro256pp) -> Vec<Spin> {
         .vertices()
         .map(|v| mrf.vertex_activity(v).sample(rng))
         .collect()
-}
-
-/// The single-site heat-bath Glauber dynamics.
-///
-/// # Example (preferred construction: the sampler facade)
-/// ```
-/// use lsl_core::prelude::*;
-/// use lsl_graph::generators;
-/// use lsl_mrf::models;
-///
-/// let mrf = models::proper_coloring(generators::cycle(8), 5);
-/// let mut sampler = Sampler::for_mrf(&mrf)
-///     .algorithm(Algorithm::Glauber)
-///     .build()
-///     .unwrap();
-/// sampler.run(200);
-/// assert!(mrf.is_feasible(sampler.state()));
-/// ```
-#[derive(Debug)]
-pub struct GlauberChain {
-    inner: SyncChain<GlauberRule>,
-}
-
-impl GlauberChain {
-    /// Creates the chain with a deterministic arbitrary start (spin of
-    /// smallest index with positive activity at each vertex).
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::Glauber).build()`")]
-    pub fn new(mrf: impl Into<Arc<Mrf>>) -> Self {
-        GlauberChain {
-            inner: crate::sampler::wire(mrf, GlauberRule, 0, None, Backend::Sequential),
-        }
-    }
-
-    /// Creates the chain from an explicit start.
-    ///
-    /// # Panics
-    /// Panics if the configuration has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::Glauber).start(state).build()`")]
-    pub fn with_state(mrf: impl Into<Arc<Mrf>>, state: Vec<Spin>) -> Self {
-        GlauberChain {
-            inner: crate::sampler::wire(mrf, GlauberRule, 0, Some(state), Backend::Sequential),
-        }
-    }
-
-    /// The model this chain samples from.
-    pub fn mrf(&self) -> &Mrf {
-        self.inner.mrf()
-    }
-}
-
-impl Chain for GlauberChain {
-    fn state(&self) -> &[Spin] {
-        self.inner.state()
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        self.inner.set_state(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        // One draw keys the round: the engine's shared stream picks the
-        // vertex and the resolve stream drives the resample, so coupled
-        // callers stay aligned by construction.
-        self.inner.step_keyed(rng.next());
-    }
-
-    fn name(&self) -> &'static str {
-        "Glauber"
-    }
-}
-
-/// The single-site Metropolis chain: propose `c ∼ b_v`, accept with
-/// probability `Π_{u ∼ v} Ã_uv(c, X_u)`.
-#[derive(Debug)]
-pub struct MetropolisChain {
-    inner: SyncChain<MetropolisRule>,
-}
-
-impl MetropolisChain {
-    /// Creates the chain with the deterministic default start.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::Metropolis).build()`")]
-    pub fn new(mrf: impl Into<Arc<Mrf>>) -> Self {
-        MetropolisChain {
-            inner: crate::sampler::wire(mrf, MetropolisRule, 0, None, Backend::Sequential),
-        }
-    }
-
-    /// Creates the chain from an explicit start.
-    ///
-    /// # Panics
-    /// Panics if the configuration has the wrong length.
-    #[deprecated(note = "construct through the sampler facade: \
-                `Sampler::for_mrf(&mrf).algorithm(Algorithm::Metropolis).start(state).build()`")]
-    pub fn with_state(mrf: impl Into<Arc<Mrf>>, state: Vec<Spin>) -> Self {
-        MetropolisChain {
-            inner: crate::sampler::wire(mrf, MetropolisRule, 0, Some(state), Backend::Sequential),
-        }
-    }
-}
-
-impl Chain for MetropolisChain {
-    fn state(&self) -> &[Spin] {
-        self.inner.state()
-    }
-
-    fn set_state(&mut self, state: &[Spin]) {
-        self.inner.set_state(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
-        self.inner.step_keyed(rng.next());
-    }
-
-    fn name(&self) -> &'static str {
-        "Metropolis"
-    }
 }
 
 /// Systematic scan: one step = one heat-bath sweep in vertex order.
@@ -171,19 +52,14 @@ impl ScanChain {
             resampler,
         }
     }
-}
 
-impl Chain for ScanChain {
-    fn state(&self) -> &[Spin] {
+    /// The current configuration.
+    pub fn state(&self) -> &[Spin] {
         &self.state
     }
 
-    fn set_state(&mut self, state: &[Spin]) {
-        assert_eq!(state.len(), self.state.len());
-        self.state.copy_from_slice(state);
-    }
-
-    fn step(&mut self, rng: &mut Xoshiro256pp) {
+    /// One full heat-bath sweep in vertex order.
+    pub fn step(&mut self, rng: &mut Xoshiro256pp) {
         for v in self.mrf.graph().vertices() {
             self.mrf
                 .marginal_weights_into(v, &self.state, &mut self.scratch);
@@ -193,10 +69,6 @@ impl Chain for ScanChain {
                 .expect("scan marginal must be well-defined");
             self.state[v.index()] = pick;
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "SystematicScan"
     }
 }
 
@@ -216,54 +88,47 @@ pub fn default_start(mrf: &Mrf) -> Vec<Spin> {
 
 #[cfg(test)]
 mod tests {
-    // The legacy constructors are the surface under test here.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::sampler::{Algorithm, Sampler};
     use lsl_analysis::EmpiricalDistribution;
     use lsl_graph::generators;
     use lsl_mrf::gibbs::{encode_config, Enumeration};
     use lsl_mrf::models;
 
-    fn empirical_tv<C: Chain>(
-        mut make: impl FnMut(u64) -> C,
-        q: usize,
-        steps: usize,
-        replicas: usize,
-        exact: &Enumeration,
-    ) -> f64 {
-        let mut emp = EmpiricalDistribution::new();
-        for rep in 0..replicas {
-            let mut chain = make(rep as u64);
-            let mut rng = Xoshiro256pp::seed_from(1000 + rep as u64);
-            chain.run(steps, &mut rng);
-            emp.record(encode_config(chain.state(), q));
-        }
-        emp.tv_against_dense(&exact.distribution())
+    /// TV between the exact Gibbs distribution and the facade's `alg`
+    /// at `steps` rounds.
+    fn facade_tv(mrf: &Mrf, alg: Algorithm, steps: usize, replicas: usize) -> f64 {
+        let exact = Enumeration::new(mrf).unwrap();
+        Sampler::for_mrf(mrf)
+            .algorithm(alg)
+            .seed(1000)
+            .tv(&exact, steps, replicas)
+            .unwrap()
     }
 
     #[test]
     fn glauber_reaches_feasibility() {
         let mrf = models::proper_coloring(generators::complete(4), 5);
-        let mut chain = GlauberChain::new(&mrf);
-        let mut rng = Xoshiro256pp::seed_from(3);
-        chain.run(100, &mut rng);
+        let mut chain = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::Glauber)
+            .seed(3)
+            .build()
+            .unwrap();
+        chain.run(100);
         assert!(mrf.is_feasible(chain.state()));
     }
 
     #[test]
     fn glauber_samples_gibbs_on_small_instance() {
         let mrf = models::uniform_independent_set(generators::path(3));
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = empirical_tv(|_| GlauberChain::new(&mrf), 2, 80, 6000, &exact);
+        let tv = facade_tv(&mrf, Algorithm::Glauber, 80, 6000);
         assert!(tv < 0.04, "tv = {tv}");
     }
 
     #[test]
     fn metropolis_samples_gibbs_on_small_instance() {
         let mrf = models::proper_coloring(generators::cycle(3), 4);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = empirical_tv(|_| MetropolisChain::new(&mrf), 4, 150, 6000, &exact);
+        let tv = facade_tv(&mrf, Algorithm::Metropolis, 150, 6000);
         assert!(tv < 0.06, "tv = {tv}");
     }
 
@@ -271,8 +136,7 @@ mod tests {
     fn metropolis_weighted_model() {
         // Hardcore with λ = 2 on P2: π({}) = 1/5, π({0}) = π({1}) = 2/5.
         let mrf = models::hardcore(generators::path(2), 2.0);
-        let exact = Enumeration::new(&mrf).unwrap();
-        let tv = empirical_tv(|_| MetropolisChain::new(&mrf), 2, 60, 8000, &exact);
+        let tv = facade_tv(&mrf, Algorithm::Metropolis, 60, 8000);
         assert!(tv < 0.04, "tv = {tv}");
     }
 
@@ -280,7 +144,16 @@ mod tests {
     fn scan_samples_gibbs() {
         let mrf = models::proper_coloring(generators::path(4), 3);
         let exact = Enumeration::new(&mrf).unwrap();
-        let tv = empirical_tv(|_| ScanChain::new(&mrf), 3, 25, 6000, &exact);
+        let mut emp = EmpiricalDistribution::new();
+        for rep in 0..6000 {
+            let mut chain = ScanChain::new(&mrf);
+            let mut rng = Xoshiro256pp::seed_from(1000 + rep);
+            for _ in 0..25 {
+                chain.step(&mut rng);
+            }
+            emp.record(encode_config(chain.state(), 3));
+        }
+        let tv = emp.tv_against_dense(&exact.distribution());
         assert!(tv < 0.05, "tv = {tv}");
     }
 
@@ -294,7 +167,10 @@ mod tests {
     #[test]
     fn set_state_roundtrip() {
         let mrf = models::proper_coloring(generators::path(3), 3);
-        let mut chain = GlauberChain::new(&mrf);
+        let mut chain = Sampler::for_mrf(&mrf)
+            .algorithm(Algorithm::Glauber)
+            .build()
+            .unwrap();
         chain.set_state(&[2, 1, 0]);
         assert_eq!(chain.state(), &[2, 1, 0]);
     }

@@ -12,11 +12,14 @@
 //!   witness);
 //! * a session survives malformed frames mid-job and dies cleanly
 //!   (cancelling its jobs) when its client disconnects;
-//! * a drained server stops accepting and joins every session.
+//! * a drained server stops accepting and joins every session;
+//! * build-time rejections (a CSP on a distributed backend) cross the
+//!   wire as the same typed error the in-process run returns.
 
 use lsl_core::lifecycle::{Limits, RejectReason};
 use lsl_core::net::{Client, Server};
 use lsl_core::proto::ServerFrame;
+use lsl_core::sampler::BuildError;
 use lsl_core::service::{JobEvent, Service};
 use lsl_core::spec::{JobSpec, SpecError};
 use lsl_core::store::ResultStore;
@@ -397,6 +400,31 @@ fn round_budget_rejection_rides_the_wire_typed() {
         "{:?}",
         outcomes[0].members
     );
+}
+
+/// A CSP on `sharded:k` or `cluster:k` fails to build with a typed
+/// error instead of silently running sequentially — the same error in
+/// process and over a loopback session.
+#[test]
+fn csp_on_distributed_backends_is_one_typed_error_locally_and_remotely() {
+    let server = Server::bind_service("127.0.0.1:0", Service::with_limits(1, Limits::default()))
+        .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    for backend in ["sharded:2", "cluster:2"] {
+        let line =
+            format!("graph=cycle:12 model=dominating-set backend={backend} job=run:rounds=10");
+        let local = spec(&line).run().expect_err("CSPs run sequentially only");
+        assert!(
+            matches!(local, SpecError::Combo(BuildError::UnsupportedOnCsp { .. })),
+            "{local:?}"
+        );
+        client.submit(&line).unwrap();
+        let outcomes = client.drain().expect("drain");
+        match &outcomes[0].members[..] {
+            [Err(remote)] => assert_eq!(*remote, local, "{line}"),
+            other => panic!("{line}: {other:?}"),
+        }
+    }
 }
 
 /// The `shutdown` admin frame latches the request; an explicit drain

@@ -1,62 +1,65 @@
-//! The sampler facade's contract with the legacy surface:
+//! The sampler facade's contract:
 //!
-//! 1. **Bit-identity** — builder-constructed samplers produce exactly
-//!    the trajectories of the legacy constructors, on torus, cycle, and
-//!    G(n,p) instances, across all three execution backends
-//!    (sequential, parallel, batched replicas). The facade is pure
-//!    wiring; it must never change a single spin.
+//! 1. **Pure wiring** — builder-constructed samplers produce exactly
+//!    the trajectories of engine chains built by hand from the same
+//!    rule, on torus, cycle, and G(n,p) instances, across all three
+//!    execution backends (sequential, parallel, batched replicas). The
+//!    facade must never change a single spin.
 //! 2. **Typed rejection** — every invalid builder combination returns a
 //!    [`BuildError`] value; nothing panics.
-#![allow(deprecated)] // the legacy constructors are one side of the contract
 
 use lsl_core::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule};
-use lsl_core::engine::SyncChain;
-use lsl_core::local_metropolis::LocalMetropolis;
-use lsl_core::luby_glauber::LubyGlauber;
+use lsl_core::engine::{SyncChain, SyncRule};
 use lsl_core::prelude::*;
-use lsl_core::single_site::GlauberChain;
+use lsl_core::schedule::{BernoulliFilterScheduler, SingletonScheduler};
 use lsl_graph::generators;
 use lsl_mrf::{models, Mrf};
 use proptest::prelude::*;
 
-/// Drives a facade sampler and a legacy wrapper with the *same* stream
-/// of per-step keys (the wrappers key each step by one draw from the
-/// caller's generator; `Sampler::step_keyed` accepts the identical
-/// draws) and asserts the trajectories never diverge.
-fn assert_keyed_identity<C: Chain>(mut facade: Sampler, mut legacy: C, seed: u64, rounds: usize) {
-    let mut facade_rng = Xoshiro256pp::seed_from(seed);
-    let mut legacy_rng = Xoshiro256pp::seed_from(seed);
+/// Drives a facade sampler and a hand-built engine chain
+/// (`SyncChain::new(mrf, rule, 0)`) with the *same* stream of per-round
+/// keys and asserts the trajectories never diverge.
+fn assert_keyed_identity<R: SyncRule>(
+    mut facade: Sampler,
+    mrf: &Mrf,
+    rule: R,
+    seed: u64,
+    rounds: usize,
+) {
+    let mut engine = SyncChain::new(mrf, rule, 0);
+    let mut keys = Xoshiro256pp::seed_from(seed);
     for r in 0..rounds {
-        facade.step_keyed(facade_rng.next());
-        legacy.step(&mut legacy_rng);
+        let key = keys.next();
+        facade.step_keyed(key);
+        engine.step_keyed(key);
         assert_eq!(
             facade.state(),
-            legacy.state(),
-            "facade and legacy diverged at round {r}"
+            engine.state(),
+            "facade and engine diverged at round {r}"
         );
     }
 }
 
 /// Bit-identity of every (algorithm, backend) pair on one instance:
-/// sequential facade vs legacy, parallel facade vs legacy, and the
-/// batched replica backend (coupled replicas vs per-start engine
-/// chains keyed by the same master).
-fn assert_facade_matches_legacy(mrf: &Mrf, seed: u64, threads: usize, rounds: usize) {
-    // LocalMetropolis: sequential and parallel backends.
+/// sequential and parallel facades vs hand-built engine chains, and the
+/// batched replica backend (coupled replicas vs per-start engine chains
+/// keyed by the same master).
+fn assert_facade_matches_engine(mrf: &Mrf, seed: u64, threads: usize, rounds: usize) {
+    // LocalMetropolis and LubyGlauber: sequential and parallel backends.
     for backend in [Backend::Sequential, Backend::Parallel { threads }] {
         let facade = Sampler::for_mrf(mrf)
             .algorithm(Algorithm::LocalMetropolis)
             .backend(backend)
             .build()
             .unwrap();
-        assert_keyed_identity(facade, LocalMetropolis::new(mrf), seed, rounds);
+        assert_keyed_identity(facade, mrf, LocalMetropolisRule::new(), seed, rounds);
 
         let facade = Sampler::for_mrf(mrf)
             .algorithm(Algorithm::LubyGlauber)
             .backend(backend)
             .build()
             .unwrap();
-        assert_keyed_identity(facade, LubyGlauber::new(mrf), seed, rounds);
+        assert_keyed_identity(facade, mrf, LubyGlauberRule::luby(), seed, rounds);
     }
 
     // Glauber (single-site fast path), sequential.
@@ -64,11 +67,11 @@ fn assert_facade_matches_legacy(mrf: &Mrf, seed: u64, threads: usize, rounds: us
         .algorithm(Algorithm::Glauber)
         .build()
         .unwrap();
-    assert_keyed_identity(facade, GlauberChain::new(mrf), seed, rounds);
+    assert_keyed_identity(facade, mrf, GlauberRule, seed, rounds);
 
     // Batched replica backend: a coupled facade batch from adversarial
-    // starts must reproduce, copy for copy, legacy engine chains built
-    // from the same starts under the same master seed.
+    // starts must reproduce, copy for copy, engine chains built from
+    // the same starts under the same master seed.
     let starts = lsl_core::coupling::adversarial_starts(mrf, 2, seed);
     let mut batch = Sampler::for_mrf(mrf)
         .algorithm(Algorithm::LocalMetropolis)
@@ -93,7 +96,7 @@ fn assert_facade_matches_legacy(mrf: &Mrf, seed: u64, threads: usize, rounds: us
         assert_eq!(batch.state(b), c.state(), "replica {b} diverged");
     }
 
-    // And iid facade replicas must match a legacy independent ReplicaSet
+    // And iid facade replicas must match an independent ReplicaSet
     // under the same seed (the facade adds no randomness of its own).
     let mut iid = Sampler::for_mrf(mrf)
         .algorithm(Algorithm::LubyGlauber)
@@ -101,14 +104,14 @@ fn assert_facade_matches_legacy(mrf: &Mrf, seed: u64, threads: usize, rounds: us
         .replicas(3)
         .build()
         .unwrap();
-    let mut legacy_set =
+    let mut engine_set =
         lsl_core::engine::replicas::ReplicaSet::independent(mrf, LubyGlauberRule::luby(), 3, seed);
     iid.run(rounds);
-    legacy_set.run(rounds);
+    engine_set.run(rounds);
     for b in 0..3 {
         assert_eq!(
             iid.state(b),
-            legacy_set.state(b),
+            engine_set.state(b),
             "iid replica {b} diverged"
         );
     }
@@ -122,7 +125,7 @@ proptest! {
         seed in 0u64..10_000, rows in 3usize..6, cols in 3usize..6, threads in 2usize..5
     ) {
         let mrf = models::proper_coloring(generators::torus(rows, cols), 9);
-        assert_facade_matches_legacy(&mrf, seed, threads, 10);
+        assert_facade_matches_engine(&mrf, seed, threads, 10);
     }
 
     #[test]
@@ -130,7 +133,7 @@ proptest! {
         seed in 0u64..10_000, len in 4usize..24, threads in 2usize..7
     ) {
         let mrf = models::proper_coloring(generators::cycle(len), 5);
-        assert_facade_matches_legacy(&mrf, seed, threads, 10);
+        assert_facade_matches_engine(&mrf, seed, threads, 10);
     }
 
     #[test]
@@ -142,32 +145,29 @@ proptest! {
         let g = generators::gnp(12, 0.3, &mut rng);
         let q = 2 * g.max_degree() + 2;
         let mrf = models::proper_coloring(g, q.max(3));
-        assert_facade_matches_legacy(&mrf, seed, threads, 10);
+        assert_facade_matches_engine(&mrf, seed, threads, 10);
     }
 
     #[test]
     fn facade_scheduler_chains_bit_identical(seed in 0u64..10_000) {
-        // Custom schedulers route through the same rules as the legacy
-        // generic wrapper.
+        // Custom schedulers route through the same rules as a
+        // hand-built engine chain.
         let mrf = models::proper_coloring(generators::torus(4, 4), 9);
         let facade = Sampler::for_mrf(&mrf)
             .algorithm(Algorithm::LubyGlauber)
             .scheduler(Sched::Singleton)
             .build()
             .unwrap();
-        let legacy = LubyGlauber::with_scheduler(&mrf, lsl_core::schedule::SingletonScheduler);
-        assert_keyed_identity(facade, legacy, seed, 15);
+        let rule = LubyGlauberRule::with_scheduler(SingletonScheduler);
+        assert_keyed_identity(facade, &mrf, rule, seed, 15);
 
         let facade = Sampler::for_mrf(&mrf)
             .algorithm(Algorithm::LubyGlauber)
             .scheduler(Sched::Bernoulli(0.3))
             .build()
             .unwrap();
-        let legacy = LubyGlauber::with_scheduler(
-            &mrf,
-            lsl_core::schedule::BernoulliFilterScheduler::new(0.3),
-        );
-        assert_keyed_identity(facade, legacy, seed, 15);
+        let rule = LubyGlauberRule::with_scheduler(BernoulliFilterScheduler::new(0.3));
+        assert_keyed_identity(facade, &mrf, rule, seed, 15);
     }
 }
 
@@ -277,6 +277,23 @@ fn csp_restrictions_are_typed_errors() {
         .unwrap_err();
     assert!(matches!(err, BuildError::UnsupportedOnCsp { .. }));
 
+    // CSP chains run sequentially: the distributed backends are
+    // rejected rather than silently ignored.
+    for backend in [
+        Backend::Sharded { shards: 2 },
+        Backend::Cluster { shards: 2 },
+    ] {
+        let err = Sampler::for_csp(&csp)
+            .start(vec![1; 4])
+            .backend(backend)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, BuildError::UnsupportedOnCsp { .. }),
+            "{err:?}"
+        );
+    }
+
     // Neither is replica batching (engine rules only).
     let err = Sampler::for_csp(&csp)
         .start(vec![1; 4])
@@ -310,10 +327,10 @@ fn glauber_facade_replicas_match_glauber_rule_set() {
         .replicas(6)
         .build()
         .unwrap();
-    let mut legacy = lsl_core::engine::replicas::ReplicaSet::independent(&mrf, GlauberRule, 6, 2);
+    let mut engine = lsl_core::engine::replicas::ReplicaSet::independent(&mrf, GlauberRule, 6, 2);
     facade.run(200);
-    legacy.run(200);
+    engine.run(200);
     for b in 0..6 {
-        assert_eq!(facade.state(b), legacy.state(b));
+        assert_eq!(facade.state(b), engine.state(b));
     }
 }
