@@ -12,14 +12,16 @@
 //!
 //! * 256×256 torus Ising at β = 0.4 under LocalMetropolis — the
 //!   headline row (bit lanes, q = 2), targeting ≥ 3× the scalar
-//!   baseline's vertex-steps/sec;
+//!   baseline's vertex-steps/sec, plus the headline kernel on
+//!   `parallel:2` and `sharded:2`: kernels run one range per worker or
+//!   shard, so two workers should beat one;
 //! * 256×256 torus proper coloring, q = 16 — the byte-lane regime.
 //!
-//! Every row is one [`JobSpec`] differing only in the `hotpath=` key,
-//! and every row's final-state fingerprint is asserted equal to the
-//! scalar row's — the sweep *witnesses* bit-identity while it measures
-//! (the fuller property-test matrix lives in
-//! `crates/core/tests/hotpath_identity.rs`).
+//! Every row is one [`JobSpec`] differing only in the `backend=` and
+//! `hotpath=` keys, and every row's final-state fingerprint is asserted
+//! equal to the `sequential` scalar row's — the sweep *witnesses*
+//! bit-identity while it measures (the fuller property-test matrix
+//! lives in `crates/core/tests/hotpath_identity.rs`).
 //!
 //! ```text
 //! e17_hotpath [--tiny]
@@ -30,11 +32,12 @@
 //! shrinks the workload for smoke runs and skips the JSON write.
 
 use lsl_bench::{header, header_row, row};
-use lsl_core::engine::HotPath;
+use lsl_core::engine::{Backend, HotPath};
 use lsl_core::spec::{BuiltModel, JobOutput, JobSpec};
 
 struct Row {
     workload: &'static str,
+    backend: Backend,
     hotpath: String,
     n: usize,
     rounds: usize,
@@ -64,7 +67,7 @@ fn sweep(
     workload: &'static str,
     model_spec: &str,
     side: usize,
-    variants: &[HotPath],
+    variants: &[(Backend, HotPath)],
     rounds: usize,
     repeats: usize,
     rows: &mut Vec<Row>,
@@ -80,12 +83,13 @@ fn sweep(
 
     let mut scalar_rate = f64::NAN;
     let mut scalar_fp = 0;
-    for (i, hp) in std::iter::once(&HotPath::Scalar)
+    for (i, &(backend, hp)) in std::iter::once(&(Backend::Sequential, HotPath::Scalar))
         .chain(variants)
         .enumerate()
     {
         let mut spec = base.clone();
-        spec.hotpath = Some(*hp);
+        spec.backend = Some(backend);
+        spec.hotpath = Some(hp);
         let (secs, fp) = best_run(&spec, &model, repeats);
         let rate = rounds as f64 * n as f64 / secs;
         if i == 0 {
@@ -94,10 +98,11 @@ fn sweep(
         }
         assert_eq!(
             fp, scalar_fp,
-            "{workload} hotpath={hp} diverged from the scalar oracle"
+            "{workload} backend={backend} hotpath={hp} diverged from the scalar oracle"
         );
         rows.push(Row {
             workload,
+            backend,
             hotpath: hp.to_string(),
             n,
             rounds,
@@ -114,32 +119,37 @@ fn main() {
         || std::env::var("LSL_BENCH_QUICK").is_ok_and(|v| v != "0");
     let (side, rounds, repeats) = if tiny { (48, 4, 1) } else { (256, 96, 4) };
 
-    // Scalar first (implicit), then every lane variant the model's q
-    // admits: the full packing × RNG matrix on Ising (q = 2 supports
-    // bit lanes), the wide/byte column on q = 16 coloring.
-    let ising: Vec<HotPath> = ["wide", "byte", "bit"]
+    // Sequential scalar first (implicit), then every lane variant the
+    // model's q admits: the full packing × RNG matrix on Ising (q = 2
+    // supports bit lanes) plus the headline kernel on two workers and
+    // two shards, the wide/byte column on q = 16 coloring.
+    let lanes = |s: &str| -> HotPath { s.parse().expect("a lane variant") };
+    let mut ising: Vec<(Backend, HotPath)> = ["wide", "byte", "bit"]
         .iter()
         .flat_map(|p| {
             ["block", "pervertex"]
                 .iter()
-                .map(move |r| format!("lanes:{p}:{r}").parse().expect("a lane variant"))
+                .map(move |r| (Backend::Sequential, lanes(&format!("lanes:{p}:{r}"))))
         })
         .collect();
-    let coloring: Vec<HotPath> = [
+    ising.push((Backend::Parallel { threads: 2 }, lanes("lanes:bit:block")));
+    ising.push((Backend::Sharded { shards: 2 }, lanes("lanes:bit:block")));
+    let coloring: Vec<(Backend, HotPath)> = [
         "lanes:wide:block",
         "lanes:byte:block",
         "lanes:byte:pervertex",
     ]
     .iter()
-    .map(|s| s.parse().expect("a lane variant"))
+    .map(|s| (Backend::Sequential, lanes(s)))
     .collect();
 
     header(&[
         "E17: hot-path engine: packed slabs + block RNG + lane kernels",
         "every row is bit-identical to the scalar oracle (fingerprints asserted);",
-        "headline: lanes:bit:block on the torus Ising local-metropolis workload",
+        "headline: lanes:bit:block on the torus Ising local-metropolis workload,",
+        "on sequential, parallel:2 and sharded:2 (speedups vs the sequential scalar row)",
     ]);
-    header_row("workload,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
+    header_row("workload,backend,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
 
     let mut rows: Vec<Row> = Vec::new();
     sweep(
@@ -164,6 +174,7 @@ fn main() {
     for r in &rows {
         row(&[
             r.workload.into(),
+            r.backend.to_string(),
             r.hotpath.clone(),
             r.n.to_string(),
             r.rounds.to_string(),
@@ -178,10 +189,11 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"workload\": \"{}\", \"hotpath\": \"{}\", \"n\": {}, \"rounds\": {}, \
-                 \"secs\": {:.6}, \"steps_vertices_per_sec\": {:.1}, \
+                "    {{\"workload\": \"{}\", \"backend\": \"{}\", \"hotpath\": \"{}\", \
+                 \"n\": {}, \"rounds\": {}, \"secs\": {:.6}, \"steps_vertices_per_sec\": {:.1}, \
                  \"speedup_vs_scalar\": {:.3}, \"fingerprint\": \"{:016x}\"}}",
                 r.workload,
+                r.backend,
                 r.hotpath,
                 r.n,
                 r.rounds,
@@ -195,7 +207,7 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"LocalMetropolis torus Ising \
          beta=0.4 + proper coloring q=16, hotpath sweep (scalar oracle vs packed lane \
-         kernels x block RNG)\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
+         kernels x block RNG; Ising headline kernel also on parallel:2 and sharded:2)\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
          [\n{}\n  ]\n}}\n",
         lsl_bench::meta_json(),
         json_rows.join(",\n")

@@ -52,7 +52,7 @@ use lsl_mrf::{Mrf, Spin};
 use crate::codec::{Codec, StateBlob};
 use crate::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
 use crate::engine::sharded::{Exchange, ShardCore};
-use crate::engine::{RoundCtx, SyncRule};
+use crate::engine::{HotPath, RoundCtx, SyncRule};
 use crate::lifecycle::RejectReason;
 use crate::net::{Client, ConnectError, NetError};
 use crate::proto::{ClientFrame, ServerFrame};
@@ -723,6 +723,9 @@ struct ShardLayout {
     /// Burn-in plus measured rounds.
     total: usize,
     seed: u64,
+    /// The spec's hot-path selection, which every shard's kernel
+    /// follows (as in the in-process `sharded:k` build).
+    hotpath: HotPath,
 }
 
 impl ShardLayout {
@@ -764,6 +767,7 @@ impl ShardLayout {
             start,
             total: burn_in + rounds,
             seed: member.seed_or_default(),
+            hotpath: member.hotpath.unwrap_or_default(),
         })
     }
 
@@ -841,7 +845,15 @@ fn serve_shard<R: SyncRule>(
     let mrf = &layout.mrf;
     let q = mrf.q();
     let plan = layout.exchange.plan();
-    let mut core = ShardCore::build(mrf, rule, &layout.partition, plan, s, &layout.start);
+    let mut core = ShardCore::build(
+        mrf,
+        rule,
+        &layout.partition,
+        plan,
+        s,
+        &layout.start,
+        layout.hotpath,
+    );
     let mut frontier = vec![0; plan.boundary_out[s].len()];
     for r in 0..layout.total as u64 {
         let ctx = RoundCtx::new(mrf, layout.seed, r);
@@ -877,4 +889,18 @@ fn serve_shard<R: SyncRule>(
         blob: StateBlob::pack(&core.owned_spins(), q),
     });
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_layout_carries_the_spec_hotpath() {
+        let layout = |line: &str| ShardLayout::derive(&line.parse().unwrap()).unwrap();
+        let base = "graph=torus:6x6 model=ising:beta=0.4 backend=cluster:2 job=run:rounds=5";
+        assert_eq!(layout(base).hotpath, HotPath::default());
+        let scalar = layout(&format!("{base} hotpath=scalar"));
+        assert_eq!(scalar.hotpath, HotPath::Scalar);
+    }
 }

@@ -12,14 +12,14 @@
 //!
 //! * **block RNG** — the round's single-draw randomness (proposal
 //!   draws, scheduler marks, edge coins) is generated once per phase as
-//!   a contiguous block of stream *heads*
-//!   ([`lsl_local::rng::fill_stream_heads`]). The per-index streams are
+//!   a block of stream *heads* gathered over the range
+//!   ([`lsl_local::rng::fill_stream_heads_at`]). The per-index streams are
 //!   unchanged — each head is still the pure function of
 //!   `(master, round, vertex-or-edge)` the determinism contract
 //!   demands — so trajectories are provably unchanged, and each edge
 //!   coin is computed **once**, not once per endpoint. Multi-draw
 //!   consumers keep full streams, rebuilt from a seed block
-//!   ([`lsl_local::rng::fill_stream_seeds`]).
+//!   ([`lsl_local::rng::fill_stream_seeds_at`]).
 //! * **packed lanes** — states and proposals live in `u8` (or bit)
 //!   lanes, so the resolve phase's neighborhood gathers touch a quarter
 //!   (or a thirty-second) of the cache lines.
@@ -34,6 +34,16 @@
 //!   also makes every write conflict-free by construction, which is
 //!   what lets one strided pass write `next` directly.
 //!
+//! A kernel advances one [`KernelRange`]: an owned vertex set plus its
+//! distance-1 halo. Halo proposals, marks and edge coins are recomputed
+//! rather than communicated — each is a pure function of
+//! `(master, round, id)` — and only edges with an owned endpoint are
+//! evaluated, so a cut edge is decided identically by both ranges that
+//! see it and every write lands on an owned vertex. That one entry
+//! serves every backend: `sequential` runs the whole graph as one
+//! range, `parallel:k` one contiguous range per worker, and each shard
+//! of `sharded:k` / `cluster:k` its owned set.
+//!
 //! Every kernel is **bit-identical** to the scalar phases by
 //! construction, and property-tested to be (`tests/hotpath_identity.rs`). The
 //! scalar path stays compiled and selectable ([`HotPath::Scalar`]) as
@@ -43,9 +53,10 @@ use super::slab::Packing;
 use super::{RoundCtx, EDGE_LABEL};
 use crate::schedule::VertexScheduler;
 use crate::update::Resampler;
-use lsl_graph::{EdgeId, VertexId};
+use lsl_graph::{EdgeId, Graph, VertexId};
 use lsl_local::rng::{
-    fill_stream_heads, fill_stream_seeds, head_to_f64, Xoshiro256pp, VERTEX_STREAM_LABEL,
+    fill_stream_heads, fill_stream_heads_at, fill_stream_seeds, fill_stream_seeds_at, head_to_f64,
+    Xoshiro256pp, VERTEX_STREAM_LABEL,
 };
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
@@ -54,8 +65,11 @@ use std::sync::Arc;
 ///
 /// The default is the lane-batched hot path with auto packing — always
 /// bit-identical to [`HotPath::Scalar`], which remains available as the
-/// regression oracle (and is what multi-worker backends and single-site
-/// rounds run regardless).
+/// regression oracle. The selection applies on every backend: kernels
+/// advance the whole graph on `sequential`, one contiguous range per
+/// worker on `parallel:k`, and each shard's owned set on `sharded:k`
+/// and `cluster:k`. Single-site rounds and rules without a kernel
+/// always run the scalar phases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HotPath {
     /// The scalar per-vertex phases — the oracle.
@@ -105,14 +119,15 @@ impl HotPath {
         }
     }
 
-    /// Builds `rule`'s kernel under this selection: `None` for
-    /// [`HotPath::Scalar`], for rules without a kernel, and for an
+    /// Builds `rule`'s kernel over `range` under this selection: `None`
+    /// for [`HotPath::Scalar`], for rules without a kernel, and for an
     /// (unvalidated) packing that cannot hold the model's spins — the
     /// engine then runs the scalar phases.
     pub fn build_kernel<R: super::SyncRule>(
         &self,
         mrf: &Arc<Mrf>,
         rule: &R,
+        range: KernelRange,
     ) -> Option<Box<dyn HotKernel<R::Local>>> {
         match *self {
             HotPath::Scalar => None,
@@ -121,7 +136,7 @@ impl HotPath {
                 if !packing.supports(mrf.q()) {
                     return None;
                 }
-                rule.hot_kernel(mrf, packing, block_rng)
+                rule.hot_kernel(mrf, range, packing, block_rng)
             }
         }
     }
@@ -181,17 +196,237 @@ impl std::str::FromStr for HotPath {
     }
 }
 
-/// One rule's lane-batched round implementation.
+/// The vertex set one kernel advances: an owned set plus its distance-1
+/// halo, indexed locally (`0..len()`, ascending global id).
 ///
-/// `round` must be bit-identical to running the scalar propose +
-/// resolve phases of the same rule under the same [`RoundCtx`]: it
-/// reads `state`, writes every vertex of `next`, and publishes the
-/// propose phase's locals into `locals` (so observers like
+/// The whole graph is the identity range (no index lists at all — its
+/// block fills and loads are the plain contiguous ones).
+///
+/// # Example
+/// ```
+/// use lsl_core::engine::hotpath::KernelRange;
+/// use lsl_graph::generators;
+///
+/// let g = generators::cycle(8);
+/// let range = KernelRange::contiguous(&g, 2..5);
+/// assert_eq!(range.num_owned(), 3);
+/// assert_eq!(range.len(), 5); // owned 2, 3, 4 plus halo 1 and 5
+/// assert_eq!(KernelRange::whole(&g).len(), 8);
+/// ```
+#[derive(Clone, Debug)]
+pub struct KernelRange {
+    /// Owned ∪ halo, ascending: local index → global vertex id.
+    /// `None` for the whole graph (the identity on `0..len`).
+    verts: Option<Vec<u32>>,
+    owned: Owned,
+    len: usize,
+    num_owned: usize,
+}
+
+/// Where a [`KernelRange`]'s owned vertices sit among its local
+/// indices.
+#[derive(Clone, Debug)]
+enum Owned {
+    /// Consecutive local indices from `local`, whose global ids are
+    /// consecutive from `global` (the whole graph, and any contiguous
+    /// id range) — the combine pass then runs over plain slices.
+    Run { local: usize, global: usize },
+    /// Local indices, ascending.
+    List(Vec<u32>),
+}
+
+impl KernelRange {
+    /// The range owning `owned` (ascending, distinct) in `g`.
+    ///
+    /// # Panics
+    /// Panics if `owned` is not strictly ascending or names a vertex
+    /// outside `g`.
+    pub fn new(g: &Graph, owned: &[VertexId]) -> Self {
+        assert!(
+            owned.windows(2).all(|w| w[0] < w[1]),
+            "owned vertices must be strictly ascending"
+        );
+        let n = g.num_vertices();
+        if owned.len() == n {
+            // Strictly ascending and in range: exactly `0..n`.
+            return Self::whole(g);
+        }
+        let mut is_owned = vec![false; n];
+        for &v in owned {
+            is_owned[v.index()] = true;
+        }
+        let mut verts: Vec<u32> = owned.iter().map(|v| v.0).collect();
+        for &v in owned {
+            verts.extend(g.neighbors(v).filter(|u| !is_owned[u.index()]).map(|u| u.0));
+        }
+        verts.sort_unstable();
+        verts.dedup();
+        let local: Vec<u32> = verts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| is_owned[v as usize])
+            .map(|(i, _)| i as u32)
+            .collect();
+        let run = match (local.first(), owned.first()) {
+            (Some(&l), Some(g))
+                if local.windows(2).all(|w| w[1] == w[0] + 1)
+                    && owned.windows(2).all(|w| w[1].0 == w[0].0 + 1) =>
+            {
+                Owned::Run {
+                    local: l as usize,
+                    global: g.index(),
+                }
+            }
+            _ => Owned::List(local),
+        };
+        KernelRange {
+            len: verts.len(),
+            num_owned: owned.len(),
+            verts: Some(verts),
+            owned: run,
+        }
+    }
+
+    /// The range owning every vertex of `g` (no halo).
+    pub fn whole(g: &Graph) -> Self {
+        let n = g.num_vertices();
+        KernelRange {
+            verts: None,
+            owned: Owned::Run {
+                local: 0,
+                global: 0,
+            },
+            len: n,
+            num_owned: n,
+        }
+    }
+
+    /// The range owning the contiguous vertex ids `owned`.
+    pub fn contiguous(g: &Graph, owned: std::ops::Range<usize>) -> Self {
+        let owned: Vec<VertexId> = owned.map(|v| VertexId(v as u32)).collect();
+        Self::new(g, &owned)
+    }
+
+    /// Owned plus halo vertices.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the range holds no vertex.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Owned vertices — the length of a kernel's `next` and `locals`
+    /// outputs.
+    pub fn num_owned(&self) -> usize {
+        self.num_owned
+    }
+
+    /// The global vertex at local index `i`.
+    #[inline]
+    fn vertex(&self, i: usize) -> VertexId {
+        VertexId(self.verts.as_ref().map_or(i as u32, |v| v[i]))
+    }
+
+    /// The owned vertices' local indices, ascending.
+    fn owned(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.num_owned).map(move |k| match &self.owned {
+            Owned::Run { local, .. } => local + k,
+            Owned::List(list) => list[k] as usize,
+        })
+    }
+
+    /// `(first local index, first global id)` when the owned vertices
+    /// are one run of both.
+    fn owned_run(&self) -> Option<(usize, usize)> {
+        match self.owned {
+            Owned::Run { local, global } => Some((local, global)),
+            Owned::List(_) => None,
+        }
+    }
+
+    /// `out[k]` = the head of stream `(master, label, vertex(lo + k))`.
+    fn fill_heads(&self, master: u64, label: u64, lo: usize, out: &mut [u64]) {
+        match &self.verts {
+            None => fill_stream_heads(master, label, lo as u64, out),
+            Some(v) => fill_stream_heads_at(master, label, &v[lo..], out),
+        }
+    }
+
+    /// `out[k]` = the seed of stream `(master, label, vertex(lo + k))`.
+    fn fill_seeds(&self, master: u64, label: u64, lo: usize, out: &mut [u64]) {
+        match &self.verts {
+            None => fill_stream_seeds(master, label, lo as u64, out),
+            Some(v) => fill_stream_seeds_at(master, label, &v[lo..], out),
+        }
+    }
+
+    /// Loads local lanes from a full configuration.
+    fn gather<L: LaneBuf>(&self, state: &[Spin], lanes: &mut L) {
+        match &self.verts {
+            None => lanes.load(state),
+            Some(v) => lanes.gather(state, v),
+        }
+    }
+
+    /// Loads full-length lanes at the range's vertices only.
+    fn load_at<L: LaneBuf>(&self, state: &[Spin], lanes: &mut L) {
+        match &self.verts {
+            None => lanes.load(state),
+            Some(v) => lanes.load_at(state, v),
+        }
+    }
+
+    /// The edges with at least one owned endpoint (`None`: all of
+    /// them, in id order) and their stored-orientation endpoints as
+    /// local indices, packed `v << 32 | u` (one load per edge).
+    fn edges(&self, g: &Graph) -> (Option<Vec<u32>>, Vec<u64>) {
+        let pack = |a: u32, b: u32| u64::from(b) << 32 | u64::from(a);
+        let Some(verts) = &self.verts else {
+            return (None, g.edges().map(|(_, a, b)| pack(a.0, b.0)).collect());
+        };
+        const NONE: u32 = u32::MAX;
+        let mut local = vec![NONE; g.num_vertices()];
+        for (i, &v) in verts.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+        let mut is_owned = vec![false; verts.len()];
+        for i in self.owned() {
+            is_owned[i] = true;
+        }
+        let owns = |v: VertexId| local[v.index()] != NONE && is_owned[local[v.index()] as usize];
+        let (mut edges, mut euv) = (Vec::new(), Vec::new());
+        for (e, a, b) in g.edges() {
+            if owns(a) || owns(b) {
+                edges.push(e.0);
+                euv.push(pack(local[a.index()], local[b.index()]));
+            }
+        }
+        (Some(edges), euv)
+    }
+}
+
+/// One rule's lane-batched round implementation over a [`KernelRange`].
+///
+/// `advance` must be bit-identical, on the range's owned vertices, to
+/// running the scalar propose + resolve phases of the same rule under
+/// the same [`RoundCtx`]. It reads `state` (a full configuration, valid
+/// at least on owned ∪ halo), writes the owned vertices' next spins
+/// into `next`, and — when asked — their published propose-phase locals
+/// into `locals` (so observers like
 /// [`SyncChain::locals`](super::SyncChain::locals) see exactly what the
-/// scalar phases would publish).
+/// scalar phases would publish). Both outputs run parallel to the
+/// range's owned vertices in ascending order.
 pub trait HotKernel<L>: Send {
-    /// Executes one synchronous round.
-    fn round(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin], locals: &mut [L]);
+    /// Executes one synchronous round over this kernel's range.
+    fn advance(
+        &mut self,
+        ctx: &RoundCtx,
+        state: &[Spin],
+        next: &mut [Spin],
+        locals: Option<&mut [L]>,
+    );
 }
 
 /// A generator that serves a precomputed stream head: its first draw is
@@ -228,8 +463,18 @@ impl rand::TryRng for OneShotRng {
 trait LaneBuf: Send + 'static {
     fn with_len(len: usize) -> Self;
     fn load(&mut self, wide: &[Spin]);
+    /// `self[i] = wide[idx[i]]`: a range's local lanes from a full
+    /// configuration.
+    fn gather(&mut self, wide: &[Spin], idx: &[u32]);
     fn get(&self, i: usize) -> Spin;
     fn set(&mut self, i: usize, s: Spin);
+    /// `self[g] = wide[g]` for each `g` in `idx`: full-length lanes
+    /// maintained only where a range reads them.
+    fn load_at(&mut self, wide: &[Spin], idx: &[u32]) {
+        for &g in idx {
+            self.set(g as usize, wide[g as usize]);
+        }
+    }
     /// The raw one-bit-per-index words, when this packing has them —
     /// unlocks the word-interleaved `q = 2` edge pass.
     fn as_bits(&self) -> Option<&[u64]> {
@@ -244,6 +489,12 @@ impl LaneBuf for Vec<Spin> {
 
     fn load(&mut self, wide: &[Spin]) {
         self.copy_from_slice(wide);
+    }
+
+    fn gather(&mut self, wide: &[Spin], idx: &[u32]) {
+        for (slot, &g) in self.iter_mut().zip(idx) {
+            *slot = wide[g as usize];
+        }
     }
 
     #[inline]
@@ -264,6 +515,14 @@ impl LaneBuf for Vec<u8> {
 
     fn load(&mut self, wide: &[Spin]) {
         for (slot, &s) in self.iter_mut().zip(wide) {
+            debug_assert!(s < 256);
+            *slot = s as u8;
+        }
+    }
+
+    fn gather(&mut self, wide: &[Spin], idx: &[u32]) {
+        for (slot, &g) in self.iter_mut().zip(idx) {
+            let s = wide[g as usize];
             debug_assert!(s < 256);
             *slot = s as u8;
         }
@@ -301,6 +560,18 @@ impl LaneBuf for BitLanes {
         }
     }
 
+    fn gather(&mut self, wide: &[Spin], idx: &[u32]) {
+        for (word, chunk) in self.words.iter_mut().zip(idx.chunks(64)) {
+            let mut acc = 0u64;
+            for (bit, &g) in chunk.iter().enumerate() {
+                let s = wide[g as usize];
+                debug_assert!(s < 2);
+                acc |= u64::from(s) << bit;
+            }
+            *word = acc;
+        }
+    }
+
     #[inline]
     fn get(&self, i: usize) -> Spin {
         ((self.words[i >> 6] >> (i & 63)) & 1) as Spin
@@ -331,10 +602,16 @@ fn spread32(x: u64) -> u64 {
     (x | (x << 1)) & 0x5555_5555_5555_5555
 }
 
-/// The LocalMetropolis kernel: one proposal pass, one coin block, one
-/// edge pass ANDing accepts into a per-vertex byte, one combine pass.
+/// Block-RNG fills run a chunk of this many indices at a time, into a
+/// buffer that stays in L1 while its consumer reads it back.
+const RNG_CHUNK: usize = 1024;
+
+/// The LocalMetropolis kernel: one proposal pass, one edge pass ANDing
+/// accepts into a per-vertex byte (coins filled a chunk at a time), one
+/// combine pass — all over one [`KernelRange`], in its local indexing.
 struct LmKernel<L: LaneBuf> {
     mrf: Arc<Mrf>,
+    range: KernelRange,
     rule3: bool,
     block_rng: bool,
     /// Every edge activity is 0/max — every coin is deterministic and
@@ -342,13 +619,17 @@ struct LmKernel<L: LaneBuf> {
     /// same branch the scalar rule takes per edge).
     hard: bool,
     q: usize,
-    /// Stored-orientation endpoints per edge, indexed by edge id and
-    /// packed `v << 32 | u` (one load per edge). Both endpoints of an
-    /// edge evaluate the *same* stored-orientation filter product
-    /// against the *same* coin, so one edge-pass evaluation serves
-    /// both — the scalar path pays it twice.
+    /// Global ids of the edges with an owned endpoint (`None`: every
+    /// edge, in id order).
+    edges: Option<Vec<u32>>,
+    /// Their stored-orientation endpoints as local indices, packed
+    /// `v << 32 | u` (one load per edge). Both endpoints of an edge
+    /// evaluate the *same* stored-orientation filter product against
+    /// the *same* coin, so one edge-pass evaluation serves both — the
+    /// scalar path pays it twice.
     euv: Vec<u64>,
-    /// Base offset of each edge's kind table in `tables`.
+    /// Base offset of each range edge's kind table in `tables` (empty
+    /// when `kind0` is set).
     etbl: Vec<u32>,
     /// The common table base when every edge has the same kind (the
     /// usual generator output) — lets the edge pass skip the per-edge
@@ -380,19 +661,25 @@ struct LmKernel<L: LaneBuf> {
     /// Interleaved 2-bit lanes `sp(v)·2 + sx(v)`, rebuilt per round
     /// from the bit-packed slabs by [`spread32`] word ops.
     cbits: Vec<u64>,
-    /// Packed current state / proposals.
+    /// Packed current state / proposals over owned ∪ halo.
     sx: L,
     sp: L,
-    /// Proposal heads (propose-phase vertex streams).
-    heads: Vec<u64>,
-    /// Shared edge coins as raw stream heads, one per *edge* (the
-    /// scalar path evaluates each from both endpoints); consumed via
-    /// [`head_to_f64`] or the integer thresholds `thr2`.
+    /// One chunk of stream heads: proposal draws in the propose pass,
+    /// then shared edge coins in the edge pass — one per range *edge*
+    /// (the scalar path evaluates each from both endpoints), consumed
+    /// via [`head_to_f64`] or the integer thresholds `thr2`.
+    chunk: Vec<u64>,
+    /// Every range edge's coin for the round `coins_key` names. Kept
+    /// only once a round repeats — coupled replicas advancing the same
+    /// round in turn fill it once for the batch; otherwise coins never
+    /// leave `chunk`.
     coins: Vec<u64>,
+    coins_key: Option<u64>,
     /// Per-vertex accept accumulator: `1` until some incident edge's
-    /// filter rejects.
+    /// filter rejects (complete for owned vertices only — a halo
+    /// vertex's edges to the rest of the graph are not in the range).
     ok: Vec<u8>,
-    /// Wide mirror of the proposals for publishing into `locals`.
+    /// Wide mirror of the proposals, for the combine pass and `locals`.
     proposals_wide: Vec<Spin>,
     /// Propose-master the current proposal block belongs to: coupled
     /// replicas share one master per round, so a batch of `B` replicas
@@ -401,10 +688,9 @@ struct LmKernel<L: LaneBuf> {
 }
 
 impl<L: LaneBuf> LmKernel<L> {
-    fn new(mrf: Arc<Mrf>, rule3: bool, block_rng: bool) -> Self {
-        let g = mrf.graph();
-        let n = g.num_vertices();
-        let m = g.num_edges();
+    fn new(mrf: Arc<Mrf>, range: KernelRange, rule3: bool, block_rng: bool) -> Self {
+        let (edges, euv) = range.edges(mrf.graph());
+        let (len, m) = (range.len(), euv.len());
         let q = mrf.q();
         let qq = (q * q) as u32;
         let mut tables = Vec::with_capacity(mrf.edge_palette().len() * (q * q));
@@ -415,14 +701,17 @@ impl<L: LaneBuf> LmKernel<L> {
                 }
             }
         }
-        let (mut euv, mut etbl) = (vec![0u64; m], vec![0u32; m]);
-        for (e, a, b) in g.edges() {
-            let i = e.index();
-            euv[i] = u64::from(b.0) << 32 | u64::from(a.0);
-            etbl[i] = mrf.edge_kind_of(e) * qq;
-        }
+        let mut etbl: Vec<u32> = (0..m)
+            .map(|e| {
+                let id = edges.as_ref().map_or(e as u32, |ids| ids[e]);
+                mrf.edge_kind_of(EdgeId(id)) * qq
+            })
+            .collect();
         let kind0 =
             (etbl.windows(2).all(|w| w[0] == w[1])).then(|| etbl.first().copied().unwrap_or(0));
+        if kind0.is_some() {
+            etbl = Vec::new();
+        }
         let fast2 = (q == 2 && mrf.vertex_palette().len() == 1).then(|| {
             let act = &mrf.vertex_palette()[0];
             // `rposition(w > 0)` of the scalar sampler's slack fallback.
@@ -457,6 +746,7 @@ impl<L: LaneBuf> LmKernel<L> {
             block_rng,
             hard,
             q,
+            edges,
             euv,
             etbl,
             kind0,
@@ -465,80 +755,116 @@ impl<L: LaneBuf> LmKernel<L> {
             products,
             products2,
             thr2,
-            cbits: Vec::new(),
-            sx: L::with_len(n),
-            sp: L::with_len(n),
-            heads: vec![0; if block_rng { n } else { 0 }],
-            coins: vec![0; if block_rng && !hard { m } else { 0 }],
-            ok: vec![0; n],
-            proposals_wide: vec![0; n],
+            // Sized up front: a kernel advanced on a per-round worker
+            // thread must not allocate there.
+            cbits: vec![0; if q == 2 { 2 * len.div_ceil(64) } else { 0 }],
+            sx: L::with_len(len),
+            sp: L::with_len(len),
+            // Always a full chunk: the edge pass walks it as a
+            // placeholder when no coin block is drawn.
+            chunk: vec![0; RNG_CHUNK],
+            coins: Vec::new(),
+            coins_key: None,
+            ok: vec![0; len],
+            proposals_wide: vec![0; len],
             proposals_key: None,
+            range,
             mrf,
         }
     }
 }
 
 impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
-    fn round(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin], locals: &mut [Spin]) {
-        let n = state.len();
-        self.sx.load(state);
+    fn advance(
+        &mut self,
+        ctx: &RoundCtx,
+        state: &[Spin],
+        next: &mut [Spin],
+        locals: Option<&mut [Spin]>,
+    ) {
+        let range = &self.range;
+        range.gather(state, &mut self.sx);
 
-        // Propose: one block of stream heads serves every vertex's
-        // single proposal draw. The block is keyed by the propose
-        // master, so coupled replicas sharing a round's randomness
-        // reuse it for free.
-        if self.proposals_key != Some(ctx.propose_master) {
+        // Propose over owned ∪ halo: blocks of stream heads serve every
+        // vertex's single proposal draw (halo proposals are recomputed,
+        // not communicated — they are pure functions of
+        // `(master, round, vertex)`). The proposals are keyed by the
+        // propose master, so coupled replicas sharing a round's
+        // randomness reuse them for free.
+        let repeat = self.proposals_key == Some(ctx.propose_master);
+        if !repeat {
             if self.block_rng {
-                fill_stream_heads(ctx.propose_master, VERTEX_STREAM_LABEL, &mut self.heads);
-                if let Some((total, w0, w1, fallback)) = self.fast2 {
-                    // The scalar sampler's exact subtraction ladder for
-                    // the single two-entry activity, as a vectorizable
-                    // pass (then one pack pass into the proposal lanes).
-                    for (slot, &head) in self.proposals_wide.iter_mut().zip(&self.heads) {
-                        let t0 = head_to_f64(head) * total - w0;
-                        let t1 = t0 - w1;
-                        *slot = if t0 < 0.0 {
-                            0
-                        } else if t1 < 0.0 {
-                            1
-                        } else {
-                            fallback
-                        };
-                    }
-                    self.sp.load(&self.proposals_wide);
-                } else {
-                    for v in 0..n {
-                        let act = self.mrf.vertex_activity(VertexId(v as u32));
-                        let s = act.sample(&mut OneShotRng(self.heads[v]));
-                        self.proposals_wide[v] = s;
-                        self.sp.set(v, s);
+                for lo in (0..range.len()).step_by(RNG_CHUNK) {
+                    let heads = &mut self.chunk[..RNG_CHUNK.min(range.len() - lo)];
+                    range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
+                    let proposals = &mut self.proposals_wide[lo..][..heads.len()];
+                    if let Some((total, w0, w1, fallback)) = self.fast2 {
+                        // The scalar sampler's exact subtraction ladder
+                        // for the single two-entry activity, as a
+                        // vectorizable pass (then one pack pass into
+                        // the proposal lanes).
+                        for (slot, &head) in proposals.iter_mut().zip(heads.iter()) {
+                            let t0 = head_to_f64(head) * total - w0;
+                            let t1 = t0 - w1;
+                            *slot = if t0 < 0.0 {
+                                0
+                            } else if t1 < 0.0 {
+                                1
+                            } else {
+                                fallback
+                            };
+                        }
+                    } else {
+                        for (k, (slot, &head)) in proposals.iter_mut().zip(heads.iter()).enumerate()
+                        {
+                            let act = self.mrf.vertex_activity(range.vertex(lo + k));
+                            *slot = act.sample(&mut OneShotRng(head));
+                        }
                     }
                 }
             } else {
-                for v in 0..n {
-                    let mut rng = ctx.propose_rng(VertexId(v as u32));
-                    let act = self.mrf.vertex_activity(VertexId(v as u32));
-                    let s = act.sample(rng.raw());
-                    self.proposals_wide[v] = s;
-                    self.sp.set(v, s);
+                for (i, slot) in self.proposals_wide.iter_mut().enumerate() {
+                    let v = range.vertex(i);
+                    let mut rng = ctx.propose_rng(v);
+                    *slot = self.mrf.vertex_activity(v).sample(rng.raw());
                 }
             }
-            // Coins: one evaluation per edge (the scalar path pays one
-            // per endpoint). Skipped entirely for hard-constraint
-            // models, whose coins are all deterministic.
-            if self.block_rng && !self.hard {
-                fill_stream_heads(ctx.edge_master, EDGE_LABEL, &mut self.coins);
-            }
+            self.sp.load(&self.proposals_wide);
             self.proposals_key = Some(ctx.propose_master);
         }
-        locals.copy_from_slice(&self.proposals_wide);
+        // Coins: one evaluation per range edge (the scalar path pays one
+        // per endpoint), filled a chunk at a time inside the edge pass —
+        // or, once rounds repeat, once per round into `coins`. Never
+        // filled for hard-constraint models, whose coins are all
+        // deterministic.
+        let block_coins = self.block_rng && !self.hard;
+        let edge_master = ctx.edge_master;
+        if block_coins && (repeat || !self.coins.is_empty()) && self.coins_key != Some(edge_master)
+        {
+            self.coins.resize(self.euv.len(), 0);
+            fill_coins(&self.edges, edge_master, 0, &mut self.coins);
+            self.coins_key = Some(edge_master);
+        }
+        let cached = self.coins_key == Some(edge_master);
+        if let Some(locals) = locals {
+            match range.owned_run() {
+                Some((a, _)) => locals.copy_from_slice(&self.proposals_wide[a..][..locals.len()]),
+                None => {
+                    for (slot, i) in locals.iter_mut().zip(range.owned()) {
+                        *slot = self.proposals_wide[i];
+                    }
+                }
+            }
+        }
 
-        // Resolve as an edge pass. The scalar rule's per-vertex view
-        // evaluates, at *both* endpoints of each edge, the identical
-        // stored-orientation factor product `p` against the identical
-        // shared coin — so one evaluation per edge decides both, ANDed
-        // into the accept byte of each endpoint. Its early-exit is
-        // droppable because coins are pure functions of
+        // Resolve as an edge pass over the edges with an owned
+        // endpoint. The scalar rule's per-vertex view evaluates, at
+        // *both* endpoints of each edge, the identical stored-
+        // orientation factor product `p` against the identical shared
+        // coin — so one evaluation per edge decides both, ANDed into
+        // the accept byte of each endpoint (a cut edge is evaluated by
+        // both ranges that see it, with identical results). Its early-
+        // exit is droppable because coins are pure functions of
         // `(edge_master, edge)`: no stream state is consumed by the
         // extra evaluations. The coin test folds the scalar ladder
         // (`p ≤ 0` reject, `p ≥ 1` accept, else reject iff `coin ≥ p`)
@@ -548,6 +874,8 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         let (rule3, hard, block_rng, q) = (self.rule3, self.hard, self.block_rng, self.q);
         let qq = q * q;
         let Self {
+            range,
+            edges,
             euv,
             etbl,
             kind0,
@@ -558,37 +886,56 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
             cbits,
             sx,
             sp,
+            chunk,
             coins,
             ok,
             ..
         } = self;
         ok.fill(1);
         let m = euv.len();
-        // One loop shape, pluggable accept test.
+        // One loop shape, pluggable accept test over `(edge, coin head,
+        // endpoints)`; the coin head is meaningful only under block
+        // coins.
         macro_rules! edge_pass {
             ($acc_of:expr) => {
-                for e in 0..m {
-                    let uv = euv[e];
-                    let u = uv as u32 as usize;
-                    let v = (uv >> 32) as usize;
-                    let acc: u8 = $acc_of(e, u, v);
-                    ok[u] &= acc;
-                    ok[v] &= acc;
+                for lo in (0..m).step_by(RNG_CHUNK) {
+                    let hi = m.min(lo + RNG_CHUNK);
+                    let heads: &[u64] = if cached {
+                        &coins[lo..hi]
+                    } else {
+                        let heads = &mut chunk[..hi - lo];
+                        if block_coins {
+                            fill_coins(edges, edge_master, lo, heads);
+                        }
+                        heads
+                    };
+                    for (e, &c) in (lo..hi).zip(heads) {
+                        let uv = euv[e];
+                        let u = uv as u32 as usize;
+                        let v = (uv >> 32) as usize;
+                        let acc: u8 = $acc_of(e, c, u, v);
+                        ok[u] &= acc;
+                        ok[v] &= acc;
+                    }
                 }
             };
         }
+        // Range edge `e`'s kind-table base and shared coin.
+        let kind = |e: usize| kind0.unwrap_or_else(|| etbl[e]) as usize;
+        let edges = edges.as_deref();
+        let coin = |e: usize| ctx.edge_coin(EdgeId(edges.map_or(e as u32, |ids| ids[e])));
         // The f64 accept test: every factor of a hard model is 0 or 1,
         // so `p > 0.0` is "no factor rejected" with no coin consulted —
         // the branch the scalar rule takes per edge. Soft models fold
         // the scalar ladder into one `coin < p`.
         macro_rules! accept {
-            ($e:expr, $p:expr) => {
+            ($e:expr, $c:expr, $p:expr) => {
                 if hard {
                     u8::from($p > 0.0)
                 } else if block_rng {
-                    u8::from(head_to_f64(coins[$e]) < $p)
+                    u8::from(head_to_f64($c) < $p)
                 } else {
-                    u8::from(ctx.edge_coin(EdgeId($e as u32)) < $p)
+                    u8::from(coin($e) < $p)
                 }
             };
         }
@@ -598,7 +945,6 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                 // (word ops, not per-vertex shifts), so each endpoint's
                 // `(proposal, state)` pair is one extraction, and test
                 // block coins in the integer domain against `thr2`.
-                cbits.resize(2 * pw.len(), 0);
                 for (i, (&p, &x)) in pw.iter().zip(xw).enumerate() {
                     cbits[2 * i] = spread32(p) << 1 | spread32(x);
                     cbits[2 * i + 1] = spread32(p >> 32) << 1 | spread32(x >> 32);
@@ -609,19 +955,16 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                     let cv = cbits[v >> 5] >> ((v & 31) << 1) & 3;
                     (cu << 2 | cv) as usize
                 };
-                let base = |e: usize| match *kind0 {
-                    Some(b) => b as usize * 4,
-                    None => etbl[e] as usize * 4,
-                };
+                let base = |e: usize| kind(e) * 4;
                 if hard {
-                    edge_pass!(|e: usize, u, v| u8::from(thr2[base(e) + idx_of(u, v)] != 0));
+                    edge_pass!(|e: usize, _, u, v| u8::from(thr2[base(e) + idx_of(u, v)] != 0));
                 } else if block_rng {
-                    edge_pass!(|e: usize, u, v| u8::from(
-                        coins[e] >> 11 < thr2[base(e) + idx_of(u, v)]
+                    edge_pass!(|e: usize, c: u64, u, v| u8::from(
+                        c >> 11 < thr2[base(e) + idx_of(u, v)]
                     ));
                 } else {
-                    edge_pass!(|e: usize, u, v| u8::from(
-                        ctx.edge_coin(EdgeId(e as u32)) < products2[base(e) + idx_of(u, v)]
+                    edge_pass!(|e: usize, _, u, v| u8::from(
+                        coin(e) < products2[base(e) + idx_of(u, v)]
                     ));
                 }
             }
@@ -633,154 +976,211 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                 };
                 if let Some(b) = *kind0 {
                     let pt: &[f64] = &products[b as usize * 4..][..16];
-                    edge_pass!(|e: usize, u, v| accept!(e, pt[idx_of(u, v)]));
+                    edge_pass!(|e: usize, c: u64, u, v| accept!(e, c, pt[idx_of(u, v)]));
                 } else {
-                    edge_pass!(|e: usize, u, v| accept!(
+                    edge_pass!(|e: usize, c: u64, u, v| accept!(
                         e,
+                        c,
                         products[etbl[e] as usize * 4 + idx_of(u, v)]
                     ));
                 }
             }
             _ => {
-                edge_pass!(|e: usize, u: usize, v: usize| {
-                    let tbl = &tables[etbl[e] as usize..][..qq];
+                edge_pass!(|e: usize, c: u64, u: usize, v: usize| {
+                    let tbl = &tables[kind(e)..][..qq];
                     let (su, sv) = (sp.get(u) as usize, sp.get(v) as usize);
                     let (xu, xv) = (sx.get(u) as usize, sx.get(v) as usize);
                     let mut p = tbl[su * q + sv] * tbl[xu * q + sv];
                     if rule3 {
                         p *= tbl[su * q + xv];
                     }
-                    accept!(e, p)
+                    accept!(e, c, p)
                 });
             }
         }
 
-        // Combine: a vertex keeps its proposal iff every incident edge
-        // accepted (vacuously for isolated vertices, as in the scalar
-        // rule).
-        for (v, slot) in next.iter_mut().enumerate() {
-            *slot = if self.ok[v] != 0 {
-                self.proposals_wide[v]
-            } else {
-                state[v]
-            };
+        // Combine: an owned vertex keeps its proposal iff every incident
+        // edge accepted (vacuously for isolated vertices, as in the
+        // scalar rule).
+        let keep = |ok: u8, proposal: Spin, old: Spin| if ok != 0 { proposal } else { old };
+        match range.owned_run() {
+            Some((a, g)) => {
+                let k = next.len();
+                let lanes = ok[a..][..k].iter().zip(&self.proposals_wide[a..][..k]);
+                for ((slot, (&ok, &p)), &x) in next.iter_mut().zip(lanes).zip(&state[g..][..k]) {
+                    *slot = keep(ok, p, x);
+                }
+            }
+            None => {
+                for (slot, i) in next.iter_mut().zip(range.owned()) {
+                    *slot = keep(
+                        ok[i],
+                        self.proposals_wide[i],
+                        state[range.vertex(i).index()],
+                    );
+                }
+            }
         }
     }
 }
 
-/// Builds the LocalMetropolis kernel at the requested packing.
+/// `out[k]` = the coin head of range edge `lo + k`, whose global ids are
+/// `edges` (`None`: every edge, in id order).
+fn fill_coins(edges: &Option<Vec<u32>>, edge_master: u64, lo: usize, out: &mut [u64]) {
+    match edges {
+        None => fill_stream_heads(edge_master, EDGE_LABEL, lo as u64, out),
+        Some(ids) => fill_stream_heads_at(edge_master, EDGE_LABEL, &ids[lo..], out),
+    }
+}
+
+/// Builds the LocalMetropolis kernel over `range` at the requested
+/// packing.
 pub(crate) fn local_metropolis_kernel(
     mrf: &Arc<Mrf>,
+    range: KernelRange,
     rule3: bool,
     packing: Packing,
     block_rng: bool,
 ) -> Box<dyn HotKernel<Spin>> {
     let mrf = Arc::clone(mrf);
     match packing {
-        Packing::Wide => Box::new(LmKernel::<Vec<Spin>>::new(mrf, rule3, block_rng)),
-        Packing::Byte => Box::new(LmKernel::<Vec<u8>>::new(mrf, rule3, block_rng)),
-        Packing::Bit => Box::new(LmKernel::<BitLanes>::new(mrf, rule3, block_rng)),
+        Packing::Wide => Box::new(LmKernel::<Vec<Spin>>::new(mrf, range, rule3, block_rng)),
+        Packing::Byte => Box::new(LmKernel::<Vec<u8>>::new(mrf, range, rule3, block_rng)),
+        Packing::Bit => Box::new(LmKernel::<BitLanes>::new(mrf, range, rule3, block_rng)),
     }
 }
 
-/// The LubyGlauber kernel: a seed-block mark pass, then heat-bath
-/// resamples for exactly the selected independent set (resolve streams
-/// are constructed *only* for its members).
+/// The LubyGlauber kernel: a seed-block mark pass over owned ∪ halo,
+/// then heat-bath resamples for exactly the selected owned vertices
+/// (resolve streams are constructed *only* for them).
+///
+/// Schedulers read marks, and the model's marginal reads spins, by
+/// global vertex id, so the mark buffer and the packed state lanes are
+/// full-length — written only at the range's vertices, which are all a
+/// selection or marginal on an owned vertex reads. The seed block is
+/// range-sized.
 struct LgKernel<S: VertexScheduler, L: LaneBuf> {
     mrf: Arc<Mrf>,
+    range: KernelRange,
     scheduler: S,
     block_rng: bool,
     sx: L,
-    /// Seed block for the mark streams (marks may draw any number of
-    /// times, so they get full streams, not heads).
+    /// One chunk of seeds for the mark streams (marks may draw any
+    /// number of times, so they get full streams, not heads).
     seeds: Vec<u64>,
     weights: Vec<f64>,
     resampler: Resampler,
-    /// Wide mark buffer, keyed like the LM proposal block so coupled
+    /// Mark buffer, keyed like the LM proposal block so coupled
     /// replicas mark once per round.
     marks_wide: Vec<S::Mark>,
     marks_key: Option<u64>,
 }
 
 impl<S: VertexScheduler, L: LaneBuf> LgKernel<S, L> {
-    fn new(mrf: Arc<Mrf>, scheduler: S, block_rng: bool) -> Self {
+    fn new(mrf: Arc<Mrf>, range: KernelRange, scheduler: S, block_rng: bool) -> Self {
         let n = mrf.num_vertices();
         LgKernel {
             scheduler,
             block_rng,
             sx: L::with_len(n),
-            seeds: vec![0; if block_rng { n } else { 0 }],
+            seeds: vec![0; if block_rng { RNG_CHUNK } else { 0 }],
             weights: vec![0.0; mrf.q()],
             resampler: Resampler::new(&mrf),
             marks_wide: vec![S::Mark::default(); n],
             marks_key: None,
+            range,
             mrf,
         }
     }
 }
 
 impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
-    fn round(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin], locals: &mut [S::Mark]) {
-        self.sx.load(state);
+    fn advance(
+        &mut self,
+        ctx: &RoundCtx,
+        state: &[Spin],
+        next: &mut [Spin],
+        locals: Option<&mut [S::Mark]>,
+    ) {
+        let range = &self.range;
+        range.load_at(state, &mut self.sx);
 
-        // Propose: the scheduler marks, streams rebuilt from one seed
-        // block (identical streams, one derivation pass).
+        // Propose: the scheduler marks owned ∪ halo, streams rebuilt
+        // from one seed block (identical streams, one derivation pass).
         if self.marks_key != Some(ctx.propose_master) {
             if self.block_rng {
-                fill_stream_seeds(ctx.propose_master, VERTEX_STREAM_LABEL, &mut self.seeds);
-                for (v, slot) in self.marks_wide.iter_mut().enumerate() {
-                    let mut rng = Xoshiro256pp::seed_from(self.seeds[v]);
-                    *slot = self.scheduler.mark(VertexId(v as u32), &mut rng);
+                for lo in (0..range.len()).step_by(RNG_CHUNK) {
+                    let seeds = &mut self.seeds[..RNG_CHUNK.min(range.len() - lo)];
+                    range.fill_seeds(ctx.propose_master, VERTEX_STREAM_LABEL, lo, seeds);
+                    for (k, &seed) in seeds.iter().enumerate() {
+                        let v = range.vertex(lo + k);
+                        let mut rng = Xoshiro256pp::seed_from(seed);
+                        self.marks_wide[v.index()] = self.scheduler.mark(v, &mut rng);
+                    }
                 }
             } else {
-                for (v, slot) in self.marks_wide.iter_mut().enumerate() {
-                    let mut rng = ctx.propose_rng(VertexId(v as u32));
-                    *slot = self.scheduler.mark(VertexId(v as u32), rng.raw());
+                for i in 0..range.len() {
+                    let v = range.vertex(i);
+                    let mut rng = ctx.propose_rng(v);
+                    self.marks_wide[v.index()] = self.scheduler.mark(v, rng.raw());
                 }
             }
             self.marks_key = Some(ctx.propose_master);
         }
-        locals.copy_from_slice(&self.marks_wide);
+        let Self {
+            mrf,
+            range,
+            scheduler,
+            sx,
+            weights,
+            resampler,
+            marks_wide,
+            ..
+        } = self;
+        let owned = || range.owned().map(|i| range.vertex(i));
+        if let Some(locals) = locals {
+            for (slot, v) in locals.iter_mut().zip(owned()) {
+                *slot = marks_wide[v.index()];
+            }
+        }
 
         // Resolve: non-members keep their spin without touching their
         // resolve stream (the scalar path builds one per vertex and
         // discards it unread — at selection fraction ~1/(Δ+1), most of
         // its resolve-phase randomness work).
-        let Self {
-            mrf,
-            scheduler,
-            sx,
-            weights,
-            resampler,
-            ..
-        } = self;
-        for (v, slot) in next.iter_mut().enumerate() {
-            let vid = VertexId(v as u32);
-            if scheduler.selected(ctx, vid, locals) {
-                let mut rng = ctx.resolve_rng(vid);
-                mrf.marginal_weights_with(vid, |u| sx.get(u.index()), weights);
+        for (slot, v) in next.iter_mut().zip(owned()) {
+            if scheduler.selected(ctx, v, marks_wide) {
+                let mut rng = ctx.resolve_rng(v);
+                mrf.marginal_weights_with(v, |u| sx.get(u.index()), weights);
                 *slot = resampler
                     .resample(weights, rng.raw())
                     .expect("heat-bath marginal must be well-defined (paper assumption)");
             } else {
-                *slot = sx.get(v);
+                *slot = sx.get(v.index());
             }
         }
     }
 }
 
-/// Builds the LubyGlauber kernel at the requested packing.
+/// Builds the LubyGlauber kernel over `range` at the requested packing.
 pub(crate) fn luby_glauber_kernel<S: VertexScheduler>(
     mrf: &Arc<Mrf>,
+    range: KernelRange,
     scheduler: S,
     packing: Packing,
     block_rng: bool,
 ) -> Box<dyn HotKernel<S::Mark>> {
     let mrf = Arc::clone(mrf);
     match packing {
-        Packing::Wide => Box::new(LgKernel::<S, Vec<Spin>>::new(mrf, scheduler, block_rng)),
-        Packing::Byte => Box::new(LgKernel::<S, Vec<u8>>::new(mrf, scheduler, block_rng)),
-        Packing::Bit => Box::new(LgKernel::<S, BitLanes>::new(mrf, scheduler, block_rng)),
+        Packing::Wide => Box::new(LgKernel::<S, Vec<Spin>>::new(
+            mrf, range, scheduler, block_rng,
+        )),
+        Packing::Byte => Box::new(LgKernel::<S, Vec<u8>>::new(
+            mrf, range, scheduler, block_rng,
+        )),
+        Packing::Bit => Box::new(LgKernel::<S, BitLanes>::new(
+            mrf, range, scheduler, block_rng,
+        )),
     }
 }
 

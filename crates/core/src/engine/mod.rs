@@ -40,7 +40,7 @@ pub mod rules;
 pub mod sharded;
 pub mod slab;
 
-pub use hotpath::{HotKernel, HotPath};
+pub use hotpath::{HotKernel, HotPath, KernelRange};
 pub use slab::{Packing, StateSlab, StateView};
 
 use lsl_graph::{EdgeId, VertexId};
@@ -198,19 +198,20 @@ pub trait SyncRule: Send + Sync {
         scratch: &mut Self::Scratch,
     ) -> Spin;
 
-    /// Builds this rule's lane-batched hot kernel for `mrf`, if it has
-    /// one (see [`hotpath`]). `None` — the default — means the engine
-    /// always runs the scalar per-vertex phases; rules that return a
-    /// kernel must make it bit-identical to those phases, which stay
-    /// compiled and selectable ([`HotPath::Scalar`]) as the regression
-    /// oracle.
+    /// Builds this rule's lane-batched hot kernel over `range` of
+    /// `mrf`, if it has one (see [`hotpath`]). `None` — the default —
+    /// means the engine always runs the scalar per-vertex phases; rules
+    /// that return a kernel must make it bit-identical to those phases
+    /// on the range's owned vertices. The scalar phases stay compiled
+    /// and selectable ([`HotPath::Scalar`]) as the regression oracle.
     fn hot_kernel(
         &self,
         mrf: &Arc<Mrf>,
+        range: KernelRange,
         packing: Packing,
         block_rng: bool,
     ) -> Option<Box<dyn HotKernel<Self::Local>>> {
-        let _ = (mrf, packing, block_rng);
+        let _ = (mrf, range, packing, block_rng);
         None
     }
 }
@@ -220,9 +221,10 @@ pub trait SyncRule: Send + Sync {
 pub enum Backend {
     /// One vertex after another on the calling thread.
     Sequential,
-    /// Fork-join over contiguous vertex ranges with scoped threads.
-    /// Bit-identical to [`Backend::Sequential`] by the determinism
-    /// contract.
+    /// Fork-join over contiguous vertex ranges with scoped threads —
+    /// one lane kernel per range (see [`hotpath`]) when the rule has
+    /// one, else the scalar phases chunked the same way. Bit-identical
+    /// to [`Backend::Sequential`] by the determinism contract.
     ///
     /// **`threads == 0` means auto-detect**: the worker count resolves
     /// to [`std::thread::available_parallelism`] (clamped to at least
@@ -241,8 +243,10 @@ pub enum Backend {
     /// to the vertex count so a small model never gets empty shards.
     ///
     /// The sampler facade builds a [`sharded::ShardedChain`] (private
-    /// state slabs, frontier buffers, communication accounting) for
-    /// this backend, partitioning with
+    /// per-shard state, frontier buffers, communication accounting) for
+    /// this backend, each shard advancing its owned set and halo
+    /// through the rule's lane kernel (see [`hotpath`]) unless the hot
+    /// path is [`HotPath::Scalar`]; it partitions with
     /// [`Partition::contiguous`](lsl_graph::partition::Partition::contiguous);
     /// construct a `ShardedChain` directly to choose the partitioner.
     /// [`SyncChain`] and [`replicas::ReplicaSet`], whose state is one
@@ -375,6 +379,18 @@ fn fill_indexed<T: Send, S: Send>(
     });
 }
 
+/// The owned-range length of each kernel of an `n`-vertex chain on
+/// `workers` workers: the whole graph on one worker (or when there are
+/// fewer than two vertices per worker — the same cutoff as
+/// [`fill_indexed`]), else `n / workers` rounded up.
+fn kernel_chunk(n: usize, workers: usize) -> usize {
+    if workers <= 1 || n < 2 * workers {
+        n.max(1)
+    } else {
+        n.div_ceil(workers)
+    }
+}
+
 /// Runs the propose phase of `ctx` into `locals`.
 fn propose_phase<R: SyncRule>(
     rule: &R,
@@ -469,10 +485,11 @@ pub struct SyncChain<R: SyncRule> {
     workers: usize,
     /// The hot-path selection (see [`HotPath`]).
     hotpath: HotPath,
-    /// The rule's lane-batched kernel under `hotpath`, if any. Engaged
-    /// on single-worker synchronous rounds; the scalar phases remain
-    /// the multi-worker path and the oracle.
-    kernel: Option<Box<dyn HotKernel<R::Local>>>,
+    /// The rule's lane-batched kernels under `hotpath`, one per
+    /// contiguous range of [`kernel_chunk`] vertices (one range per
+    /// worker); empty when the scalar phases serve (the oracle, or a
+    /// rule without a kernel).
+    kernels: Vec<Box<dyn HotKernel<R::Local>>>,
     master: u64,
     round: u64,
     last_key: Option<(u64, u64)>,
@@ -507,9 +524,7 @@ impl<R: SyncRule> SyncChain<R> {
         assert_eq!(state.len(), mrf.num_vertices(), "state length must be n");
         let n = state.len();
         let scratches = vec![rule.make_scratch(&mrf)];
-        let hotpath = HotPath::default();
-        let kernel = hotpath.build_kernel(&mrf, &rule);
-        SyncChain {
+        let mut chain = SyncChain {
             mrf,
             rule,
             backend: Backend::Sequential,
@@ -518,12 +533,32 @@ impl<R: SyncRule> SyncChain<R> {
             locals: vec![R::Local::default(); n],
             scratches,
             workers: 1,
-            hotpath,
-            kernel,
+            hotpath: HotPath::default(),
+            kernels: Vec::new(),
             master,
             round: 0,
             last_key: None,
-        }
+        };
+        chain.build_kernels();
+        chain
+    }
+
+    /// Rebuilds the kernels for the current hot path and worker count:
+    /// one per contiguous range of [`kernel_chunk`] vertices.
+    fn build_kernels(&mut self) {
+        // Drop the old kernels first: a resplit must not hold both sets.
+        self.kernels.clear();
+        let n = self.state.len();
+        let chunk = kernel_chunk(n, self.workers);
+        let g = self.mrf.graph();
+        self.kernels = (0..n.max(1))
+            .step_by(chunk)
+            .map(|lo| {
+                let range = KernelRange::contiguous(g, lo..(lo + chunk).min(n));
+                self.hotpath.build_kernel(&self.mrf, &self.rule, range)
+            })
+            .collect::<Option<_>>()
+            .unwrap_or_default();
     }
 
     /// Switches the execution backend (trajectories are unaffected).
@@ -533,7 +568,12 @@ impl<R: SyncRule> SyncChain<R> {
         while self.scratches.len() < want {
             self.scratches.push(self.rule.make_scratch(&self.mrf));
         }
+        let n = self.state.len();
+        let resplit = kernel_chunk(n, want) != kernel_chunk(n, self.workers);
         self.workers = want;
+        if resplit {
+            self.build_kernels();
+        }
     }
 
     /// Switches the hot-path selection (trajectories are unaffected —
@@ -548,7 +588,7 @@ impl<R: SyncRule> SyncChain<R> {
             .validate_for(self.mrf.q())
             .expect("invalid hot path");
         self.hotpath = hotpath;
-        self.kernel = hotpath.build_kernel(&self.mrf, &self.rule);
+        self.build_kernels();
     }
 
     /// The hot-path selection in use.
@@ -556,10 +596,12 @@ impl<R: SyncRule> SyncChain<R> {
         self.hotpath
     }
 
-    /// Whether rounds are currently served by a lane-batched kernel
-    /// (rule has one, hot path enabled, single-worker backend).
+    /// Whether synchronous rounds are served by lane-batched kernels
+    /// (the rule has one and the hot path is enabled) — on every
+    /// backend: one kernel over the whole graph on a single worker, one
+    /// per contiguous vertex range on several.
     pub fn kernel_engaged(&self) -> bool {
-        self.kernel.is_some() && self.workers <= 1
+        !self.kernels.is_empty()
     }
 
     /// The execution backend in use.
@@ -626,17 +668,35 @@ impl<R: SyncRule> SyncChain<R> {
     pub fn step_keyed(&mut self, master: u64) {
         let ctx = RoundCtx::new(&self.mrf, master, self.round);
         let workers = self.workers.min(self.scratches.len());
-        // Lane-batched fast path: single-worker synchronous rounds of a
-        // rule with a kernel. Multi-worker sweeps keep the scalar
-        // phases (the kernel is one strided pass; splitting it would
-        // re-introduce the per-vertex plumbing it removes), as do
-        // single-site rounds.
-        match self.kernel.as_mut() {
-            Some(kernel) if workers <= 1 && self.rule.active_vertex(&ctx).is_none() => {
-                kernel.round(&ctx, &self.state, &mut self.next, &mut self.locals);
-                std::mem::swap(&mut self.state, &mut self.next);
+        // Lane-batched kernels serve synchronous rounds on every
+        // backend: one range inline, or one contiguous range per worker
+        // under a per-round scope (the calling thread takes the first).
+        // Single-site rounds touch one vertex and keep the scalar path.
+        if !self.kernels.is_empty() && self.rule.active_vertex(&ctx).is_none() {
+            let (ctx, state) = (&ctx, &self.state[..]);
+            let chunk = kernel_chunk(state.len(), self.workers);
+            let mut jobs = self
+                .kernels
+                .iter_mut()
+                .zip(self.next.chunks_mut(chunk))
+                .zip(self.locals.chunks_mut(chunk));
+            let first = jobs.next();
+            let run = |((kernel, next), locals): ((&mut Box<dyn HotKernel<_>>, _), _)| {
+                kernel.advance(ctx, state, next, Some(locals))
+            };
+            if jobs.len() == 0 {
+                first.map(run);
+            } else {
+                std::thread::scope(|scope| {
+                    for job in jobs {
+                        scope.spawn(move || run(job));
+                    }
+                    first.map(run);
+                });
             }
-            _ => run_round(
+            std::mem::swap(&mut self.state, &mut self.next);
+        } else {
+            run_round(
                 &self.rule,
                 &ctx,
                 &mut self.state,
@@ -644,7 +704,7 @@ impl<R: SyncRule> SyncChain<R> {
                 &mut self.locals,
                 &mut self.scratches,
                 workers,
-            ),
+            );
         }
         self.last_key = Some((master, self.round));
         self.round += 1;

@@ -19,7 +19,7 @@
 //! Replicas are embarrassingly parallel, so the set also accepts a
 //! [`Backend`] that shards replicas over scoped threads.
 
-use super::{HotKernel, HotPath, RoundCtx, SyncRule};
+use super::{HotKernel, HotPath, KernelRange, RoundCtx, SyncRule};
 use crate::engine::Backend;
 use lsl_local::rng::derive_seed;
 use lsl_mrf::{Mrf, Spin};
@@ -64,9 +64,9 @@ pub struct ReplicaSet<R: SyncRule> {
     /// Per-worker (locals, scratch) pairs.
     worker_locals: Vec<Vec<R::Local>>,
     scratches: Vec<R::Scratch>,
-    /// The hot-path selection, and one kernel per worker (replicas are
-    /// sharded by whole replica, so per-worker kernels preserve
-    /// trajectories at any worker count). A kernel's proposal cache is
+    /// The hot-path selection, and one whole-graph kernel per worker
+    /// (replicas are sharded by whole replica, so per-worker kernels
+    /// preserve trajectories at any worker count). A kernel's proposal cache is
     /// keyed by the round's propose master, which is what amortizes the
     /// coupled batch's shared randomness without a separate shared
     /// propose pass.
@@ -98,7 +98,7 @@ impl<R: SyncRule> ReplicaSet<R> {
         assert_eq!(states.len(), n * count);
         let scratches = vec![rule.make_scratch(&mrf)];
         let hotpath = HotPath::default();
-        let kernels = vec![hotpath.build_kernel(&mrf, &rule)];
+        let kernels = vec![hotpath.build_kernel(&mrf, &rule, KernelRange::whole(mrf.graph()))];
         ReplicaSet {
             rule,
             backend: Backend::Sequential,
@@ -179,8 +179,11 @@ impl<R: SyncRule> ReplicaSet<R> {
         while self.scratches.len() < want {
             self.scratches.push(self.rule.make_scratch(&self.mrf));
             self.worker_locals.push(vec![R::Local::default(); self.n]);
-            self.kernels
-                .push(self.hotpath.build_kernel(&self.mrf, &self.rule));
+            self.kernels.push(self.hotpath.build_kernel(
+                &self.mrf,
+                &self.rule,
+                KernelRange::whole(self.mrf.graph()),
+            ));
         }
         self.workers = want;
     }
@@ -197,7 +200,8 @@ impl<R: SyncRule> ReplicaSet<R> {
             .expect("invalid hot path for this model");
         self.hotpath = hotpath;
         for slot in self.kernels.iter_mut() {
-            *slot = hotpath.build_kernel(&self.mrf, &self.rule);
+            *slot =
+                hotpath.build_kernel(&self.mrf, &self.rule, KernelRange::whole(self.mrf.graph()));
         }
     }
 
@@ -327,7 +331,7 @@ impl<R: SyncRule> ReplicaSet<R> {
                 for (bi, (state, next)) in states.chunks(n).zip(next.chunks_mut(n)).enumerate() {
                     let ctx = RoundCtx::new(mrf, masters[base + bi], round);
                     if let Some(k) = kernel.as_mut() {
-                        k.round(&ctx, state, next, locals);
+                        k.advance(&ctx, state, next, Some(locals));
                         continue;
                     }
                     let locals_for_replica: &[R::Local] = if share_propose {

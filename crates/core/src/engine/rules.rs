@@ -14,7 +14,7 @@
 //!   round-shared stream (so even they are pure functions of
 //!   `(master, round)` and batch across replicas).
 
-use super::{hotpath, HotKernel, Packing, RoundCtx, StateView, SyncRule};
+use super::{hotpath, HotKernel, KernelRange, Packing, RoundCtx, StateView, SyncRule};
 use crate::schedule::{LubyScheduler, VertexScheduler};
 use crate::update::Resampler;
 use lsl_graph::VertexId;
@@ -172,11 +172,12 @@ impl SyncRule for LocalMetropolisRule {
     fn hot_kernel(
         &self,
         mrf: &Arc<Mrf>,
+        range: KernelRange,
         packing: Packing,
         block_rng: bool,
     ) -> Option<Box<dyn HotKernel<Spin>>> {
         Some(hotpath::local_metropolis_kernel(
-            mrf, self.rule3, packing, block_rng,
+            mrf, range, self.rule3, packing, block_rng,
         ))
     }
 }
@@ -281,11 +282,13 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
     fn hot_kernel(
         &self,
         mrf: &Arc<Mrf>,
+        range: KernelRange,
         packing: Packing,
         block_rng: bool,
     ) -> Option<Box<dyn HotKernel<S::Mark>>> {
         Some(hotpath::luby_glauber_kernel(
             mrf,
+            range,
             self.scheduler.clone(),
             packing,
             block_rng,

@@ -6,7 +6,7 @@
 //! edges. The other backends simulate that on one flat address space;
 //! this module simulates it honestly. The graph is split into `K`
 //! shards by an [`lsl_graph::partition::Partition`]; each shard runs on
-//! its own worker with a **private state slab** and advances only the
+//! its own worker with a **private state copy** and advances only the
 //! vertices it owns. Between rounds, shards exchange exactly the
 //! **boundary-vertex states** the cut demands, and the exchange volume
 //! is recorded per round ([`CommStats`]) so experiments can plot
@@ -28,8 +28,17 @@
 //!    propose (asserted at construction; both synchronous chains
 //!    qualify, and the single-site rules have no propose phase).
 //! 2. **Resolve** (parallel, per shard): each owned vertex combines its
-//!    neighborhood's states and locals — all within the slab's valid
+//!    neighborhood's states and locals — all within the shard's valid
 //!    region — into its next spin, written to a per-shard next buffer.
+//!
+//!    Steps 1–2 run as the shard's lane-batched kernel
+//!    ([`super::hotpath`]) over its owned set and halo whenever the
+//!    rule has one and the hot path is enabled (the default): the
+//!    kernel fills the round's block RNG over owned ∪ halo and
+//!    evaluates every edge with an owned endpoint — a cut edge is
+//!    decided by both shards that see it, identically. Otherwise (under
+//!    `hotpath=scalar`, or for rules without a kernel) they run the
+//!    scalar per-vertex phases.
 //! 3. **Exchange** (the only cross-shard step): owners publish their
 //!    frontier states and one `Exchange` routes each to every
 //!    subscribing halo. One state crossing one shard boundary is one
@@ -43,7 +52,7 @@
 //! every partition — property-tested across partitioners, algorithms,
 //! and schedulers in `tests/sharded.rs`.
 
-use super::{Packing, RoundCtx, StateSlab, SyncRule};
+use super::{HotKernel, HotPath, KernelRange, Packing, RoundCtx, SyncRule};
 use lsl_graph::partition::Partition;
 use lsl_graph::{Graph, VertexId};
 use lsl_mrf::{Mrf, Spin};
@@ -242,30 +251,33 @@ impl Exchange {
 pub(crate) struct ShardCore<R: SyncRule> {
     /// Vertices this shard owns (ascending).
     owned: Vec<VertexId>,
-    /// Owned ∪ halo: the vertices whose slab entries are maintained
-    /// (ascending). Proposals are computed over this whole set.
-    active: Vec<VertexId>,
-    /// Halo vertices (ascending).
+    /// Halo vertices (ascending). Owned ∪ halo is the set whose state
+    /// entries are maintained, and over which proposals are computed.
     halo: Vec<VertexId>,
     /// Owned frontier vertices (ascending).
     boundary_out: Vec<VertexId>,
-    /// Full-length private state slab, packed at the model's auto
-    /// packing (rules read it through
-    /// [`StateView`](super::StateView)). Global indexing keeps the
-    /// [`SyncRule`] interface unchanged; only `active` entries are
-    /// maintained, everything else goes stale after round 0.
-    slab: StateSlab,
+    /// Full-length private state. Global indexing keeps the
+    /// [`SyncRule`] and [`HotKernel`] interfaces unchanged; only owned
+    /// and halo entries are maintained, everything else goes stale
+    /// after round 0.
+    state: Vec<Spin>,
     /// Next spins of owned vertices (parallel to `owned`) — the private
     /// half of the double buffering.
     next_owned: Vec<Spin>,
-    /// Full-length locals slab; valid at `active` after a propose.
+    /// Full-length locals, allocated on first use (a kernel shard
+    /// needs them only as the default-valued stand-ins of single-site
+    /// rounds); valid at owned ∪ halo after a scalar propose.
     locals: Vec<R::Local>,
     scratch: R::Scratch,
+    /// The rule's lane-batched kernel over this shard's owned set and
+    /// halo, if the hot path and the rule provide one; `None` runs the
+    /// scalar phases.
+    kernel: Option<Box<dyn HotKernel<R::Local>>>,
 }
 
 impl<R: SyncRule> ShardCore<R> {
     /// Builds shard `s`'s core from the shared plan and a full start
-    /// configuration.
+    /// configuration, with its kernel under `hotpath`.
     ///
     /// # Panics
     /// Panics if the rule has a state-dependent propose phase (see the
@@ -277,6 +289,7 @@ impl<R: SyncRule> ShardCore<R> {
         plan: &ExchangePlan,
         s: usize,
         state: &[Spin],
+        hotpath: HotPath,
     ) -> Self {
         assert!(
             !R::HAS_PROPOSE || R::STATE_FREE_PROPOSE,
@@ -285,20 +298,25 @@ impl<R: SyncRule> ShardCore<R> {
         );
         let owned: Vec<VertexId> = partition.members(s).to_vec();
         let halo = plan.halos[s].clone();
-        let mut active = owned.clone();
-        active.extend_from_slice(&halo);
-        active.sort_unstable();
         let next_owned = vec![0; owned.len()];
-        ShardCore {
+        let mut core = ShardCore {
             owned,
-            active,
             halo,
             boundary_out: plan.boundary_out[s].clone(),
-            slab: StateSlab::from_spins(Packing::auto_for(mrf.q()), state),
+            state: state.to_vec(),
             next_owned,
-            locals: vec![R::Local::default(); state.len()],
+            locals: Vec::new(),
             scratch: rule.make_scratch(mrf),
-        }
+            kernel: None,
+        };
+        core.set_hotpath(mrf, rule, hotpath);
+        core
+    }
+
+    /// Rebuilds this shard's kernel under `hotpath`.
+    fn set_hotpath(&mut self, mrf: &Arc<Mrf>, rule: &R, hotpath: HotPath) {
+        let range = KernelRange::new(mrf.graph(), &self.owned);
+        self.kernel = hotpath.build_kernel(mrf, rule, range);
     }
 
     /// Advances this shard through the round `ctx` keys, whose active
@@ -306,49 +324,56 @@ impl<R: SyncRule> ShardCore<R> {
     /// commits the active vertex when this shard owns it and does
     /// nothing otherwise; a synchronous round proposes over owned ∪
     /// halo (halo proposals recomputed locally — see the module docs),
-    /// resolves the owned vertices, and commits them.
+    /// resolves the owned vertices, and commits them — through the
+    /// shard's kernel when it has one, else the scalar phases.
     pub(crate) fn advance(&mut self, rule: &R, ctx: &RoundCtx, active: Option<VertexId>) {
+        if (active.is_some() || self.kernel.is_none()) && self.locals.is_empty() {
+            self.locals = vec![R::Local::default(); self.state.len()];
+        }
         match active {
             Some(v) => {
                 if self.owned.binary_search(&v).is_ok() {
                     // Single-site rules skip the propose phase, so the
-                    // (default-valued) locals slab stands in, exactly
-                    // as in the flat backends.
+                    // (default-valued) locals stand in, exactly as in
+                    // the flat backends.
                     let mut rng = ctx.resolve_rng(v);
-                    let spin = rule.resolve(
+                    self.state[v.index()] = rule.resolve(
                         ctx,
                         v,
-                        &self.slab,
+                        &self.state,
                         &self.locals,
                         rng.raw(),
                         &mut self.scratch,
                     );
-                    self.slab.set(v.index(), spin);
                 }
             }
             None => {
-                if R::HAS_PROPOSE {
-                    for &v in &self.active {
-                        let mut rng = ctx.propose_rng(v);
-                        self.locals[v.index()] =
-                            rule.propose(ctx, v, &self.slab, rng.raw(), &mut self.scratch);
+                // Resolve into the private next buffer, then commit: no
+                // state entry is written while the round still reads it.
+                if let Some(kernel) = self.kernel.as_mut() {
+                    kernel.advance(ctx, &self.state, &mut self.next_owned, None);
+                } else {
+                    if R::HAS_PROPOSE {
+                        for &v in self.owned.iter().chain(&self.halo) {
+                            let mut rng = ctx.propose_rng(v);
+                            self.locals[v.index()] =
+                                rule.propose(ctx, v, &self.state, rng.raw(), &mut self.scratch);
+                        }
+                    }
+                    for (i, &v) in self.owned.iter().enumerate() {
+                        let mut rng = ctx.resolve_rng(v);
+                        self.next_owned[i] = rule.resolve(
+                            ctx,
+                            v,
+                            &self.state,
+                            &self.locals,
+                            rng.raw(),
+                            &mut self.scratch,
+                        );
                     }
                 }
-                // Resolve into the private next buffer, then commit: no
-                // slab entry is written while the round still reads it.
-                for (i, &v) in self.owned.iter().enumerate() {
-                    let mut rng = ctx.resolve_rng(v);
-                    self.next_owned[i] = rule.resolve(
-                        ctx,
-                        v,
-                        &self.slab,
-                        &self.locals,
-                        rng.raw(),
-                        &mut self.scratch,
-                    );
-                }
-                for (i, &v) in self.owned.iter().enumerate() {
-                    self.slab.set(v.index(), self.next_owned[i]);
+                for (&v, &spin) in self.owned.iter().zip(&self.next_owned) {
+                    self.state[v.index()] = spin;
                 }
             }
         }
@@ -362,28 +387,28 @@ impl<R: SyncRule> ShardCore<R> {
         }
     }
 
-    /// The slab's value at `v` (valid for owned and halo vertices).
+    /// The state at `v` (valid for owned and halo vertices).
     fn get(&self, v: VertexId) -> Spin {
-        self.slab.get(v.index())
+        self.state[v.index()]
     }
 
     /// Writes the frontier's states into `out` (parallel to
     /// `boundary_out`).
     pub(crate) fn publish(&self, out: &mut [Spin]) {
         for (o, &v) in out.iter_mut().zip(&self.boundary_out) {
-            *o = self.slab.get(v.index());
+            *o = self.get(v);
         }
     }
 
     /// Overwrites one ghost copy with a delivered state.
     fn set_ghost(&mut self, v: VertexId, spin: Spin) {
-        self.slab.set(v.index(), spin);
+        self.state[v.index()] = spin;
     }
 
     /// Overwrites the whole halo (parallel to `halo`).
     pub(crate) fn set_halo(&mut self, spins: &[Spin]) {
         for (&v, &spin) in self.halo.iter().zip(spins) {
-            self.slab.set(v.index(), spin);
+            self.state[v.index()] = spin;
         }
     }
 
@@ -392,10 +417,11 @@ impl<R: SyncRule> ShardCore<R> {
         self.owned.iter().map(|&v| self.get(v)).collect()
     }
 
-    /// Refreshes every maintained slab entry from a full configuration.
+    /// Refreshes every maintained state entry from a full
+    /// configuration.
     fn refresh(&mut self, state: &[Spin]) {
-        for &v in &self.active {
-            self.slab.set(v.index(), state[v.index()]);
+        for &v in self.owned.iter().chain(&self.halo) {
+            self.state[v.index()] = state[v.index()];
         }
     }
 }
@@ -526,6 +552,8 @@ pub struct ShardedChain<R: SyncRule> {
     partition: Partition,
     shards: Vec<ShardCore<R>>,
     exchange: Exchange,
+    /// The hot-path selection every shard's kernel follows.
+    hotpath: HotPath,
     /// Canonical observer-facing configuration, refreshed from the
     /// owners every round.
     state: Vec<Spin>,
@@ -580,8 +608,9 @@ impl<R: SyncRule> ShardedChain<R> {
             partition.len()
         );
         let exchange = Exchange::new(&mrf, &partition, &state);
+        let hotpath = HotPath::default();
         let shards = (0..partition.num_shards())
-            .map(|s| ShardCore::build(&mrf, &rule, &partition, exchange.plan(), s, &state))
+            .map(|s| ShardCore::build(&mrf, &rule, &partition, exchange.plan(), s, &state, hotpath))
             .collect();
         ShardedChain {
             mrf,
@@ -589,6 +618,7 @@ impl<R: SyncRule> ShardedChain<R> {
             partition,
             shards,
             exchange,
+            hotpath,
             state,
             master,
             round: 0,
@@ -621,10 +651,38 @@ impl<R: SyncRule> ShardedChain<R> {
         self.partition.num_shards()
     }
 
-    /// The packing of every shard slab and of the exchange accounting
+    /// The packing the exchange accounting charges for
     /// ([`Packing::auto_for`] the model's `q`).
     pub fn packing(&self) -> Packing {
         Packing::auto_for(self.mrf.q())
+    }
+
+    /// Switches every shard's hot-path selection (trajectories are
+    /// unaffected — kernels are bit-identical to the scalar phases).
+    ///
+    /// # Panics
+    /// Panics if an explicitly requested packing cannot hold this
+    /// model's spins (e.g. [`Packing::Bit`] with `q > 2`).
+    pub fn set_hotpath(&mut self, hotpath: HotPath) {
+        hotpath
+            .validate_for(self.mrf.q())
+            .expect("invalid hot path");
+        self.hotpath = hotpath;
+        for w in &mut self.shards {
+            w.set_hotpath(&self.mrf, &self.rule, hotpath);
+        }
+    }
+
+    /// The hot-path selection in use.
+    pub fn hotpath(&self) -> HotPath {
+        self.hotpath
+    }
+
+    /// Whether synchronous rounds are served by lane-batched kernels,
+    /// one per shard over its owned set and halo (the rule has one and
+    /// the hot path is enabled).
+    pub fn kernel_engaged(&self) -> bool {
+        self.shards.iter().all(|w| w.kernel.is_some())
     }
 
     /// The current configuration.
@@ -632,8 +690,8 @@ impl<R: SyncRule> ShardedChain<R> {
         &self.state
     }
 
-    /// Overwrites the current configuration (every shard's slab is
-    /// refreshed in its maintained region).
+    /// Overwrites the current configuration (every shard's private
+    /// state is refreshed in its maintained region).
     ///
     /// # Panics
     /// Panics if the length is wrong.
@@ -682,16 +740,19 @@ impl<R: SyncRule> ShardedChain<R> {
         let rule = &self.rule;
         let active = rule.active_vertex(ctx);
         // Every shard advances; only a synchronous round has enough
-        // work per shard to be worth a thread each.
+        // work per shard to be worth a thread each (the calling thread
+        // takes the first shard).
         if active.is_some() || self.shards.len() == 1 {
             for w in &mut self.shards {
                 w.advance(rule, ctx, active);
             }
         } else {
+            let (first, rest) = self.shards.split_at_mut(1);
             std::thread::scope(|scope| {
-                for w in self.shards.iter_mut() {
+                for w in rest {
                     scope.spawn(move || w.advance(rule, ctx, None));
                 }
+                first[0].advance(rule, ctx, None);
             });
         }
 

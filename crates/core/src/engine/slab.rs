@@ -6,8 +6,9 @@
 //! [`StateSlab`] packs a configuration at the width the model needs
 //! (**byte lanes** for `q ≤ 256`, a **bitset** for `q ≤ 2`), quadrupling
 //! (or ×32-ing) the number of spins per cache line in the resolve
-//! phase's neighborhood gathers, and shrinking the sharded backend's
-//! halo slabs and boundary-exchange buffers by the same factor.
+//! phase's neighborhood gathers, and shrinking the wire's state blobs
+//! by the same factor (the sharded exchange accounting charges the same
+//! packed width).
 //!
 //! The [`StateView`] trait is the read-side abstraction: vertex-step
 //! rules are generic over it, so one rule body serves the flat `&[Spin]`

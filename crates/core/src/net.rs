@@ -117,6 +117,59 @@ struct SessionCtl {
     /// A client sent the `shutdown` admin frame; the process driving
     /// the server decides when to act on it.
     shutdown_requested: AtomicBool,
+    /// Entries held in the token and shard maps of every session — a
+    /// gauge of per-session bookkeeping, which pruning keeps bounded by
+    /// what is still running rather than by what was ever submitted.
+    tracked: AtomicUsize,
+}
+
+/// What a session's helper threads report when they end, so the
+/// session can prune its maps: a submitted line whose members all
+/// reported a terminal event (by id and the session serial its tokens
+/// were filed under), or a shard runner that finished or failed.
+enum Ended {
+    Line { id: u64, serial: u64 },
+    Shard(u64),
+}
+
+/// One session's bookkeeping: cancellation handles by submit id and
+/// the feeds of the shard runners it hosts, each pruned when its line
+/// or runner ends.
+#[derive(Default)]
+struct SessionMaps {
+    /// Cancellation handles of unresolved lines by submit id (with the
+    /// serial they were filed under, so a line that reused an id is
+    /// pruned only by its own forwarder).
+    tokens: HashMap<u64, (u64, Vec<CancelToken>)>,
+    /// Shard runners hosted by this session (cluster mode): the feed
+    /// half of each runner's `shard-sync` channel, by shard id.
+    /// Dropping a feed is how a runner learns its coordinator is gone.
+    shards: HashMap<u64, std::sync::mpsc::Sender<(u64, StateBlob)>>,
+    /// Serials handed out to submitted lines.
+    serial: u64,
+    /// The highest submit id seen: a cancel for a smaller unknown id
+    /// names a line already resolved and pruned — the documented no-op.
+    max_submit: Option<u64>,
+}
+
+impl SessionMaps {
+    /// Applies one helper thread's end report.
+    fn prune(&mut self, ended: Ended, ctl: &SessionCtl) {
+        let removed = match ended {
+            Ended::Line { id, serial } => match self.tokens.get(&id) {
+                Some((filed, _)) if *filed == serial => self.tokens.remove(&id).is_some(),
+                _ => false,
+            },
+            Ended::Shard(id) => self.shards.remove(&id).is_some(),
+        };
+        if removed {
+            ctl.tracked.fetch_sub(1, Ordering::AcqRel);
+        }
+    }
+
+    fn all_tokens(&self) -> impl Iterator<Item = &CancelToken> {
+        self.tokens.values().flat_map(|(_, members)| members)
+    }
 }
 
 /// The TCP front end over an owned [`Service`] — what `lsl serve`
@@ -306,15 +359,13 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
     // yet; forwarders decrement as terminals go out.
     let inflight = Arc::new(AtomicUsize::new(0));
     // Cancellation handles by submit id, for `cancel id=N` frames and
-    // the end-of-session sweep. Ids are session-scoped, so the map is
-    // bounded by what this client submitted.
-    let mut tokens: HashMap<u64, Vec<CancelToken>> = HashMap::new();
+    // the end-of-session sweep, and the shard runners' feeds. Helper
+    // threads report on `ended` when they finish, and the loop prunes
+    // their entries, so a long-lived session holds only what is still
+    // running.
+    let mut maps = SessionMaps::default();
+    let (ended_tx, ended) = std::sync::mpsc::channel::<Ended>();
     let mut forwarders: Vec<JoinHandle<()>> = Vec::new();
-    // Shard runners hosted by this session (cluster mode): the feed
-    // half of each runner's `shard-sync` channel, by shard id.
-    // Dropping the map at session end closes the feeds, which is how
-    // runners learn their coordinator is gone.
-    let mut shards: HashMap<u64, std::sync::mpsc::Sender<(u64, StateBlob)>> = HashMap::new();
     let mut cancelled_all = false;
     // Raw byte accumulation persists across timed reads: in text mode
     // complete lines are cut at `\n` (a partial tail waits for more
@@ -329,7 +380,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
     loop {
         if ctl.cancel_all.load(Ordering::Acquire) && !cancelled_all {
             cancelled_all = true;
-            for token in tokens.values().flatten() {
+            for token in maps.all_tokens() {
                 token.cancel();
             }
         }
@@ -374,9 +425,9 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
                         service,
                         ctl,
                         &inflight,
-                        &mut tokens,
+                        &mut maps,
                         &mut forwarders,
-                        &mut shards,
+                        &ended_tx,
                     ) {
                         binary = mode == Codec::Binary;
                     }
@@ -391,19 +442,25 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
                 ) => {}
             Err(_) => break,
         }
-        // Reap finished forwarders so a long-lived session submitting
-        // thousands of lines doesn't hold a handle per past line.
+        // Reap finished helpers so a long-lived session submitting
+        // thousands of lines doesn't hold a handle or a map entry per
+        // past line or shard.
         forwarders.retain(|h| !h.is_finished());
+        for report in ended.try_iter() {
+            maps.prune(report, ctl);
+        }
     }
     // The client is gone (or the server is draining): any job still
     // running has nobody to report to. Cancelling resolved tokens is
     // a no-op, so the blanket sweep is safe. Dropping the shard feeds
     // *before* joining unblocks any runner waiting on a `shard-sync`
     // that will never come.
-    for token in tokens.values().flatten() {
+    for token in maps.all_tokens() {
         token.cancel();
     }
-    drop(shards);
+    ctl.tracked
+        .fetch_sub(maps.tokens.len() + maps.shards.len(), Ordering::AcqRel);
+    drop(maps);
     for f in forwarders {
         let _ = f.join();
     }
@@ -420,9 +477,9 @@ fn handle_frame(
     service: &Arc<Service>,
     ctl: &Arc<SessionCtl>,
     inflight: &Arc<AtomicUsize>,
-    tokens: &mut HashMap<u64, Vec<CancelToken>>,
+    maps: &mut SessionMaps,
     forwarders: &mut Vec<JoinHandle<()>>,
-    shards: &mut HashMap<u64, std::sync::mpsc::Sender<(u64, StateBlob)>>,
+    ended: &std::sync::mpsc::Sender<Ended>,
 ) -> Option<Codec> {
     match parsed {
         Err(message) => {
@@ -445,7 +502,7 @@ fn handle_frame(
             of,
             spec,
         }) => {
-            if shards.contains_key(&id) {
+            if maps.shards.contains_key(&id) {
                 writer.send(&ServerFrame::Error {
                     id: Some(id),
                     message: format!("shard id {id} already initialised"),
@@ -453,8 +510,10 @@ fn handle_frame(
                 return None;
             }
             let (tx, rx) = std::sync::mpsc::channel::<(u64, StateBlob)>();
-            shards.insert(id, tx);
+            maps.shards.insert(id, tx);
+            ctl.tracked.fetch_add(1, Ordering::AcqRel);
             let writer = Arc::clone(writer);
+            let ended = ended.clone();
             let runner = std::thread::Builder::new()
                 .name("lsl-shard".into())
                 .spawn(move || {
@@ -466,11 +525,13 @@ fn handle_frame(
                         &spec,
                         &rx,
                     );
+                    // `shard-done` (or the runner's error) is out.
+                    let _ = ended.send(Ended::Shard(id));
                 })
                 .expect("spawning a shard runner");
             forwarders.push(runner);
         }
-        Ok(ClientFrame::ShardSync { id, round, blob }) => match shards.get(&id) {
+        Ok(ClientFrame::ShardSync { id, round, blob }) => match maps.shards.get(&id) {
             // A dead runner (failed init) drops its receiver; sends
             // then are no-ops, matching the typed error the runner
             // already reported.
@@ -482,14 +543,16 @@ fn handle_frame(
                 message: format!("shard-sync for unknown shard id {id}"),
             }),
         },
-        Ok(ClientFrame::Cancel { id }) => match tokens.get(&id) {
+        Ok(ClientFrame::Cancel { id }) => match maps.tokens.get(&id) {
             // The terminal `cancelled` event (per member, through the
             // forwarder) is the acknowledgement.
-            Some(members) => {
+            Some((_, members)) => {
                 for token in members {
                     token.cancel();
                 }
             }
+            // Resolved lines are pruned; cancelling one stays a no-op.
+            None if maps.max_submit.is_some_and(|max| id <= max) => {}
             None => writer.send(&ServerFrame::Error {
                 id: Some(id),
                 message: format!("cancel for unknown job id {id}"),
@@ -498,68 +561,100 @@ fn handle_frame(
         Ok(ClientFrame::Shutdown) => {
             ctl.shutdown_requested.store(true, Ordering::Release);
         }
-        Ok(ClientFrame::Submit { id, spec }) => match spec.parse::<SweepSpec>() {
-            Err(e) => writer.send(&ServerFrame::Error {
-                id: Some(id),
-                message: e.to_string(),
-            }),
-            Ok(sweep) => {
-                let members = sweep.expand();
-                let jobs = members.len();
-                writer.send(&ServerFrame::Submitted {
-                    id,
-                    jobs: jobs as u64,
-                });
-                // Session-level admission, before the service queue is
-                // touched: a draining server takes nothing new, and a
-                // session over its in-flight cap must finish (or
-                // cancel) work before submitting more.
-                let rejection = if ctl.draining.load(Ordering::Acquire) {
-                    Some(RejectReason::Draining)
-                } else {
-                    let cap = service.limits().per_session_inflight;
-                    if inflight.load(Ordering::Acquire).saturating_add(jobs) > cap {
-                        Some(RejectReason::SessionBusy { cap })
-                    } else {
-                        None
-                    }
-                };
-                if let Some(reason) = rejection {
-                    for index in 0..jobs as u64 {
-                        writer.send(&ServerFrame::Event {
-                            id,
-                            index,
-                            event: JobEvent::Rejected {
-                                reason: reason.clone(),
-                            },
-                        });
-                    }
-                    return None;
-                }
-                inflight.fetch_add(jobs, Ordering::AcqRel);
-                let (tx, rx) = std::sync::mpsc::channel::<(u64, JobEvent)>();
-                let mut member_tokens = Vec::with_capacity(jobs);
-                for (index, member) in members.into_iter().enumerate() {
-                    let tx = tx.clone();
-                    member_tokens.push(service.submit_routed(member, move |event| {
-                        // The forwarder may already be gone (client
-                        // hung up); dropping events then is fine.
-                        let _ = tx.send((index as u64, event));
-                    }));
-                }
-                drop(tx);
-                tokens.insert(id, member_tokens);
-                let writer = Arc::clone(writer);
-                let inflight = Arc::clone(inflight);
-                let forwarder = std::thread::Builder::new()
-                    .name("lsl-forward".into())
-                    .spawn(move || forward_line(&writer, id, jobs, &rx, &inflight))
-                    .expect("spawning an event forwarder");
-                forwarders.push(forwarder);
-            }
-        },
+        Ok(ClientFrame::Submit { id, spec }) => {
+            maps.max_submit = maps.max_submit.max(Some(id));
+            submit_line(
+                writer, service, ctl, inflight, maps, forwarders, ended, id, &spec,
+            );
+        }
     }
     None
+}
+
+/// Expands, admits and queues one submitted line, filing its members'
+/// cancellation handles in `maps` and spawning its event forwarder.
+#[allow(clippy::too_many_arguments)]
+fn submit_line(
+    writer: &Arc<SessionWriter>,
+    service: &Arc<Service>,
+    ctl: &Arc<SessionCtl>,
+    inflight: &Arc<AtomicUsize>,
+    maps: &mut SessionMaps,
+    forwarders: &mut Vec<JoinHandle<()>>,
+    ended: &std::sync::mpsc::Sender<Ended>,
+    id: u64,
+    spec: &str,
+) {
+    let sweep = match spec.parse::<SweepSpec>() {
+        Ok(sweep) => sweep,
+        Err(e) => {
+            return writer.send(&ServerFrame::Error {
+                id: Some(id),
+                message: e.to_string(),
+            })
+        }
+    };
+    let members = sweep.expand();
+    let jobs = members.len();
+    writer.send(&ServerFrame::Submitted {
+        id,
+        jobs: jobs as u64,
+    });
+    // Session-level admission, before the service queue is touched: a
+    // draining server takes nothing new, and a session over its
+    // in-flight cap must finish (or cancel) work before submitting
+    // more.
+    let rejection = if ctl.draining.load(Ordering::Acquire) {
+        Some(RejectReason::Draining)
+    } else {
+        let cap = service.limits().per_session_inflight;
+        if inflight.load(Ordering::Acquire).saturating_add(jobs) > cap {
+            Some(RejectReason::SessionBusy { cap })
+        } else {
+            None
+        }
+    };
+    if let Some(reason) = rejection {
+        for index in 0..jobs as u64 {
+            writer.send(&ServerFrame::Event {
+                id,
+                index,
+                event: JobEvent::Rejected {
+                    reason: reason.clone(),
+                },
+            });
+        }
+        return;
+    }
+    inflight.fetch_add(jobs, Ordering::AcqRel);
+    let (tx, rx) = std::sync::mpsc::channel::<(u64, JobEvent)>();
+    let mut member_tokens = Vec::with_capacity(jobs);
+    for (index, member) in members.into_iter().enumerate() {
+        let tx = tx.clone();
+        member_tokens.push(service.submit_routed(member, move |event| {
+            // The forwarder may already be gone (client hung up);
+            // dropping events then is fine.
+            let _ = tx.send((index as u64, event));
+        }));
+    }
+    drop(tx);
+    maps.serial += 1;
+    let serial = maps.serial;
+    if maps.tokens.insert(id, (serial, member_tokens)).is_none() {
+        ctl.tracked.fetch_add(1, Ordering::AcqRel);
+    }
+    let writer = Arc::clone(writer);
+    let inflight = Arc::clone(inflight);
+    let ended = ended.clone();
+    let forwarder = std::thread::Builder::new()
+        .name("lsl-forward".into())
+        .spawn(move || {
+            forward_line(&writer, id, jobs, &rx, &inflight);
+            // Every member's terminal event is out.
+            let _ = ended.send(Ended::Line { id, serial });
+        })
+        .expect("spawning an event forwarder");
+    forwarders.push(forwarder);
 }
 
 /// Drains one submitted line's tagged event stream into frames until
@@ -1207,6 +1302,70 @@ mod tests {
                 finished = true;
             }
         }
+    }
+
+    /// Waits until the server's session maps hold at most `bound`
+    /// entries in total (pruning runs on the session's next poll).
+    fn settle(server: &Server, bound: usize) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let tracked = server.ctl.tracked.load(Ordering::Acquire);
+            if tracked <= bound {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "session maps still hold {tracked} entries (bound {bound})"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn session_maps_stay_bounded_under_many_quick_submits() {
+        let server = Server::bind("127.0.0.1:0", 2).unwrap();
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        const BATCH: usize = 200;
+        let line = "graph=path:3 model=coloring:q=3 seed=1 job=run:rounds=1";
+        for _ in 0..15 {
+            for _ in 0..BATCH {
+                client.submit(line).unwrap();
+            }
+            let outcomes = client.drain().unwrap();
+            assert_eq!(outcomes.len(), BATCH);
+            assert!(outcomes.iter().all(RemoteOutcome::is_ok));
+            // Resolved lines leave the token map: what the session
+            // holds is bounded by one batch, not by 3000 submits.
+            assert!(server.ctl.tracked.load(Ordering::Acquire) <= BATCH);
+        }
+        settle(&server, 0);
+        // Cancelling a pruned (finished) line stays the documented
+        // no-op: no error frame reaches the client.
+        client.cancel(0).unwrap();
+        client.submit(line).unwrap();
+        assert!(client.drain().unwrap()[0].is_ok());
+
+        // Shard runners leave the shard map when they end — here at
+        // once, on a spec no shard session can run.
+        let deadline = Some(Instant::now() + Duration::from_secs(20));
+        for id in 0..500 {
+            client
+                .send_frame(&ClientFrame::ShardInit {
+                    id,
+                    shard: 0,
+                    of: 2,
+                    spec: "graph=cycle:6 model=dominating-set backend=cluster:2".into(),
+                })
+                .unwrap();
+        }
+        for _ in 0..500 {
+            let frame = client.recv_frame(deadline).unwrap();
+            assert!(
+                matches!(frame, Some(ServerFrame::Error { id: Some(_), .. })),
+                "{frame:?}"
+            );
+        }
+        settle(&server, 0);
     }
 
     #[test]

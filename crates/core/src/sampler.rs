@@ -441,9 +441,10 @@ impl SamplerBuilder {
     /// The hot-path selection for the engine's synchronous rounds
     /// (default: the engine default, [`HotPath::default`] — lane-batched
     /// kernels at auto packing). Trajectories are hot-path-independent:
-    /// kernels are bit-identical to [`HotPath::Scalar`]. The sharded
-    /// executor and CSP chains always run the scalar phases and ignore
-    /// this.
+    /// kernels are bit-identical to [`HotPath::Scalar`]. Every MRF
+    /// backend honors it — `sequential`, `parallel:k`, `sharded:k` and
+    /// `cluster:k` alike; CSP chains run their own scalar rounds and
+    /// ignore it.
     pub fn hotpath(mut self, hotpath: HotPath) -> Self {
         self.hotpath = Some(hotpath);
         self
@@ -565,13 +566,18 @@ impl SamplerBuilder {
                         // empty model degrades instead of panicking.
                         let k = backend.worker_count().min(mrf.num_vertices()).max(1);
                         let partition = self.partitioner.partition(mrf.graph(), k);
-                        Box::new(ShardedChain::with_state(
+                        let mut chain = ShardedChain::with_state(
                             Arc::clone(&mrf),
                             rule,
                             seed,
                             start,
                             partition,
-                        ))
+                        );
+                        if let Some(hp) = hotpath {
+                            // Validated above, so this cannot panic.
+                            chain.set_hotpath(hp);
+                        }
+                        Box::new(chain)
                     } else {
                         let mut chain = SyncChain::with_state(Arc::clone(&mrf), rule, seed, start);
                         chain.set_backend(backend);
@@ -912,6 +918,10 @@ trait DynSampler {
     }
     /// Clears the boundary-communication record (no-op elsewhere).
     fn reset_comm(&mut self) {}
+    /// Whether synchronous rounds run lane kernels (never on CSPs).
+    fn kernel_engaged(&self) -> bool {
+        false
+    }
 }
 
 impl<R: SyncRule> DynSampler for ShardedChain<R> {
@@ -939,6 +949,9 @@ impl<R: SyncRule> DynSampler for ShardedChain<R> {
     fn reset_comm(&mut self) {
         ShardedChain::reset_comm(self);
     }
+    fn kernel_engaged(&self) -> bool {
+        ShardedChain::kernel_engaged(self)
+    }
 }
 
 impl<R: SyncRule> DynSampler for SyncChain<R> {
@@ -959,6 +972,9 @@ impl<R: SyncRule> DynSampler for SyncChain<R> {
     }
     fn name(&self) -> &'static str {
         self.rule().name()
+    }
+    fn kernel_engaged(&self) -> bool {
+        SyncChain::kernel_engaged(self)
     }
 }
 
@@ -1206,6 +1222,14 @@ impl Sampler {
     /// The MRF being sampled (`None` for CSP samplers).
     pub fn mrf(&self) -> Option<&Arc<Mrf>> {
         self.mrf.as_ref()
+    }
+
+    /// Whether synchronous rounds run lane-batched kernels (see
+    /// [`HotPath`]) — on every MRF backend unless the hot path is
+    /// [`HotPath::Scalar`] or the chain has no kernel (the single-site
+    /// chains); never on CSP models.
+    pub fn kernel_engaged(&self) -> bool {
+        self.inner.kernel_engaged()
     }
 
     /// Boundary-communication accounting when running on
@@ -1501,6 +1525,29 @@ mod tests {
             assert_eq!(s.state().len(), 16);
             assert_eq!(s.round(), 40);
             assert_eq!(s.algorithm(), alg);
+        }
+    }
+
+    #[test]
+    fn hotpath_reaches_every_mrf_backend() {
+        // `hotpath=scalar` runs the scalar oracle on every backend, and
+        // the default runs lane kernels on every backend.
+        let mrf = models::ising(generators::torus(6, 6), 0.4);
+        for backend in [
+            Backend::Sequential,
+            Backend::Parallel { threads: 2 },
+            Backend::Sharded { shards: 2 },
+            Backend::Cluster { shards: 2 },
+        ] {
+            let build = |hotpath: Option<HotPath>| {
+                let mut b = Sampler::for_mrf(&mrf).backend(backend);
+                if let Some(hp) = hotpath {
+                    b = b.hotpath(hp);
+                }
+                b.build().unwrap().kernel_engaged()
+            };
+            assert!(build(None), "{backend}: default built no kernel");
+            assert!(!build(Some(HotPath::Scalar)), "{backend}: scalar ignored");
         }
     }
 

@@ -6,7 +6,7 @@
 
 use lsl_core::engine::rules::{GlauberRule, LocalMetropolisRule, LubyGlauberRule, MetropolisRule};
 use lsl_core::engine::sharded::ShardedChain;
-use lsl_core::engine::{SyncChain, SyncRule};
+use lsl_core::engine::{HotPath, SyncChain, SyncRule};
 use lsl_core::prelude::*;
 use lsl_core::schedule::{BernoulliFilterScheduler, ChromaticScheduler, SingletonScheduler};
 use lsl_core::spec::{JobOutput, JobSpec};
@@ -33,8 +33,10 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// Runs `rule` under the sequential backend and under every partitioner
-/// at `k` shards, asserting the trajectories never diverge.
+/// Runs `rule` under the sequential backend's scalar oracle
+/// (`hotpath=scalar`) and under every partitioner at `k` shards (with
+/// the default lane kernels wherever the rule has one), asserting the
+/// trajectories never diverge.
 fn assert_sharded_identity<R: SyncRule + Clone>(
     mrf: &Mrf,
     rule: R,
@@ -43,6 +45,7 @@ fn assert_sharded_identity<R: SyncRule + Clone>(
     rounds: usize,
 ) {
     let mut seq = SyncChain::new(mrf, rule.clone(), seed);
+    seq.set_hotpath(HotPath::Scalar);
     let mut sharded: Vec<(&'static str, ShardedChain<R>)> = Partitioner::ALL
         .iter()
         .map(|p| {

@@ -219,82 +219,135 @@ pub fn head_to_f64(head: u64) -> f64 {
     (head >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Declares scalar/AVX2/AVX-512 clones of a fill loop and a dispatcher
-/// that picks the widest instruction set the host supports. The bodies
-/// are identical — the `#[target_feature]` clones just let LLVM
-/// vectorize the (branchless, independent-per-index) loop with wider
-/// registers and native 64-bit multiplies (`vpmullq` needs AVX-512DQ).
-/// On non-x86-64 hosts only the portable loop exists.
-macro_rules! simd_fill {
-    ($(#[$doc:meta])* $name:ident, $elem:ty, $fast:expr, $exact:expr) => {
-        $(#[$doc])*
-        pub fn $name(master: u64, label: u64, out: &mut [$elem]) {
-            #[inline(always)]
-            fn portable(master: u64, label: u64, out: &mut [$elem]) {
-                // `fn(master, label, index) -> (elem, flag)`, pure; a
-                // nonzero flag marks an index whose fast value may
-                // disagree with the exact one (the Xoshiro zero-state
-                // guard, which the fast path does not evaluate fully).
-                let fast = $fast;
-                let mut rare = 0u64;
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let (val, flag) = fast(master, label, i as u64);
-                    rare |= flag;
-                    *slot = val;
-                }
-                if rare != 0 {
-                    // A possibly-guarded index exists: redo the block on
-                    // the exact path. Never taken in practice — kept for
-                    // bit-exactness with the per-index streams.
-                    let exact = $exact;
-                    for (i, slot) in out.iter_mut().enumerate() {
-                        *slot = exact(master, label, i as u64);
-                    }
-                }
+/// Runs `$body(args..)` through the widest instruction set the host
+/// supports: scalar/AVX2/AVX-512 clones of one `#[inline(always)]`
+/// loop. The bodies are identical — the `#[target_feature]` clones just
+/// let LLVM vectorize the (branchless, independent-per-index) loop with
+/// wider registers and native 64-bit multiplies (`vpmullq` needs
+/// AVX-512DQ). On non-x86-64 hosts only the portable loop exists.
+macro_rules! simd_dispatch {
+    ($body:ident($($arg:ident: $ty:ty),*)) => {{
+        #[cfg(target_arch = "x86_64")]
+        {
+            #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
+            unsafe fn wide512($($arg: $ty),*) {
+                $body($($arg),*)
             }
-            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            unsafe fn wide256($($arg: $ty),*) {
+                $body($($arg),*)
+            }
+            if std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
             {
-                #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-                unsafe fn wide512(master: u64, label: u64, out: &mut [$elem]) {
-                    portable(master, label, out);
-                }
-                #[target_feature(enable = "avx2")]
-                unsafe fn wide256(master: u64, label: u64, out: &mut [$elem]) {
-                    portable(master, label, out);
-                }
-                if std::arch::is_x86_feature_detected!("avx512dq")
-                    && std::arch::is_x86_feature_detected!("avx512vl")
-                {
-                    // SAFETY: the required features were just detected.
-                    return unsafe { wide512(master, label, out) };
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 was just detected.
-                    return unsafe { wide256(master, label, out) };
-                }
+                // SAFETY: the required features were just detected.
+                return unsafe { wide512($($arg),*) };
             }
-            portable(master, label, out);
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: AVX2 was just detected.
+                return unsafe { wide256($($arg),*) };
+            }
+        }
+        $body($($arg),*)
+    }};
+}
+
+/// The shared fill loop: `out[i] = exact(master, label, index(i))`,
+/// computed on the `fast` path and redone on the `exact` one iff some
+/// index raised the fast path's flag. `fast` is
+/// `fn(master, label, index) -> (elem, flag)`, pure; a nonzero flag
+/// marks an index whose fast value may disagree with the exact one (the
+/// Xoshiro zero-state guard, which the fast path does not evaluate
+/// fully).
+#[inline(always)]
+fn fill_with<E>(
+    master: u64,
+    label: u64,
+    out: &mut [E],
+    index: impl Fn(usize) -> u64,
+    fast: impl Fn(u64, u64, u64) -> (E, u64),
+    exact: impl Fn(u64, u64, u64) -> E,
+) {
+    let mut rare = 0u64;
+    for (i, slot) in out.iter_mut().enumerate() {
+        let (val, flag) = fast(master, label, index(i));
+        rare |= flag;
+        *slot = val;
+    }
+    if rare != 0 {
+        // A possibly-guarded index exists: redo the block on the exact
+        // path. Never taken in practice — kept for bit-exactness with
+        // the per-index streams.
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = exact(master, label, index(i));
+        }
+    }
+}
+
+/// Declares a block fill in two forms over one per-index function: the
+/// contiguous `$name` (indices `start..start + out.len()`) and the
+/// gathered `$gathered` (indices read from a slice, e.g. one worker's
+/// vertex range plus its halo). Both are runtime-dispatched to
+/// AVX2/AVX-512.
+macro_rules! simd_fill {
+    (
+        $(#[$doc:meta])* $name:ident,
+        $(#[$gdoc:meta])* $gathered:ident,
+        $fast:expr, $exact:expr
+    ) => {
+        $(#[$doc])*
+        pub fn $name(master: u64, label: u64, start: u64, out: &mut [u64]) {
+            #[inline(always)]
+            fn portable(master: u64, label: u64, start: u64, out: &mut [u64]) {
+                fill_with(master, label, out, |i| start + i as u64, $fast, $exact)
+            }
+            simd_dispatch!(portable(master: u64, label: u64, start: u64, out: &mut [u64]))
+        }
+
+        $(#[$gdoc])*
+        ///
+        /// # Panics
+        /// Panics if `indices` is shorter than `out`.
+        pub fn $gathered(master: u64, label: u64, indices: &[u32], out: &mut [u64]) {
+            assert!(indices.len() >= out.len(), "one index per output slot");
+            #[inline(always)]
+            fn portable(master: u64, label: u64, indices: &[u32], out: &mut [u64]) {
+                let indices = &indices[..out.len()];
+                fill_with(master, label, out, |i| u64::from(indices[i]), $fast, $exact)
+            }
+            simd_dispatch!(portable(master: u64, label: u64, indices: &[u32], out: &mut [u64]))
         }
     };
 }
 
 simd_fill!(
-    /// Fills `out[i]` with [`stream_head`]`(master, label, i)` — one
-    /// round's single-draw randomness as one contiguous, vectorizable
-    /// pass.
+    /// Fills `out[i]` with [`stream_head`]`(master, label, start + i)` —
+    /// one round's single-draw randomness as one contiguous,
+    /// vectorizable pass.
     ///
     /// The per-index streams are unchanged (each head is still a pure
     /// function of `(master, label, index)`), so trajectories built on
     /// the heads are identical to ones that construct a generator per
     /// index.
-    fill_stream_heads, u64, head_fast, head_at
+    fill_stream_heads,
+    /// Fills `out[i]` with [`stream_head`]`(master, label, indices[i])`
+    /// — the gathered form of [`fill_stream_heads`], for a block that
+    /// covers only some indices (one worker's range plus its halo).
+    /// Heads are pure functions of their index, so a split fill is
+    /// bit-identical to the whole-block one.
+    fill_stream_heads_at,
+    head_fast, head_at
 );
 
 simd_fill!(
-    /// Fills `out[i] = derive_seed(master, label, i)` — the seed block
-    /// for multi-draw consumers, which then build each full stream with
-    /// [`Xoshiro256pp::seed_from`] exactly as the scalar path does.
-    fill_stream_seeds, u64, |m, l, i| (derive_seed(m, l, i), 0), derive_seed
+    /// Fills `out[i] = derive_seed(master, label, start + i)` — the seed
+    /// block for multi-draw consumers, which then build each full stream
+    /// with [`Xoshiro256pp::seed_from`] exactly as the scalar path does.
+    fill_stream_seeds,
+    /// Fills `out[i] = derive_seed(master, label, indices[i])` — the
+    /// gathered form of [`fill_stream_seeds`].
+    fill_stream_seeds_at,
+    |m, l, i| (derive_seed(m, l, i), 0), derive_seed
 );
 
 /// Fills `out[i]` with the first `uniform_f64` of stream
@@ -309,7 +362,7 @@ pub fn fill_stream_uniforms(master: u64, label: u64, out: &mut [f64]) {
         // pass below before any caller reads it as a float.
         let heads =
             unsafe { core::slice::from_raw_parts_mut(out.as_mut_ptr().cast::<u64>(), out.len()) };
-        fill_stream_heads(master, label, heads);
+        fill_stream_heads(master, label, 0, heads);
     }
     for slot in out.iter_mut() {
         *slot = head_to_f64(slot.to_bits());
@@ -477,7 +530,7 @@ mod tests {
         // VertexRng stream bit-for-bit — the hot path's contract.
         let master = round_key(42, 9);
         let mut heads = vec![0u64; 64];
-        fill_stream_heads(master, VERTEX_STREAM_LABEL, &mut heads);
+        fill_stream_heads(master, VERTEX_STREAM_LABEL, 0, &mut heads);
         for (v, &head) in heads.iter().enumerate() {
             let mut scalar = VertexRng::for_vertex(master, v as u32);
             assert_eq!(head, scalar.random::<u64>(), "vertex {v}");
@@ -487,7 +540,7 @@ mod tests {
     #[test]
     fn stream_seeds_match_derive_seed() {
         let mut seeds = vec![0u64; 32];
-        fill_stream_seeds(7, VERTEX_STREAM_LABEL, &mut seeds);
+        fill_stream_seeds(7, VERTEX_STREAM_LABEL, 0, &mut seeds);
         for (i, &s) in seeds.iter().enumerate() {
             assert_eq!(s, derive_seed(7, VERTEX_STREAM_LABEL, i as u64));
             // Seeding from the block seed reproduces the full stream.
@@ -497,6 +550,28 @@ mod tests {
                 assert_eq!(blocked.next(), scalar.random::<u64>());
             }
         }
+    }
+
+    #[test]
+    fn gathered_fills_match_contiguous_fills() {
+        let master = round_key(3, 11);
+        let indices: Vec<u32> = vec![40, 2, 17, 17, 0, 63, 5];
+        let (mut heads, mut seeds) = (vec![0u64; 64], vec![0u64; 64]);
+        fill_stream_heads(master, VERTEX_STREAM_LABEL, 0, &mut heads);
+        fill_stream_seeds(master, VERTEX_STREAM_LABEL, 0, &mut seeds);
+        let (mut gh, mut gs) = (vec![0u64; indices.len()], vec![0u64; indices.len()]);
+        fill_stream_heads_at(master, VERTEX_STREAM_LABEL, &indices, &mut gh);
+        fill_stream_seeds_at(master, VERTEX_STREAM_LABEL, &indices, &mut gs);
+        for (k, &i) in indices.iter().enumerate() {
+            assert_eq!(gh[k], heads[i as usize], "head at {i}");
+            assert_eq!(gs[k], seeds[i as usize], "seed at {i}");
+        }
+        // The contiguous forms at an offset are a window of the block.
+        let (mut oh, mut os) = (vec![0u64; 9], vec![0u64; 9]);
+        fill_stream_heads(master, VERTEX_STREAM_LABEL, 50, &mut oh);
+        fill_stream_seeds(master, VERTEX_STREAM_LABEL, 50, &mut os);
+        assert_eq!(oh, heads[50..59]);
+        assert_eq!(os, seeds[50..59]);
     }
 
     #[test]
