@@ -1137,27 +1137,41 @@ impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
             marks_wide,
             ..
         } = self;
-        let owned = || range.owned().map(|i| range.vertex(i));
+        let marks: &[S::Mark] = marks_wide;
         if let Some(locals) = locals {
-            for (slot, v) in locals.iter_mut().zip(owned()) {
-                *slot = marks_wide[v.index()];
+            match range.owned_run() {
+                Some((_, g)) => locals.copy_from_slice(&marks[g..][..locals.len()]),
+                None => {
+                    for (slot, i) in locals.iter_mut().zip(range.owned()) {
+                        *slot = marks[range.vertex(i).index()];
+                    }
+                }
             }
         }
 
         // Resolve: non-members keep their spin without touching their
         // resolve stream (the scalar path builds one per vertex and
         // discards it unread — at selection fraction ~1/(Δ+1), most of
-        // its resolve-phase randomness work).
-        for (slot, v) in next.iter_mut().zip(owned()) {
-            if scheduler.selected(ctx, v, marks_wide) {
-                let mut rng = ctx.resolve_rng(v);
-                mrf.marginal_weights_with(v, |u| sx.get(u.index()), weights);
-                *slot = resampler
-                    .resample(weights, rng.raw())
-                    .expect("heat-bath marginal must be well-defined (paper assumption)");
-            } else {
-                *slot = sx.get(v.index());
-            }
+        // its resolve-phase randomness work). One loop body, expanded
+        // per owned-vertex iterator so each stays a tight inline loop.
+        macro_rules! resolve_owned {
+            ($vertices:expr) => {
+                for (slot, v) in next.iter_mut().zip($vertices) {
+                    *slot = if scheduler.selected(ctx, v, marks) {
+                        let mut rng = ctx.resolve_rng(v);
+                        mrf.marginal_weights_with(v, |u| sx.get(u.index()), weights);
+                        resampler
+                            .resample(weights, rng.raw())
+                            .expect("heat-bath marginal must be well-defined (paper assumption)")
+                    } else {
+                        sx.get(v.index())
+                    };
+                }
+            };
+        }
+        match range.owned_run() {
+            Some((_, g)) => resolve_owned!((g..).map(|v| VertexId(v as u32))),
+            None => resolve_owned!(range.owned().map(|i| range.vertex(i))),
         }
     }
 }

@@ -1335,8 +1335,10 @@ mod tests {
             assert_eq!(outcomes.len(), BATCH);
             assert!(outcomes.iter().all(RemoteOutcome::is_ok));
             // Resolved lines leave the token map: what the session
-            // holds is bounded by one batch, not by 3000 submits.
-            assert!(server.ctl.tracked.load(Ordering::Acquire) <= BATCH);
+            // holds is bounded by one batch, not by 3000 submits (a
+            // forwarder may report its end a moment after its line's
+            // last event reaches the client, hence the settling wait).
+            settle(&server, BATCH);
         }
         settle(&server, 0);
         // Cancelling a pruned (finished) line stays the documented
