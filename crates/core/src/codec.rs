@@ -1,34 +1,55 @@
-//! The binary wire codec: length-prefixed frames, tagged encodings,
-//! and bit-packed full-state delivery.
+//! The wire format, decided in one place: the frame schema, both
+//! codecs derived from it, length-prefixed framing, and bit-packed
+//! full-state delivery.
 //!
-//! The line codec ([`proto`]) is the canonical,
-//! human-readable form — it remains the debug/compat path and the
-//! on-disk store format. This module adds the second wire format a
-//! session can negotiate (`hello codec=binary`): every
-//! [`ClientFrame`]/[`ServerFrame`] as a tagged binary record inside a
-//! `u32`-length-prefixed frame, capped at [`MAX_FRAME`] so a corrupt
-//! prefix cannot make a session allocate unboundedly.
+//! Every wire record — [`ClientFrame`], [`ServerFrame`], [`JobEvent`],
+//! and [`JobOutput`] — is declared once, as one row of the `frames!`
+//! table below: its binary tag byte, its text keyword, and its typed
+//! fields in wire order. The table generates both codecs:
 //!
-//! The payload that motivates the codec is [`StateBlob`]: a full
+//! * **text** (the default, and the on-disk store format): one line
+//!   per frame, `keyword field field …`, with `Display`/`FromStr` on
+//!   the frame types ([`proto`] documents the grammar);
+//! * **binary** (negotiated with `hello codec=binary`): a tagged record
+//!   inside a `u32`-length-prefixed frame ([`write_frame`],
+//!   [`FrameBuffer`]), capped at [`MAX_FRAME`] so a corrupt prefix
+//!   cannot make a session allocate unboundedly. Integers are
+//!   fixed-width little-endian (`u32` for shard indices, `u64` for
+//!   everything else, `usize` widened to `u64`), floats are IEEE-754
+//!   bit patterns, strings and blob bytes are `u32`-length-prefixed.
+//!
+//! A field's *kind* says how it crosses both codecs: a keyed value
+//! (`key=<value>`; numbers, flags, the codec, state blobs), a keyed hex
+//! fingerprint, a keyed rest-of-line string (`spec=`), a keyed escaped
+//! string (`message=`), an optional id (`id=-`), a blob list, the
+//! optional communication summary, an unkeyed nested record (`event …
+//! <event>`, `finished <result>`), or an unkeyed error token (`rejected
+//! <reason>`, `failed <error>`). Adding a frame is one table row plus
+//! its handler in [`net`](crate::net). The [`JobResult`] envelope is the
+//! one hand-written record: its two codecs order its fields
+//! differently, and both layouts are frozen (`tests/wire_golden.rs`
+//! pins every variant's bytes).
+//!
+//! The payload that motivates the binary codec is [`StateBlob`]: a full
 //! configuration packed at the width its domain needs, reusing the
 //! engine's [`Packing`] rules — two-spin models (Ising, hardcore) ship
 //! one **bit** per vertex, `q ≤ 256` colorings one **byte**, and only
 //! `q > 256` falls back to full `u32` lanes. A 256×256 torus state is
 //! thus 8 KB (Ising) to 64 KB (colorings) instead of 256 KB. Blobs ride
 //! in `sample` job results and `stream` job events
-//! ([`JobEvent::State`]); on the text
-//! codec they fall back to a base64url token so text sessions stay
-//! fully functional.
+//! ([`JobEvent::State`]); on the text codec they fall back to a
+//! base64url token so text sessions stay fully functional.
 //!
 //! Both codecs answer bit-identical results — property-tested in
 //! `tests/codec_identity.rs` the same way remote-vs-local identity is.
 
 use crate::engine::{Packing, StateSlab};
-use crate::proto::{self, ClientFrame, ServerFrame};
+use crate::lifecycle::RejectReason;
+use crate::proto::{self, escape, field, unescape, wire_err, ClientFrame, ServerFrame, WireError};
 use crate::service::JobEvent;
-use crate::spec::{CommSummary, JobOutput, JobResult};
+use crate::spec::{CommSummary, JobOutput, JobResult, SpecError};
 use lsl_mrf::Spin;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::str::FromStr;
 
@@ -130,7 +151,7 @@ impl FromStr for Codec {
 /// let blob = StateBlob::pack(&[1, 0, 1, 1], 2);
 /// assert_eq!(blob.byte_len(), 1); // four Ising spins in one byte
 /// assert_eq!(blob.unpack(), vec![1, 0, 1, 1]);
-/// let text = blob.to_token(); // base64url fallback for text sessions
+/// let text = blob.to_string(); // base64url fallback for text sessions
 /// assert_eq!(text.parse::<StateBlob>().unwrap(), blob);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -292,14 +313,6 @@ impl FromStr for StateBlob {
     }
 }
 
-impl StateBlob {
-    /// The `n/q/<base64url>` token — alias for the `Display` form,
-    /// spelled out at call sites that embed blobs in text frames.
-    pub fn to_token(&self) -> String {
-        self.to_string()
-    }
-}
-
 // ---------------------------------------------------------------------
 // base64url (no padding) — the text-codec fallback for blob bytes
 // ---------------------------------------------------------------------
@@ -367,13 +380,9 @@ fn b64_decode(s: &str) -> Result<Vec<u8>, CodecError> {
 // Binary primitives
 // ---------------------------------------------------------------------
 
-struct Enc(Vec<u8>);
+pub(crate) struct Enc(Vec<u8>);
 
 impl Enc {
-    fn new() -> Self {
-        Enc(Vec::new())
-    }
-
     fn u8(&mut self, v: u8) {
         self.0.push(v);
     }
@@ -386,10 +395,6 @@ impl Enc {
         self.0.extend_from_slice(&v.to_le_bytes());
     }
 
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     fn bytes(&mut self, v: &[u8]) {
         self.u32(u32::try_from(v.len()).expect("payload under 4 GiB"));
         self.0.extend_from_slice(v);
@@ -398,24 +403,14 @@ impl Enc {
     fn str(&mut self, v: &str) {
         self.bytes(v.as_bytes());
     }
-
-    fn blob(&mut self, b: &StateBlob) {
-        self.u64(b.n as u64);
-        self.u64(b.q as u64);
-        self.bytes(&b.bytes);
-    }
 }
 
-struct Dec<'a> {
+pub(crate) struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
     fn take(&mut self, len: usize) -> Result<&'a [u8], CodecError> {
         let end = self.pos.checked_add(len).ok_or(CodecError::Truncated)?;
         if end > self.buf.len() {
@@ -430,6 +425,15 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// A `0`/`1` byte.
+    fn flag(&mut self, what: &str) -> Result<bool, CodecError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            other => Err(malformed(format!("{what} byte 0x{other:02x}"))),
+        }
+    }
+
     fn u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -440,10 +444,6 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     fn usize(&mut self) -> Result<usize, CodecError> {
@@ -458,457 +458,753 @@ impl<'a> Dec<'a> {
     fn str(&mut self) -> Result<&'a str, CodecError> {
         std::str::from_utf8(self.bytes()?).map_err(|_| malformed("non-UTF-8 string"))
     }
+}
 
-    fn blob(&mut self) -> Result<StateBlob, CodecError> {
-        let n = self.usize()?;
-        let q = self.usize()?;
-        let bytes = self.bytes()?.to_vec();
-        StateBlob::from_parts(n, q, bytes)
-    }
+// ---------------------------------------------------------------------
+// The frame schema
+// ---------------------------------------------------------------------
 
-    fn done(&self) -> Result<(), CodecError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} trailing bytes after record",
-                self.buf.len() - self.pos
-            )))
+/// One record of the wire schema, in both codecs: the four tables of
+/// `frames!` below and the hand-written [`JobResult`] envelope.
+pub(crate) trait Frame: Sized {
+    /// Writes the text form (no trailing newline).
+    fn write_text(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result;
+
+    /// Parses the text form.
+    fn read_text(s: &str) -> Result<Self, WireError>;
+
+    /// Appends the binary record.
+    fn put(&self, e: &mut Enc);
+
+    /// Reads one binary record.
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError>;
+
+    /// Writes the frame under `codec` as a **single** `write_all` — a
+    /// text line or a length-prefixed record — so an unbuffered socket
+    /// never sees a half frame that Nagle + delayed-ACK would stall on.
+    fn write_to(&self, w: &mut impl Write, codec: Codec) -> io::Result<()>
+    where
+        Self: fmt::Display,
+    {
+        match codec {
+            Codec::Text => w.write_all(format!("{self}\n").as_bytes()),
+            Codec::Binary => write_frame(w, &encode(self)),
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Tagged records
-// ---------------------------------------------------------------------
-
-// Client frame tags.
-const C_SUBMIT: u8 = 0x01;
-const C_CANCEL: u8 = 0x02;
-const C_SHUTDOWN: u8 = 0x03;
-const C_HELLO: u8 = 0x04;
-const C_PING: u8 = 0x05;
-const C_SHARD_INIT: u8 = 0x06;
-const C_SHARD_SYNC: u8 = 0x07;
-
-// Server frame tags.
-const S_SUBMITTED: u8 = 0x81;
-const S_EVENT: u8 = 0x82;
-const S_ERROR: u8 = 0x83;
-const S_HELLO: u8 = 0x84;
-const S_PONG: u8 = 0x85;
-const S_SHARD_SYNC: u8 = 0x86;
-const S_SHARD_DONE: u8 = 0x87;
-
-// Job event tags.
-const E_ACCEPTED: u8 = 1;
-const E_REJECTED: u8 = 2;
-const E_STARTED: u8 = 3;
-const E_PROGRESS: u8 = 4;
-const E_FINISHED: u8 = 5;
-const E_FAILED: u8 = 6;
-const E_CANCELLED: u8 = 7;
-const E_STATE: u8 = 8;
-
-// Job output tags.
-const O_RUN: u8 = 1;
-const O_DISTRIBUTION: u8 = 2;
-const O_TV: u8 = 3;
-const O_COALESCENCE: u8 = 4;
-const O_SAMPLE: u8 = 5;
-const O_STREAM: u8 = 6;
-
-fn codec_byte(c: Codec) -> u8 {
-    match c {
-        Codec::Text => 0,
-        Codec::Binary => 1,
-    }
+fn encode(record: &impl Frame) -> Vec<u8> {
+    let mut e = Enc(Vec::new());
+    record.put(&mut e);
+    e.0
 }
 
-fn codec_from_byte(b: u8) -> Result<Codec, CodecError> {
-    match b {
-        0 => Ok(Codec::Text),
-        1 => Ok(Codec::Binary),
-        other => Err(malformed(format!("codec byte 0x{other:02x}"))),
+/// Decodes one record, rejecting trailing bytes.
+fn decode<F: Frame>(bytes: &[u8]) -> Result<F, CodecError> {
+    let mut d = Dec { buf: bytes, pos: 0 };
+    let record = F::get(&mut d)?;
+    if d.pos == bytes.len() {
+        Ok(record)
+    } else {
+        Err(malformed(format!(
+            "{} trailing bytes after record",
+            bytes.len() - d.pos
+        )))
     }
 }
 
 /// Encodes a client frame as one tagged binary record (no length
 /// prefix — pair with [`write_frame`]).
 pub fn encode_client(frame: &ClientFrame) -> Vec<u8> {
-    let mut e = Enc::new();
-    match frame {
-        ClientFrame::Submit { id, spec } => {
-            e.u8(C_SUBMIT);
-            e.u64(*id);
-            e.str(spec);
-        }
-        ClientFrame::Cancel { id } => {
-            e.u8(C_CANCEL);
-            e.u64(*id);
-        }
-        ClientFrame::Shutdown => e.u8(C_SHUTDOWN),
-        ClientFrame::Hello { codec } => {
-            e.u8(C_HELLO);
-            e.u8(codec_byte(*codec));
-        }
-        ClientFrame::Ping { nonce } => {
-            e.u8(C_PING);
-            e.u64(*nonce);
-        }
-        ClientFrame::ShardInit {
-            id,
-            shard,
-            of,
-            spec,
-        } => {
-            e.u8(C_SHARD_INIT);
-            e.u64(*id);
-            e.u32(*shard);
-            e.u32(*of);
-            e.str(spec);
-        }
-        ClientFrame::ShardSync { id, round, blob } => {
-            e.u8(C_SHARD_SYNC);
-            e.u64(*id);
-            e.u64(*round);
-            e.blob(blob);
-        }
-    }
-    e.0
+    encode(frame)
 }
 
 /// Decodes one client frame record, rejecting trailing bytes.
 pub fn decode_client(bytes: &[u8]) -> Result<ClientFrame, CodecError> {
-    let mut d = Dec::new(bytes);
-    let frame = match d.u8()? {
-        C_SUBMIT => ClientFrame::Submit {
-            id: d.u64()?,
-            spec: d.str()?.to_string(),
-        },
-        C_CANCEL => ClientFrame::Cancel { id: d.u64()? },
-        C_SHUTDOWN => ClientFrame::Shutdown,
-        C_HELLO => ClientFrame::Hello {
-            codec: codec_from_byte(d.u8()?)?,
-        },
-        C_PING => ClientFrame::Ping { nonce: d.u64()? },
-        C_SHARD_INIT => ClientFrame::ShardInit {
-            id: d.u64()?,
-            shard: d.u32()?,
-            of: d.u32()?,
-            spec: d.str()?.to_string(),
-        },
-        C_SHARD_SYNC => ClientFrame::ShardSync {
-            id: d.u64()?,
-            round: d.u64()?,
-            blob: d.blob()?,
-        },
-        tag => return Err(malformed(format!("client frame tag 0x{tag:02x}"))),
-    };
-    d.done()?;
-    Ok(frame)
+    decode(bytes)
 }
 
 /// Encodes a server frame as one tagged binary record.
 pub fn encode_server(frame: &ServerFrame) -> Vec<u8> {
-    let mut e = Enc::new();
-    match frame {
-        ServerFrame::Submitted { id, jobs } => {
-            e.u8(S_SUBMITTED);
-            e.u64(*id);
-            e.u64(*jobs);
-        }
-        ServerFrame::Event { id, index, event } => {
-            e.u8(S_EVENT);
-            e.u64(*id);
-            e.u64(*index);
-            encode_event(&mut e, event);
-        }
-        ServerFrame::Error { id, message } => {
-            e.u8(S_ERROR);
-            match id {
-                Some(id) => {
-                    e.u8(1);
-                    e.u64(*id);
-                }
-                None => e.u8(0),
-            }
-            e.str(message);
-        }
-        ServerFrame::Hello { codec } => {
-            e.u8(S_HELLO);
-            e.u8(codec_byte(*codec));
-        }
-        ServerFrame::Pong { nonce } => {
-            e.u8(S_PONG);
-            e.u64(*nonce);
-        }
-        ServerFrame::ShardSync { id, round, blob } => {
-            e.u8(S_SHARD_SYNC);
-            e.u64(*id);
-            e.u64(*round);
-            e.blob(blob);
-        }
-        ServerFrame::ShardDone { id, rounds, blob } => {
-            e.u8(S_SHARD_DONE);
-            e.u64(*id);
-            e.u64(*rounds);
-            e.blob(blob);
-        }
-    }
-    e.0
+    encode(frame)
 }
 
 /// Decodes one server frame record, rejecting trailing bytes.
 pub fn decode_server(bytes: &[u8]) -> Result<ServerFrame, CodecError> {
-    let mut d = Dec::new(bytes);
-    let frame = match d.u8()? {
-        S_SUBMITTED => ServerFrame::Submitted {
-            id: d.u64()?,
-            jobs: d.u64()?,
-        },
-        S_EVENT => ServerFrame::Event {
-            id: d.u64()?,
-            index: d.u64()?,
-            event: decode_event(&mut d)?,
-        },
-        S_ERROR => {
-            let id = match d.u8()? {
-                0 => None,
-                1 => Some(d.u64()?),
-                other => return Err(malformed(format!("error id flag 0x{other:02x}"))),
-            };
-            ServerFrame::Error {
-                id,
-                message: d.str()?.to_string(),
-            }
-        }
-        S_HELLO => ServerFrame::Hello {
-            codec: codec_from_byte(d.u8()?)?,
-        },
-        S_PONG => ServerFrame::Pong { nonce: d.u64()? },
-        S_SHARD_SYNC => ServerFrame::ShardSync {
-            id: d.u64()?,
-            round: d.u64()?,
-            blob: d.blob()?,
-        },
-        S_SHARD_DONE => ServerFrame::ShardDone {
-            id: d.u64()?,
-            rounds: d.u64()?,
-            blob: d.blob()?,
-        },
-        tag => return Err(malformed(format!("server frame tag 0x{tag:02x}"))),
-    };
-    d.done()?;
-    Ok(frame)
+    decode(bytes)
 }
 
-fn encode_event(e: &mut Enc, event: &JobEvent) {
-    match event {
-        JobEvent::Accepted => e.u8(E_ACCEPTED),
-        JobEvent::Rejected { reason } => {
-            e.u8(E_REJECTED);
-            // Reject reasons and spec errors cross the binary wire as
-            // their proto tokens: the token grammar is already proven
-            // invertible, so the binary codec inherits the proof.
-            e.str(&proto::encode_reject_reason(reason));
+/// The text side of a row being written: the keyword is out, and each
+/// field opens with the row's separator and, if keyed, its `key=`.
+struct Line<'a, 'b> {
+    f: &'a mut fmt::Formatter<'b>,
+    sep: char,
+    next: char,
+    status: fmt::Result,
+}
+
+impl<'a, 'b> Line<'a, 'b> {
+    fn open(f: &'a mut fmt::Formatter<'b>, keyword: &str, first: char, sep: char) -> Self {
+        let status = f.write_str(keyword);
+        Line {
+            f,
+            sep,
+            next: first,
+            status,
         }
-        JobEvent::Started => e.u8(E_STARTED),
-        JobEvent::Progress { round, of } => {
-            e.u8(E_PROGRESS);
-            e.u64(*round);
-            e.u64(*of);
+    }
+
+    fn field<K: Kind<T>, T>(mut self, v: &T, key: &str) -> Self {
+        if self.status.is_ok() {
+            self.status = K::write(v, key, &mut self);
         }
-        JobEvent::Finished(result) => {
-            e.u8(E_FINISHED);
-            encode_result(e, result);
+        self
+    }
+
+    fn close(self) -> fmt::Result {
+        self.status
+    }
+
+    /// Opens the next field (an empty `key` is an unkeyed field).
+    fn key(&mut self, key: &str) -> Result<&mut fmt::Formatter<'b>, fmt::Error> {
+        self.f.write_char(self.next)?;
+        self.next = self.sep;
+        if !key.is_empty() {
+            self.f.write_str(key)?;
+            self.f.write_char('=')?;
         }
-        JobEvent::Failed(err) => {
-            e.u8(E_FAILED);
-            e.str(&proto::encode_spec_error(err));
-        }
-        JobEvent::Cancelled => e.u8(E_CANCELLED),
-        JobEvent::State { round, blob } => {
-            e.u8(E_STATE);
-            e.u64(*round);
-            e.blob(blob);
+        Ok(&mut *self.f)
+    }
+}
+
+/// The text side of a row being read: the fields after its keyword.
+struct Words<'a> {
+    rest: Option<&'a str>,
+    sep: char,
+}
+
+impl<'a> Words<'a> {
+    /// Splits `s` into its keyword and the fields after `first`.
+    fn open(s: &'a str, first: char, sep: char) -> (&'a str, Self) {
+        let (keyword, rest) = match s.split_once(first) {
+            Some((k, r)) => (k, Some(r)),
+            None => (s, None),
+        };
+        (keyword, Words { rest, sep })
+    }
+
+    /// The next field, up to the separator.
+    fn word(&mut self, what: &str) -> Result<&'a str, WireError> {
+        let rest = self
+            .rest
+            .ok_or_else(|| wire_err(format!("missing {what} field")))?;
+        Ok(match rest.split_once(self.sep) {
+            Some((word, r)) => {
+                self.rest = Some(r);
+                word
+            }
+            None => {
+                self.rest = None;
+                rest
+            }
+        })
+    }
+
+    /// The next field's value after its expected `key=`.
+    fn keyed(&mut self, key: &str) -> Result<&'a str, WireError> {
+        let word = self.word(key)?;
+        field(word, key)
+    }
+
+    /// Everything left, separators included.
+    fn rest(&mut self, what: &str) -> Result<&'a str, WireError> {
+        self.rest
+            .take()
+            .ok_or_else(|| wire_err(format!("missing {what} field")))
+    }
+
+    fn done(&self) -> Result<(), WireError> {
+        match self.rest {
+            None => Ok(()),
+            Some(extra) => Err(wire_err(format!("unexpected trailing {extra:?}"))),
         }
     }
 }
 
-fn decode_event(d: &mut Dec<'_>) -> Result<JobEvent, CodecError> {
-    Ok(match d.u8()? {
-        E_ACCEPTED => JobEvent::Accepted,
-        E_REJECTED => JobEvent::Rejected {
-            reason: proto::decode_reject_reason(d.str()?).map_err(|e| malformed(e.to_string()))?,
-        },
-        E_STARTED => JobEvent::Started,
-        E_PROGRESS => JobEvent::Progress {
-            round: d.u64()?,
-            of: d.u64()?,
-        },
-        E_FINISHED => JobEvent::Finished(decode_result(d)?),
-        E_FAILED => JobEvent::Failed(
-            proto::decode_spec_error(d.str()?).map_err(|e| malformed(e.to_string()))?,
-        ),
-        E_CANCELLED => JobEvent::Cancelled,
-        E_STATE => JobEvent::State {
-            round: d.u64()?,
-            blob: d.blob()?,
-        },
-        tag => return Err(malformed(format!("job event tag 0x{tag:02x}"))),
-    })
+/// How one field crosses both codecs. The table names a kind per field;
+/// `T` is the field's type.
+trait Kind<T> {
+    fn write(v: &T, key: &str, line: &mut Line<'_, '_>) -> fmt::Result;
+    fn read(key: &str, words: &mut Words<'_>) -> Result<T, WireError>;
+    fn put(v: &T, e: &mut Enc);
+    fn get(d: &mut Dec<'_>) -> Result<T, CodecError>;
 }
 
-fn encode_result(e: &mut Enc, result: &JobResult) {
-    e.str(&result.spec);
-    e.f64(result.elapsed_secs);
-    match &result.output {
-        JobOutput::Run {
-            rounds,
-            n,
-            feasible,
-            fingerprint,
-            comm,
-        } => {
-            e.u8(O_RUN);
-            e.u64(*rounds);
-            e.u64(*n as u64);
-            e.u8(u8::from(*feasible));
-            e.u64(*fingerprint);
-            match comm {
-                Some(c) => {
-                    e.u8(1);
-                    e.u64(c.rounds_seen);
-                    e.u64(c.total_messages);
-                    e.u64(c.total_bytes);
-                    e.u64(c.total_changed);
+/// A value with a fixed-width binary form: `u32` as 4 bytes, `u64` and
+/// `usize` as 8, `f64` as its bit pattern, `bool` and [`Codec`] as one
+/// byte, a [`StateBlob`] as `n`, `q` and its length-prefixed bytes.
+trait Fixed: Sized {
+    fn put(&self, e: &mut Enc);
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError>;
+}
+
+impl Fixed for u32 {
+    fn put(&self, e: &mut Enc) {
+        e.u32(*self);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        d.u32()
+    }
+}
+
+impl Fixed for u64 {
+    fn put(&self, e: &mut Enc) {
+        e.u64(*self);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        d.u64()
+    }
+}
+
+impl Fixed for usize {
+    fn put(&self, e: &mut Enc) {
+        e.u64(*self as u64);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        d.usize()
+    }
+}
+
+impl Fixed for f64 {
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.to_bits());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(f64::from_bits(d.u64()?))
+    }
+}
+
+impl Fixed for bool {
+    fn put(&self, e: &mut Enc) {
+        e.u8(u8::from(*self));
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        d.flag("bool")
+    }
+}
+
+impl Fixed for Codec {
+    fn put(&self, e: &mut Enc) {
+        e.u8(match self {
+            Codec::Text => 0,
+            Codec::Binary => 1,
+        });
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(if d.flag("codec")? {
+            Codec::Binary
+        } else {
+            Codec::Text
+        })
+    }
+}
+
+impl Fixed for StateBlob {
+    fn put(&self, e: &mut Enc) {
+        e.u64(self.n as u64);
+        e.u64(self.q as u64);
+        e.bytes(&self.bytes);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        let n = d.usize()?;
+        let q = d.usize()?;
+        let bytes = d.bytes()?.to_vec();
+        StateBlob::from_parts(n, q, bytes)
+    }
+}
+
+/// `key=<value>` in the value's own `Display`/`FromStr`; binary
+/// [`Fixed`]. Numbers, flags, the codec, and state blobs.
+enum Keyed {}
+
+impl<T: Fixed + fmt::Display + FromStr> Kind<T> for Keyed
+where
+    T::Err: fmt::Display,
+{
+    fn write(v: &T, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        write!(line.key(key)?, "{v}")
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<T, WireError> {
+        let value = words.keyed(key)?;
+        value
+            .parse()
+            .map_err(|e| wire_err(format!("bad {key}={value:?}: {e}")))
+    }
+    fn put(v: &T, e: &mut Enc) {
+        v.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<T, CodecError> {
+        T::get(d)
+    }
+}
+
+/// `key=<16 hex digits>`; binary `u64`. Fingerprints.
+enum Hex {}
+
+impl Kind<u64> for Hex {
+    fn write(v: &u64, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        write!(line.key(key)?, "{v:016x}")
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<u64, WireError> {
+        let value = words.keyed(key)?;
+        u64::from_str_radix(value, 16).map_err(|_| wire_err(format!("bad {key}={value:?}")))
+    }
+    fn put(v: &u64, e: &mut Enc) {
+        e.u64(*v);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<u64, CodecError> {
+        d.u64()
+    }
+}
+
+/// `key=<the rest of the line>`, verbatim (spec lines contain
+/// spaces); binary length-prefixed string. Must be a row's last field.
+enum Rest {}
+
+impl Kind<String> for Rest {
+    fn write(v: &String, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        line.key(key)?.write_str(v)
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<String, WireError> {
+        Ok(field(words.rest(key)?, key)?.to_string())
+    }
+    fn put(v: &String, e: &mut Enc) {
+        e.str(v);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<String, CodecError> {
+        Ok(d.str()?.to_string())
+    }
+}
+
+/// `key=<percent-escaped token>` ([`escape`]); binary
+/// length-prefixed string. Free-form messages.
+enum Escaped {}
+
+impl Kind<String> for Escaped {
+    fn write(v: &String, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        line.key(key)?.write_str(&escape(v))
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<String, WireError> {
+        unescape(words.keyed(key)?)
+    }
+    fn put(v: &String, e: &mut Enc) {
+        e.str(v);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<String, CodecError> {
+        Ok(d.str()?.to_string())
+    }
+}
+
+/// `key=<n>` or `key=-`; binary flag byte, then the `u64` if set.
+enum OptId {}
+
+impl Kind<Option<u64>> for OptId {
+    fn write(v: &Option<u64>, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        let f = line.key(key)?;
+        match v {
+            Some(id) => write!(f, "{id}"),
+            None => f.write_char('-'),
+        }
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<Option<u64>, WireError> {
+        match words.keyed(key)? {
+            "-" => Ok(None),
+            n => n
+                .parse()
+                .map(Some)
+                .map_err(|_| wire_err(format!("bad {key}={n:?}"))),
+        }
+    }
+    fn put(v: &Option<u64>, e: &mut Enc) {
+        e.u8(u8::from(v.is_some()));
+        if let Some(id) = v {
+            e.u64(*id);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Option<u64>, CodecError> {
+        Ok(if d.flag("id")? { Some(d.u64()?) } else { None })
+    }
+}
+
+/// `key=<blob>;<blob>;…` (base64url tokens never contain `;`, `,`,
+/// `=` or `:`); binary `u32` count, then each blob.
+enum Blobs {}
+
+impl Kind<Vec<StateBlob>> for Blobs {
+    fn write(v: &Vec<StateBlob>, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        let f = line.key(key)?;
+        for (i, blob) in v.iter().enumerate() {
+            if i > 0 {
+                f.write_char(';')?;
+            }
+            write!(f, "{blob}")?;
+        }
+        Ok(())
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<Vec<StateBlob>, WireError> {
+        words
+            .keyed(key)?
+            .split(';')
+            .filter(|t| !t.is_empty())
+            .map(|t| t.parse().map_err(|e: CodecError| wire_err(e.to_string())))
+            .collect()
+    }
+    fn put(v: &Vec<StateBlob>, e: &mut Enc) {
+        e.u32(u32::try_from(v.len()).expect("replica count fits u32"));
+        for blob in v {
+            blob.put(e);
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Vec<StateBlob>, CodecError> {
+        let count = d.u32()? as usize;
+        let mut blobs = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            blobs.push(StateBlob::get(d)?);
+        }
+        Ok(blobs)
+    }
+}
+
+/// An optional last field: `key=<a>/<b>/<c>/<d>` when present, nothing
+/// (not even the separator) when absent; binary flag byte, then four
+/// `u64`s if set. The sharded backends' [`CommSummary`].
+enum Comm {}
+
+impl Kind<Option<CommSummary>> for Comm {
+    fn write(v: &Option<CommSummary>, key: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        match v {
+            Some(c) => write!(
+                line.key(key)?,
+                "{}/{}/{}/{}",
+                c.rounds_seen,
+                c.total_messages,
+                c.total_bytes,
+                c.total_changed
+            ),
+            None => Ok(()),
+        }
+    }
+    fn read(key: &str, words: &mut Words<'_>) -> Result<Option<CommSummary>, WireError> {
+        if words.rest.is_none() {
+            return Ok(None);
+        }
+        let value = words.keyed(key)?;
+        let counts = value
+            .split('/')
+            .map(str::parse)
+            .collect::<Result<Vec<u64>, _>>()
+            .map_err(|_| wire_err(format!("bad {key}={value:?}")))?;
+        match counts[..] {
+            [rounds_seen, total_messages, total_bytes, total_changed] => Ok(Some(CommSummary {
+                rounds_seen,
+                total_messages,
+                total_bytes,
+                total_changed,
+            })),
+            _ => Err(wire_err(format!("{key} has 4 counts: {value:?}"))),
+        }
+    }
+    fn put(v: &Option<CommSummary>, e: &mut Enc) {
+        e.u8(u8::from(v.is_some()));
+        if let Some(c) = v {
+            for count in [
+                c.rounds_seen,
+                c.total_messages,
+                c.total_bytes,
+                c.total_changed,
+            ] {
+                e.u64(count);
+            }
+        }
+    }
+    fn get(d: &mut Dec<'_>) -> Result<Option<CommSummary>, CodecError> {
+        if !d.flag("comm")? {
+            return Ok(None);
+        }
+        Ok(Some(CommSummary {
+            rounds_seen: d.u64()?,
+            total_messages: d.u64()?,
+            total_bytes: d.u64()?,
+            total_changed: d.u64()?,
+        }))
+    }
+}
+
+/// An unkeyed nested record running to the end of the line (an
+/// event's body, a finished job's result); binary: the record inline.
+enum Nested {}
+
+impl<T: Frame> Kind<T> for Nested {
+    fn write(v: &T, _: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        v.write_text(line.key("")?)
+    }
+    fn read(_: &str, words: &mut Words<'_>) -> Result<T, WireError> {
+        T::read_text(words.rest("record")?)
+    }
+    fn put(v: &T, e: &mut Enc) {
+        v.put(e);
+    }
+    fn get(d: &mut Dec<'_>) -> Result<T, CodecError> {
+        T::get(d)
+    }
+}
+
+/// An unkeyed single token in the typed-error grammar of [`proto`]
+/// (a reject reason, a spec error); binary: the same token as a
+/// length-prefixed string, so both codecs share one invertible grammar.
+enum Token {}
+
+/// The types that cross the wire as one [`Token`].
+trait Tokenized: Sized {
+    fn token(&self) -> String;
+    fn from_token(token: &str) -> Result<Self, WireError>;
+}
+
+impl Tokenized for RejectReason {
+    fn token(&self) -> String {
+        proto::encode_reject_reason(self)
+    }
+    fn from_token(token: &str) -> Result<Self, WireError> {
+        proto::decode_reject_reason(token)
+    }
+}
+
+impl Tokenized for SpecError {
+    fn token(&self) -> String {
+        proto::encode_spec_error(self)
+    }
+    fn from_token(token: &str) -> Result<Self, WireError> {
+        proto::decode_spec_error(token)
+    }
+}
+
+impl<T: Tokenized> Kind<T> for Token {
+    fn write(v: &T, _: &str, line: &mut Line<'_, '_>) -> fmt::Result {
+        line.key("")?.write_str(&v.token())
+    }
+    fn read(_: &str, words: &mut Words<'_>) -> Result<T, WireError> {
+        T::from_token(words.word("token")?)
+    }
+    fn put(v: &T, e: &mut Enc) {
+        e.str(&v.token());
+    }
+    fn get(d: &mut Dec<'_>) -> Result<T, CodecError> {
+        T::from_token(d.str()?).map_err(|e| malformed(e.to_string()))
+    }
+}
+
+/// A field's text key: its name, unless the row overrides it.
+macro_rules! key {
+    ($field:tt) => {
+        stringify!($field)
+    };
+    ($field:tt $key:literal) => {
+        $key
+    };
+}
+
+/// A field's binding in a row's pattern: its name, or the `as` name
+/// a tuple variant's positional field gives.
+macro_rules! bind {
+    ($field:tt) => {
+        $field
+    };
+    ($field:tt $bind:ident) => {
+        $bind
+    };
+}
+
+/// Generates [`Frame`] for each table: one row per variant gives its
+/// binary tag byte, its text keyword, and its fields in wire order,
+/// each with its [`Kind`] (and a text key when it differs from the
+/// field name). Text rows print as the keyword, the table's first
+/// separator, then the fields joined by its field separator; binary
+/// rows as the tag byte, then the fields. The generated matches are
+/// exhaustive, so a variant without a row does not compile.
+macro_rules! frames {
+    ($(
+        $ty:ident ($what:literal, $first:literal, $sep:literal) {
+            $( $tag:literal $keyword:literal $var:ident {
+                $( $field:tt $(as $bind:ident)? : $kind:ty $(= $key:literal)? ),* $(,)?
+            } ),* $(,)?
+        }
+    )*) => {$(
+        impl Frame for $ty {
+            fn write_text(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self {
+                    $( $ty::$var { $( $field: bind!($field $($bind)?) ),* } => {
+                        Line::open(f, $keyword, $first, $sep)
+                            $( .field::<$kind, _>(
+                                bind!($field $($bind)?),
+                                key!($field $($key)?),
+                            ) )*
+                            .close()
+                    } )*
                 }
-                None => e.u8(0),
+            }
+
+            fn read_text(s: &str) -> Result<Self, WireError> {
+                let (keyword, mut words) = Words::open(s, $first, $sep);
+                let record = match keyword {
+                    $( $keyword => $ty::$var {
+                        $( $field: <$kind as Kind<_>>::read(
+                            key!($field $($key)?),
+                            &mut words,
+                        )? ),*
+                    }, )*
+                    other => {
+                        return Err(wire_err(format!(concat!("unknown ", $what, " {:?}"), other)))
+                    }
+                };
+                words.done()?;
+                Ok(record)
+            }
+
+            fn put(&self, e: &mut Enc) {
+                match self {
+                    $( $ty::$var { $( $field: bind!($field $($bind)?) ),* } => {
+                        e.u8($tag);
+                        $( <$kind as Kind<_>>::put(bind!($field $($bind)?), e); )*
+                    } )*
+                }
+            }
+
+            fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+                Ok(match d.u8()? {
+                    $( $tag => $ty::$var { $( $field: <$kind as Kind<_>>::get(d)? ),* }, )*
+                    tag => {
+                        return Err(malformed(format!(concat!($what, " tag 0x{:02x}"), tag)))
+                    }
+                })
             }
         }
-        JobOutput::Distribution { replicas, support } => {
-            e.u8(O_DISTRIBUTION);
-            e.u64(*replicas);
-            e.u64(*support as u64);
-        }
-        JobOutput::Tv {
-            rounds,
-            replicas,
-            tv,
-        } => {
-            e.u8(O_TV);
-            e.u64(*rounds as u64);
-            e.u64(*replicas as u64);
-            e.f64(*tv);
-        }
-        JobOutput::Coalescence {
-            trials,
-            mean_rounds,
-            std_error,
-            timeouts,
-        } => {
-            e.u8(O_COALESCENCE);
-            e.u64(*trials as u64);
-            e.f64(*mean_rounds);
-            e.f64(*std_error);
-            e.u64(*timeouts as u64);
-        }
-        JobOutput::Sample { rounds, states } => {
-            e.u8(O_SAMPLE);
-            e.u64(*rounds);
-            e.u32(u32::try_from(states.len()).expect("replica count fits u32"));
-            for blob in states {
-                e.blob(blob);
-            }
-        }
-        JobOutput::Stream {
-            rounds,
-            every,
-            n,
-            states,
-            fingerprint,
-        } => {
-            e.u8(O_STREAM);
-            e.u64(*rounds);
-            e.u64(*every as u64);
-            e.u64(*n as u64);
-            e.u64(*states);
-            e.u64(*fingerprint);
-        }
+    )*};
+}
+
+frames! {
+    ClientFrame ("client frame", ' ', ' ') {
+        0x01 "submit" Submit { id: Keyed, spec: Rest },
+        0x02 "cancel" Cancel { id: Keyed },
+        0x03 "shutdown" Shutdown {},
+        0x04 "hello" Hello { codec: Keyed },
+        0x05 "ping" Ping { nonce: Keyed },
+        0x06 "shard-init" ShardInit { id: Keyed, shard: Keyed, of: Keyed, spec: Rest },
+        0x07 "shard-sync" ShardSync { id: Keyed, round: Keyed, blob: Keyed },
+    }
+
+    ServerFrame ("server frame", ' ', ' ') {
+        0x81 "submitted" Submitted { id: Keyed, jobs: Keyed },
+        0x82 "event" Event { id: Keyed, index: Keyed, event: Nested },
+        0x83 "error" Error { id: OptId, message: Escaped },
+        0x84 "hello" Hello { codec: Keyed },
+        0x85 "pong" Pong { nonce: Keyed },
+        0x86 "shard-sync" ShardSync { id: Keyed, round: Keyed, blob: Keyed },
+        0x87 "shard-done" ShardDone { id: Keyed, rounds: Keyed, blob: Keyed },
+    }
+
+    JobEvent ("job event", ' ', ' ') {
+        1 "accepted" Accepted {},
+        2 "rejected" Rejected { reason: Token },
+        3 "started" Started {},
+        4 "progress" Progress { round: Keyed, of: Keyed },
+        5 "finished" Finished { 0 as result: Nested },
+        6 "failed" Failed { 0 as error: Token },
+        7 "cancelled" Cancelled {},
+        8 "state" State { round: Keyed, blob: Keyed },
+    }
+
+    // Outputs nest as one token of a result line: `kind:` then
+    // comma-separated fields.
+    JobOutput ("job output", ':', ',') {
+        1 "run" Run { rounds: Keyed, n: Keyed, feasible: Keyed, fingerprint: Hex, comm: Comm },
+        2 "distribution" Distribution { replicas: Keyed, support: Keyed },
+        3 "tv" Tv { rounds: Keyed, replicas: Keyed, tv: Keyed },
+        4 "coalescence" Coalescence {
+            trials: Keyed,
+            mean_rounds: Keyed = "mean-rounds",
+            std_error: Keyed = "std-error",
+            timeouts: Keyed,
+        },
+        5 "sample" Sample { rounds: Keyed, states: Blobs },
+        6 "stream" Stream {
+            rounds: Keyed,
+            every: Keyed,
+            n: Keyed,
+            states: Keyed,
+            fingerprint: Hex,
+        },
     }
 }
 
-fn decode_result(d: &mut Dec<'_>) -> Result<JobResult, CodecError> {
-    let spec = d.str()?.to_string();
-    let elapsed_secs = d.f64()?;
-    let output = match d.u8()? {
-        O_RUN => {
-            let rounds = d.u64()?;
-            let n = d.usize()?;
-            let feasible = match d.u8()? {
-                0 => false,
-                1 => true,
-                other => return Err(malformed(format!("feasible byte 0x{other:02x}"))),
-            };
-            let fingerprint = d.u64()?;
-            let comm = match d.u8()? {
-                0 => None,
-                1 => Some(CommSummary {
-                    rounds_seen: d.u64()?,
-                    total_messages: d.u64()?,
-                    total_bytes: d.u64()?,
-                    total_changed: d.u64()?,
-                }),
-                other => return Err(malformed(format!("comm flag 0x{other:02x}"))),
-            };
-            JobOutput::Run {
-                rounds,
-                n,
-                feasible,
-                fingerprint,
-                comm,
-            }
-        }
-        O_DISTRIBUTION => JobOutput::Distribution {
-            replicas: d.u64()?,
-            support: d.usize()?,
-        },
-        O_TV => JobOutput::Tv {
-            rounds: d.usize()?,
-            replicas: d.usize()?,
-            tv: d.f64()?,
-        },
-        O_COALESCENCE => JobOutput::Coalescence {
-            trials: d.usize()?,
-            mean_rounds: d.f64()?,
-            std_error: d.f64()?,
-            timeouts: d.usize()?,
-        },
-        O_SAMPLE => {
-            let rounds = d.u64()?;
-            let count = d.u32()? as usize;
-            let mut states = Vec::with_capacity(count.min(4096));
-            for _ in 0..count {
-                states.push(d.blob()?);
-            }
-            JobOutput::Sample { rounds, states }
-        }
-        O_STREAM => JobOutput::Stream {
-            rounds: d.u64()?,
-            every: d.usize()?,
-            n: d.usize()?,
-            states: d.u64()?,
-            fingerprint: d.u64()?,
-        },
-        tag => return Err(malformed(format!("job output tag 0x{tag:02x}"))),
-    };
-    Ok(JobResult {
-        spec,
-        output,
-        elapsed_secs,
-    })
+/// The result envelope stays hand-written: the text form ends with the
+/// spec (it runs to the end of the line) while the binary form leads
+/// with it, and both layouts are frozen. Text: `elapsed=<secs>
+/// output=<output> spec=<canonical spec line>`.
+impl Frame for JobResult {
+    fn write_text(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "elapsed={} output=", self.elapsed_secs)?;
+        self.output.write_text(f)?;
+        write!(f, " spec={}", self.spec)
+    }
+
+    fn read_text(s: &str) -> Result<Self, WireError> {
+        let mut words = Words {
+            rest: Some(s),
+            sep: ' ',
+        };
+        Ok(JobResult {
+            elapsed_secs: <Keyed as Kind<f64>>::read("elapsed", &mut words)?,
+            output: JobOutput::read_text(words.keyed("output")?)?,
+            spec: Rest::read("spec", &mut words)?,
+        })
+    }
+
+    fn put(&self, e: &mut Enc) {
+        e.str(&self.spec);
+        self.elapsed_secs.put(e);
+        self.output.put(e);
+    }
+
+    fn get(d: &mut Dec<'_>) -> Result<Self, CodecError> {
+        Ok(JobResult {
+            spec: d.str()?.to_string(),
+            elapsed_secs: f64::get(d)?,
+            output: JobOutput::get(d)?,
+        })
+    }
 }
+
+/// The text form of every record that has one of its own (an output
+/// prints only inside its result line).
+macro_rules! text_form {
+    ($($ty:ty),*) => {$(
+        impl fmt::Display for $ty {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                self.write_text(f)
+            }
+        }
+
+        impl FromStr for $ty {
+            type Err = WireError;
+
+            fn from_str(s: &str) -> Result<Self, WireError> {
+                Self::read_text(s)
+            }
+        }
+    )*};
+}
+
+text_form!(ClientFrame, ServerFrame, JobEvent, JobResult);
 
 // ---------------------------------------------------------------------
 // The frame layer
@@ -996,6 +1292,31 @@ impl FrameBuffer {
         Ok(Some(payload))
     }
 
+    /// Cuts the next complete frame under `codec` and decodes it,
+    /// `Ok(None)` if more bytes are needed. Blank text lines are
+    /// skipped. A bad frame is consumed before its error returns, so
+    /// the next call resumes at the frame after it.
+    pub(crate) fn cut<F: Frame>(&mut self, codec: Codec) -> Result<Option<F>, FrameError> {
+        loop {
+            let next = match codec {
+                Codec::Text => self.next_line(),
+                Codec::Binary => self.next_frame(),
+            };
+            let Some(payload) = next.map_err(FrameError::Codec)? else {
+                return Ok(None);
+            };
+            if codec == Codec::Binary {
+                return decode(&payload).map(Some).map_err(FrameError::Codec);
+            }
+            let line = std::str::from_utf8(&payload)
+                .map_err(|_| FrameError::Wire(wire_err("not UTF-8")))?
+                .trim();
+            if !line.is_empty() {
+                return F::read_text(line).map(Some).map_err(FrameError::Wire);
+            }
+        }
+    }
+
     /// Pops the next complete text line (without its `\n`), `Ok(None)`
     /// if more bytes are needed. A line longer than [`MAX_FRAME`]
     /// returns [`CodecError::Oversize`] once; the rest of it is dropped
@@ -1028,6 +1349,23 @@ impl FrameBuffer {
                 });
             }
             return Ok(Some(line));
+        }
+    }
+}
+
+/// Why [`FrameBuffer::cut`] could not produce a frame: the framing or
+/// a binary record failed, or a text line did not parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum FrameError {
+    Codec(CodecError),
+    Wire(WireError),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Codec(e) => e.fmt(f),
+            FrameError::Wire(e) => e.fmt(f),
         }
     }
 }
@@ -1065,7 +1403,7 @@ mod tests {
             (vec![70000, 5], 100_000),
         ] {
             let blob = StateBlob::pack(&state, q);
-            let token = blob.to_token();
+            let token = blob.to_string();
             let back: StateBlob = token.parse().expect("token parses");
             assert_eq!(back, blob, "token {token}");
             assert_eq!(back.unpack(), state);

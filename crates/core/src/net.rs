@@ -40,13 +40,13 @@
 //! (blobs fall back to base64url tokens), and both codecs answer
 //! bit-identical outcomes (`tests/codec_identity.rs`).
 
-use crate::codec::{self, Codec, CodecError, StateBlob};
+use crate::codec::{self, Codec, CodecError, Frame, FrameError, StateBlob};
 use crate::lifecycle::{CancelToken, RejectReason};
 use crate::proto::{ClientFrame, ServerFrame, WireError};
 use crate::service::{JobEvent, Service};
 use crate::spec::{JobResult, SpecError, SweepResult, SweepSpec};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,50 +58,30 @@ use std::time::{Duration, Instant};
 /// a shutdown can be.
 const SESSION_POLL: Duration = Duration::from_millis(25);
 
-/// A session's shared write half: the socket behind a lock (so
-/// concurrent forwarders never interleave *within* a frame — including
-/// large state frames, which go out atomically) plus the codec flag,
-/// flipped under that same lock so every frame lands wholly in one
-/// codec.
-struct SessionWriter {
-    stream: Mutex<TcpStream>,
-    binary: AtomicBool,
-}
+/// A session's shared write half: the socket and its codec behind one
+/// lock, so concurrent forwarders never interleave *within* a frame —
+/// including large state frames, which go out atomically — and every
+/// frame lands wholly in one codec.
+struct SessionWriter(Mutex<(TcpStream, Codec)>);
 
 impl SessionWriter {
-    fn new(stream: TcpStream) -> Self {
-        SessionWriter {
-            stream: Mutex::new(stream),
-            binary: AtomicBool::new(false),
-        }
-    }
-
-    /// Writes one frame in the session's current codec. Text frames go
-    /// out as a single `write_all` (not a fragment-per-`write!` piece),
-    /// so Nagle + delayed-ACK never stalls a half-sent line.
+    /// Writes one frame in the session's current codec.
     fn send(&self, frame: &ServerFrame) {
-        let mut w = self.stream.lock().expect("session writer lock");
+        let mut out = self.0.lock().expect("session writer lock");
+        let (stream, codec) = &mut *out;
         // A gone client is not an error worth a worker's life: the
         // session reader will notice EOF and wind down.
-        let _ = if self.binary.load(Ordering::Acquire) {
-            codec::write_frame(&mut *w, &codec::encode_server(frame))
-        } else {
-            w.write_all(format!("{frame}\n").as_bytes())
-        };
+        let _ = frame.write_to(stream, *codec);
     }
 
     /// Acks a `hello` and switches codecs atomically under the writer
     /// lock: the ack goes out in the *old* codec, every later frame in
     /// the new one — no frame can straddle the switch.
     fn switch(&self, to: Codec) {
-        let mut w = self.stream.lock().expect("session writer lock");
-        let ack = ServerFrame::Hello { codec: to };
-        let _ = if self.binary.load(Ordering::Acquire) {
-            codec::write_frame(&mut *w, &codec::encode_server(&ack))
-        } else {
-            w.write_all(format!("{ack}\n").as_bytes())
-        };
-        self.binary.store(to == Codec::Binary, Ordering::Release);
+        let mut out = self.0.lock().expect("session writer lock");
+        let (stream, codec) = &mut *out;
+        let _ = ServerFrame::Hello { codec: to }.write_to(stream, *codec);
+        *codec = to;
     }
 }
 
@@ -354,7 +334,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
         Ok(s) => s,
         Err(_) => return,
     };
-    let writer = Arc::new(SessionWriter::new(stream));
+    let writer = Arc::new(SessionWriter(Mutex::new((stream, Codec::Text))));
     // Jobs of this session that have not reported a terminal event
     // yet; forwarders decrement as terminals go out.
     let inflight = Arc::new(AtomicUsize::new(0));
@@ -375,7 +355,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
     // re-interpreted under the new codec, exactly as the client that
     // switched immediately after sending it intended.
     let mut inbuf = codec::FrameBuffer::new();
-    let mut binary = false;
+    let mut mode = Codec::Text;
     let mut tmp = vec![0u8; 64 * 1024];
     loop {
         if ctl.cancel_all.load(Ordering::Acquire) && !cancelled_all {
@@ -394,32 +374,8 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
                 // Drain every complete frame at the mode it arrives
                 // under. Over-cap frames and lines answer a typed error
                 // and resync (the malformed-frame contract).
-                loop {
-                    let parsed: Result<ClientFrame, String> = if binary {
-                        match inbuf.next_frame() {
-                            Ok(None) => break,
-                            Ok(Some(payload)) => {
-                                codec::decode_client(&payload).map_err(|e| e.to_string())
-                            }
-                            Err(e) => Err(e.to_string()),
-                        }
-                    } else {
-                        match inbuf.next_line() {
-                            Ok(None) => break,
-                            Ok(Some(line)) => match std::str::from_utf8(&line) {
-                                Ok(s) => {
-                                    let s = s.trim();
-                                    if s.is_empty() {
-                                        continue;
-                                    }
-                                    s.parse::<ClientFrame>().map_err(|e| e.to_string())
-                                }
-                                Err(_) => Err("malformed frame: not UTF-8".to_string()),
-                            },
-                            Err(e) => Err(e.to_string()),
-                        }
-                    };
-                    if let Some(mode) = handle_frame(
+                while let Some(parsed) = inbuf.cut::<ClientFrame>(mode).transpose() {
+                    if let Some(codec) = handle_frame(
                         parsed,
                         &writer,
                         service,
@@ -429,7 +385,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
                         &mut forwarders,
                         &ended_tx,
                     ) {
-                        binary = mode == Codec::Binary;
+                        mode = codec;
                     }
                 }
             }
@@ -472,7 +428,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
 /// lock).
 #[allow(clippy::too_many_arguments)]
 fn handle_frame(
-    parsed: Result<ClientFrame, String>,
+    parsed: Result<ClientFrame, FrameError>,
     writer: &Arc<SessionWriter>,
     service: &Arc<Service>,
     ctl: &Arc<SessionCtl>,
@@ -482,9 +438,12 @@ fn handle_frame(
     ended: &std::sync::mpsc::Sender<Ended>,
 ) -> Option<Codec> {
     match parsed {
-        Err(message) => {
+        Err(e) => {
             // The malformed-frame contract: answer typed, stay up.
-            writer.send(&ServerFrame::Error { id: None, message });
+            writer.send(&ServerFrame::Error {
+                id: None,
+                message: e.to_string(),
+            });
         }
         Ok(ClientFrame::Hello { codec }) => {
             // Ack in the old codec, then switch both directions.
@@ -898,13 +857,9 @@ impl Client {
         self.send(frame).map_err(NetError::Io)
     }
 
-    /// Sends one client frame under the negotiated codec, as a single
-    /// `write_all` either way (no Nagle-stalled half-frames).
+    /// Sends one client frame under the negotiated codec.
     fn send(&mut self, frame: &ClientFrame) -> std::io::Result<()> {
-        match self.codec {
-            Codec::Text => self.stream.write_all(format!("{frame}\n").as_bytes()),
-            Codec::Binary => codec::write_frame(&mut self.stream, &codec::encode_client(frame)),
-        }
+        frame.write_to(&mut self.stream, self.codec)
     }
 
     /// Blocks for the next server frame under the negotiated codec,
@@ -920,7 +875,7 @@ impl Client {
     ) -> Result<Option<ServerFrame>, NetError> {
         let mut tmp = [0u8; 64 * 1024];
         loop {
-            if let Some(frame) = self.cut_frame()? {
+            if let Some(frame) = self.inbuf.cut(self.codec)? {
                 return Ok(Some(frame));
             }
             if deadline.is_some_and(|d| Instant::now() >= d) {
@@ -937,39 +892,6 @@ impl Client {
                             | std::io::ErrorKind::Interrupted
                     ) => {}
                 Err(e) => return Err(NetError::Io(e)),
-            }
-        }
-    }
-
-    /// Cuts one complete frame off the receive buffer under the
-    /// current codec, or `None` when more bytes are needed. Empty
-    /// text lines are skipped.
-    fn cut_frame(&mut self) -> Result<Option<ServerFrame>, NetError> {
-        loop {
-            match self.codec {
-                Codec::Text => {
-                    let Some(line) = self.inbuf.next_line().map_err(NetError::Codec)? else {
-                        return Ok(None);
-                    };
-                    let line = std::str::from_utf8(&line)
-                        .map_err(|_| NetError::Protocol("server frame not UTF-8".into()))?
-                        .trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    return line
-                        .parse::<ServerFrame>()
-                        .map(Some)
-                        .map_err(NetError::Wire);
-                }
-                Codec::Binary => {
-                    let Some(payload) = self.inbuf.next_frame().map_err(NetError::Codec)? else {
-                        return Ok(None);
-                    };
-                    return codec::decode_server(&payload)
-                        .map(Some)
-                        .map_err(NetError::Codec);
-                }
             }
         }
     }
@@ -1195,6 +1117,15 @@ impl std::fmt::Display for NetError {
 
 impl std::error::Error for NetError {}
 
+impl From<FrameError> for NetError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Codec(e) => NetError::Codec(e),
+            FrameError::Wire(e) => NetError::Wire(e),
+        }
+    }
+}
+
 /// A typed connection failure after [`Client::connect_with_retry`]
 /// exhausted its attempt budget.
 #[derive(Debug)]
@@ -1227,7 +1158,7 @@ impl std::error::Error for ConnectError {
 mod tests {
     use super::*;
     use crate::spec::JobOutput;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Write};
 
     #[test]
     fn loopback_job_matches_in_process() {

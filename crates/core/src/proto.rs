@@ -1,33 +1,40 @@
-//! The wire protocol: a hand-rolled, line-delimited codec putting the
-//! service's job protocol on a byte stream.
+//! The frame alphabet and the token grammar of the text codec.
 //!
-//! Exactly like the spec grammar, every message round-trips through
-//! `Display`/`FromStr` (no serde — and no framing beyond "one frame
-//! per line"). A session speaks two frame alphabets:
+//! A session speaks two frame alphabets, defined here:
 //!
 //! * [`ClientFrame`] — client → server:
 //!   `submit id=<id> spec=<spec-or-sweep line>`, `cancel id=<id>`
 //!   (stop every member of a submitted id), `shutdown` (ask the
-//!   server to drain and exit), `ping nonce=<n>` (liveness probe),
-//!   and the cluster frames `shard-init id=<id> shard=<s> of=<k>
-//!   spec=<spec line>` / `shard-sync id=<id> round=<r>
-//!   blob=<n/q/base64url>` (open a distributed shard session;
-//!   deliver one round's halo states);
+//!   server to drain and exit), `hello codec=<text|binary>` (switch
+//!   the session codec), `ping nonce=<n>` (liveness probe), and the
+//!   cluster frames `shard-init id=<id> shard=<s> of=<k> spec=<spec
+//!   line>` / `shard-sync id=<id> round=<r> blob=<n/q/base64url>`
+//!   (open a distributed shard session; deliver one round's halo
+//!   states);
 //! * [`ServerFrame`] — server → client:
 //!   `submitted id=<id> jobs=<n>` (the submit ack, carrying the sweep
 //!   expansion size), `event id=<id> index=<k> <event>` (one member
-//!   job's [`JobEvent`]), `error [id=<id>] message=<..>` (a typed
-//!   protocol error; the session stays alive), `pong nonce=<n>`, and
-//!   the cluster answers `shard-sync id=<id> round=<r> blob=<..>` /
-//!   `shard-done id=<id> rounds=<r> blob=<..>` (one round's boundary
-//!   states; the shard's final owned states).
+//!   job's [`JobEvent`]), `error id=<id|-> message=<..>` (a typed
+//!   protocol error; the session stays alive), `hello codec=<..>`,
+//!   `pong nonce=<n>`, and the cluster answers `shard-sync id=<id>
+//!   round=<r> blob=<..>` / `shard-done id=<id> rounds=<r> blob=<..>`
+//!   (one round's boundary states; the shard's final owned states).
 //!
-//! [`JobEvent`] and [`JobResult`] gain `Display`/`FromStr` here — the
-//! printed form **is** the wire form, and `parse ∘ print` is the
-//! identity (property-tested in `tests/proto_roundtrip.rs`). Floats
-//! are printed with Rust's shortest-round-trip `Display`, so results
-//! survive the wire bit-identically; strings inside errors are
-//! percent-escaped into single tokens ([`escape`]/[`unescape`]).
+//! Events print as `accepted`, `rejected <reason>`, `started`,
+//! `progress round=<r> of=<n>`, `finished <result>`, `failed <error>`,
+//! `cancelled`, `state round=<r> blob=<..>`; a result as
+//! `elapsed=<secs> output=<kind>:<field>,… spec=<canonical spec line>`.
+//!
+//! Both wire codecs of these frames — `Display`/`FromStr` text and the
+//! tagged binary records — are generated from the one frame table in
+//! [`codec`](crate::codec); this module holds what the table's fields
+//! are made of. `parse ∘ print` is the identity (property-tested in
+//! `tests/proto_roundtrip.rs`). Floats are printed with Rust's
+//! shortest-round-trip `Display`, so results survive the wire
+//! bit-identically; strings inside errors are percent-escaped into
+//! single tokens ([`escape`]/[`unescape`]); typed errors cross as one
+//! token of their own grammar ([`encode_spec_error`],
+//! [`encode_reject_reason`]), in both codecs.
 //!
 //! ## Event ordering over the wire
 //!
@@ -42,9 +49,8 @@
 use crate::lifecycle::RejectReason;
 use crate::sampler::{Algorithm, BuildError};
 use crate::service::JobEvent;
-use crate::spec::{JobOutput, JobResult, SpecError};
+use crate::spec::SpecError;
 use std::fmt;
-use std::str::FromStr;
 
 /// Why a frame failed to parse. The receiving end answers with an
 /// `error` frame and keeps the session — a malformed line must never
@@ -63,7 +69,7 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn wire_err(message: impl Into<String>) -> WireError {
+pub(crate) fn wire_err(message: impl Into<String>) -> WireError {
     WireError {
         message: message.into(),
     }
@@ -109,9 +115,13 @@ pub fn unescape(s: &str) -> Result<String, WireError> {
             let hex = bytes
                 .get(i + 1..i + 3)
                 .ok_or_else(|| wire_err(format!("truncated escape in {s:?}")))?;
-            let hex = std::str::from_utf8(hex).map_err(|_| wire_err("non-ascii escape"))?;
-            let byte = u8::from_str_radix(hex, 16)
-                .map_err(|_| wire_err(format!("bad escape %{hex} in {s:?}")))?;
+            // Exactly two hex digits: `from_str_radix` alone would also
+            // take a sign (`%+A`), a second spelling of `%0A`.
+            let byte = std::str::from_utf8(hex)
+                .ok()
+                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .ok_or_else(|| wire_err(format!("bad escape in {s:?}")))?;
             out.push(byte);
             i += 3;
         } else {
@@ -123,17 +133,11 @@ pub fn unescape(s: &str) -> Result<String, WireError> {
 }
 
 /// Splits `key=value` with the exact expected key.
-fn field<'a>(token: &'a str, key: &str) -> Result<&'a str, WireError> {
+pub(crate) fn field<'a>(token: &'a str, key: &str) -> Result<&'a str, WireError> {
     token
         .strip_prefix(key)
         .and_then(|r| r.strip_prefix('='))
         .ok_or_else(|| wire_err(format!("expected {key}=.., got {token:?}")))
-}
-
-fn parse_num<T: FromStr>(token: &str, key: &str) -> Result<T, WireError> {
-    field(token, key)?
-        .parse::<T>()
-        .map_err(|_| wire_err(format!("bad number in {token:?}")))
 }
 
 // ---------------------------------------------------------------------
@@ -428,293 +432,6 @@ pub fn decode_spec_error(token: &str) -> Result<SpecError, WireError> {
 }
 
 // ---------------------------------------------------------------------
-// Results on the wire
-// ---------------------------------------------------------------------
-
-/// Encodes a [`JobOutput`] as one token. Floats use shortest-round-trip
-/// `Display`, so the decode is bit-identical.
-fn encode_output(output: &JobOutput) -> String {
-    match output {
-        JobOutput::Run {
-            rounds,
-            n,
-            feasible,
-            fingerprint,
-            comm,
-        } => {
-            let mut s = format!(
-                "run:rounds={rounds},n={n},feasible={feasible},fingerprint={fingerprint:016x}"
-            );
-            if let Some(c) = comm {
-                s.push_str(&format!(
-                    ",comm={}/{}/{}/{}",
-                    c.rounds_seen, c.total_messages, c.total_bytes, c.total_changed
-                ));
-            }
-            s
-        }
-        JobOutput::Distribution { replicas, support } => {
-            format!("distribution:replicas={replicas},support={support}")
-        }
-        JobOutput::Tv {
-            rounds,
-            replicas,
-            tv,
-        } => format!("tv:rounds={rounds},replicas={replicas},tv={tv}"),
-        JobOutput::Coalescence {
-            trials,
-            mean_rounds,
-            std_error,
-            timeouts,
-        } => format!(
-            "coalescence:trials={trials},mean-rounds={mean_rounds},std-error={std_error},\
-             timeouts={timeouts}"
-        ),
-        JobOutput::Sample { rounds, states } => {
-            // The text fallback base64s each blob (`n/q/<base64url>`);
-            // the alphabet is free of the separators `,` `=` `:` `;`,
-            // so tokens join safely.
-            let blobs: Vec<String> = states.iter().map(|b| b.to_token()).collect();
-            format!("sample:rounds={rounds},states={}", blobs.join(";"))
-        }
-        JobOutput::Stream {
-            rounds,
-            every,
-            n,
-            states,
-            fingerprint,
-        } => format!(
-            "stream:rounds={rounds},every={every},n={n},states={states},\
-             fingerprint={fingerprint:016x}"
-        ),
-    }
-}
-
-fn decode_output(token: &str) -> Result<JobOutput, WireError> {
-    let (kind, args) = token
-        .split_once(':')
-        .ok_or_else(|| wire_err(format!("expected kind:args output, got {token:?}")))?;
-    let pieces: Vec<&str> = args.split(',').collect();
-    match kind {
-        "run" => {
-            if pieces.len() != 4 && pieces.len() != 5 {
-                return Err(wire_err(format!("run output has 4-5 fields: {token:?}")));
-            }
-            let fingerprint = field(pieces[3], "fingerprint")?;
-            let comm = match pieces.get(4) {
-                None => None,
-                Some(piece) => {
-                    let parts: Vec<&str> = field(piece, "comm")?.split('/').collect();
-                    if parts.len() != 4 {
-                        return Err(wire_err(format!("comm has 4 fields: {piece:?}")));
-                    }
-                    let num = |s: &str| -> Result<u64, WireError> {
-                        s.parse()
-                            .map_err(|_| wire_err(format!("bad comm count {s:?}")))
-                    };
-                    Some(crate::spec::CommSummary {
-                        rounds_seen: num(parts[0])?,
-                        total_messages: num(parts[1])?,
-                        total_bytes: num(parts[2])?,
-                        total_changed: num(parts[3])?,
-                    })
-                }
-            };
-            Ok(JobOutput::Run {
-                rounds: parse_num(pieces[0], "rounds")?,
-                n: parse_num(pieces[1], "n")?,
-                feasible: parse_num(pieces[2], "feasible")?,
-                fingerprint: u64::from_str_radix(fingerprint, 16)
-                    .map_err(|_| wire_err(format!("bad fingerprint {fingerprint:?}")))?,
-                comm,
-            })
-        }
-        "distribution" => {
-            if pieces.len() != 2 {
-                return Err(wire_err(format!("distribution has 2 fields: {token:?}")));
-            }
-            Ok(JobOutput::Distribution {
-                replicas: parse_num(pieces[0], "replicas")?,
-                support: parse_num(pieces[1], "support")?,
-            })
-        }
-        "tv" => {
-            if pieces.len() != 3 {
-                return Err(wire_err(format!("tv has 3 fields: {token:?}")));
-            }
-            Ok(JobOutput::Tv {
-                rounds: parse_num(pieces[0], "rounds")?,
-                replicas: parse_num(pieces[1], "replicas")?,
-                tv: parse_num(pieces[2], "tv")?,
-            })
-        }
-        "coalescence" => {
-            if pieces.len() != 4 {
-                return Err(wire_err(format!("coalescence has 4 fields: {token:?}")));
-            }
-            Ok(JobOutput::Coalescence {
-                trials: parse_num(pieces[0], "trials")?,
-                mean_rounds: parse_num(pieces[1], "mean-rounds")?,
-                std_error: parse_num(pieces[2], "std-error")?,
-                timeouts: parse_num(pieces[3], "timeouts")?,
-            })
-        }
-        "sample" => {
-            if pieces.len() != 2 {
-                return Err(wire_err(format!("sample has 2 fields: {token:?}")));
-            }
-            let blobs = field(pieces[1], "states")?;
-            let states = blobs
-                .split(';')
-                .filter(|t| !t.is_empty())
-                .map(|t| {
-                    t.parse::<crate::codec::StateBlob>()
-                        .map_err(|e| wire_err(e.to_string()))
-                })
-                .collect::<Result<Vec<_>, WireError>>()?;
-            Ok(JobOutput::Sample {
-                rounds: parse_num(pieces[0], "rounds")?,
-                states,
-            })
-        }
-        "stream" => {
-            if pieces.len() != 5 {
-                return Err(wire_err(format!("stream has 5 fields: {token:?}")));
-            }
-            let fingerprint = field(pieces[4], "fingerprint")?;
-            Ok(JobOutput::Stream {
-                rounds: parse_num(pieces[0], "rounds")?,
-                every: parse_num(pieces[1], "every")?,
-                n: parse_num(pieces[2], "n")?,
-                states: parse_num(pieces[3], "states")?,
-                fingerprint: u64::from_str_radix(fingerprint, 16)
-                    .map_err(|_| wire_err(format!("bad fingerprint {fingerprint:?}")))?,
-            })
-        }
-        other => Err(wire_err(format!("unknown output kind {other:?}"))),
-    }
-}
-
-/// The wire form: `elapsed=<secs> output=<output> spec=<canonical spec
-/// line>`. The spec comes last and runs to the end of the line (it
-/// contains spaces).
-impl fmt::Display for JobResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "elapsed={} output={} spec={}",
-            self.elapsed_secs,
-            encode_output(&self.output),
-            self.spec
-        )
-    }
-}
-
-impl FromStr for JobResult {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (elapsed, rest) = s
-            .split_once(' ')
-            .ok_or_else(|| wire_err(format!("result needs 3 fields: {s:?}")))?;
-        let (output, rest) = rest
-            .split_once(' ')
-            .ok_or_else(|| wire_err(format!("result needs 3 fields: {s:?}")))?;
-        Ok(JobResult {
-            elapsed_secs: parse_num(elapsed, "elapsed")?,
-            output: decode_output(field(output, "output")?)?,
-            spec: field(rest, "spec")?.to_string(),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
-// Events on the wire
-// ---------------------------------------------------------------------
-
-/// The wire form: `accepted`, `rejected <reason>`, `started`,
-/// `progress round=<r> of=<n>`, `finished <result>`, `failed <error>`,
-/// `cancelled`, `state round=<r> blob=<n/q/base64url>` (the text
-/// fallback for full-state delivery).
-impl fmt::Display for JobEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JobEvent::Accepted => f.write_str("accepted"),
-            JobEvent::Rejected { reason } => {
-                write!(f, "rejected {}", encode_reject_reason(reason))
-            }
-            JobEvent::Started => f.write_str("started"),
-            JobEvent::Progress { round, of } => write!(f, "progress round={round} of={of}"),
-            JobEvent::Finished(result) => write!(f, "finished {result}"),
-            JobEvent::Failed(e) => write!(f, "failed {}", encode_spec_error(e)),
-            JobEvent::Cancelled => f.write_str("cancelled"),
-            JobEvent::State { round, blob } => {
-                write!(f, "state round={round} blob={}", blob.to_token())
-            }
-        }
-    }
-}
-
-impl FromStr for JobEvent {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (kind, rest) = match s.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (s, ""),
-        };
-        match kind {
-            "accepted" | "started" | "cancelled" => {
-                if !rest.is_empty() {
-                    return Err(wire_err(format!("{kind} takes no arguments: {s:?}")));
-                }
-                Ok(match kind {
-                    "accepted" => JobEvent::Accepted,
-                    "started" => JobEvent::Started,
-                    _ => JobEvent::Cancelled,
-                })
-            }
-            "rejected" => {
-                if rest.contains(' ') {
-                    return Err(wire_err(format!("rejected takes one reason token: {s:?}")));
-                }
-                Ok(JobEvent::Rejected {
-                    reason: decode_reject_reason(rest)?,
-                })
-            }
-            "progress" => {
-                let (round, of) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("progress needs round and of: {s:?}")))?;
-                Ok(JobEvent::Progress {
-                    round: parse_num(round, "round")?,
-                    of: parse_num(of, "of")?,
-                })
-            }
-            "finished" => Ok(JobEvent::Finished(rest.parse()?)),
-            "failed" => {
-                if rest.contains(' ') {
-                    return Err(wire_err(format!("failed takes one error token: {s:?}")));
-                }
-                Ok(JobEvent::Failed(decode_spec_error(rest)?))
-            }
-            "state" => {
-                let (round, blob) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("state needs round and blob: {s:?}")))?;
-                Ok(JobEvent::State {
-                    round: parse_num(round, "round")?,
-                    blob: field(blob, "blob")?
-                        .parse()
-                        .map_err(|e: crate::codec::CodecError| wire_err(e.to_string()))?,
-                })
-            }
-            other => Err(wire_err(format!("unknown event {other:?}"))),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Session frames
 // ---------------------------------------------------------------------
 
@@ -790,133 +507,6 @@ pub enum ClientFrame {
     },
 }
 
-impl fmt::Display for ClientFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClientFrame::Submit { id, spec } => write!(f, "submit id={id} spec={spec}"),
-            ClientFrame::Cancel { id } => write!(f, "cancel id={id}"),
-            ClientFrame::Shutdown => f.write_str("shutdown"),
-            ClientFrame::Hello { codec } => write!(f, "hello codec={codec}"),
-            ClientFrame::Ping { nonce } => write!(f, "ping nonce={nonce}"),
-            ClientFrame::ShardInit {
-                id,
-                shard,
-                of,
-                spec,
-            } => write!(f, "shard-init id={id} shard={shard} of={of} spec={spec}"),
-            ClientFrame::ShardSync { id, round, blob } => {
-                write!(
-                    f,
-                    "shard-sync id={id} round={round} blob={}",
-                    blob.to_token()
-                )
-            }
-        }
-    }
-}
-
-impl FromStr for ClientFrame {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (kind, rest) = match s.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (s, ""),
-        };
-        match kind {
-            "submit" => {
-                let (id, spec) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("submit needs id and spec: {s:?}")))?;
-                Ok(ClientFrame::Submit {
-                    id: parse_num(id, "id")?,
-                    spec: field(spec, "spec")?.to_string(),
-                })
-            }
-            "cancel" => {
-                if rest.contains(' ') {
-                    return Err(wire_err(format!("cancel takes only an id: {s:?}")));
-                }
-                Ok(ClientFrame::Cancel {
-                    id: parse_num(rest, "id")?,
-                })
-            }
-            "shutdown" => {
-                if !rest.is_empty() {
-                    return Err(wire_err(format!("shutdown takes no arguments: {s:?}")));
-                }
-                Ok(ClientFrame::Shutdown)
-            }
-            "hello" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("hello takes codec=<name>: {s:?}")));
-                }
-                Ok(ClientFrame::Hello {
-                    codec: field(rest, "codec")?.parse().map_err(wire_err)?,
-                })
-            }
-            "ping" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("ping takes nonce=<n>: {s:?}")));
-                }
-                Ok(ClientFrame::Ping {
-                    nonce: parse_num(rest, "nonce")?,
-                })
-            }
-            "shard-init" => {
-                let mut pieces = rest.splitn(4, ' ');
-                let (id, shard, of, spec) =
-                    match (pieces.next(), pieces.next(), pieces.next(), pieces.next()) {
-                        (Some(id), Some(shard), Some(of), Some(spec)) => (id, shard, of, spec),
-                        _ => {
-                            return Err(wire_err(format!(
-                                "shard-init needs id, shard, of, spec: {s:?}"
-                            )))
-                        }
-                    };
-                Ok(ClientFrame::ShardInit {
-                    id: parse_num(id, "id")?,
-                    shard: parse_num(shard, "shard")?,
-                    of: parse_num(of, "of")?,
-                    spec: field(spec, "spec")?.to_string(),
-                })
-            }
-            "shard-sync" => {
-                let (id, round, blob) = split3(s, rest, "shard-sync")?;
-                Ok(ClientFrame::ShardSync {
-                    id: parse_num(id, "id")?,
-                    round: parse_num(round, "round")?,
-                    blob: parse_blob(blob)?,
-                })
-            }
-            other => Err(wire_err(format!(
-                "unknown client frame {other:?} (expected submit | cancel | shutdown | hello \
-                 | ping | shard-init | shard-sync)"
-            ))),
-        }
-    }
-}
-
-/// Splits a frame body into exactly three space-separated tokens.
-fn split3<'a>(
-    s: &str,
-    rest: &'a str,
-    kind: &str,
-) -> Result<(&'a str, &'a str, &'a str), WireError> {
-    let mut pieces = rest.split(' ');
-    match (pieces.next(), pieces.next(), pieces.next(), pieces.next()) {
-        (Some(a), Some(b), Some(c), None) => Ok((a, b, c)),
-        _ => Err(wire_err(format!("{kind} needs exactly 3 fields: {s:?}"))),
-    }
-}
-
-/// Parses a `blob=<n/q/base64url>` token.
-fn parse_blob(token: &str) -> Result<crate::codec::StateBlob, WireError> {
-    field(token, "blob")?
-        .parse()
-        .map_err(|e: crate::codec::CodecError| wire_err(e.to_string()))
-}
-
 /// A server → client frame.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerFrame {
@@ -982,129 +572,10 @@ pub enum ServerFrame {
     },
 }
 
-impl fmt::Display for ServerFrame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServerFrame::Submitted { id, jobs } => write!(f, "submitted id={id} jobs={jobs}"),
-            ServerFrame::Event { id, index, event } => {
-                write!(f, "event id={id} index={index} {event}")
-            }
-            ServerFrame::Error { id, message } => {
-                write!(f, "error id=")?;
-                match id {
-                    Some(id) => write!(f, "{id}")?,
-                    None => write!(f, "-")?,
-                }
-                write!(f, " message={}", escape(message))
-            }
-            ServerFrame::Hello { codec } => write!(f, "hello codec={codec}"),
-            ServerFrame::Pong { nonce } => write!(f, "pong nonce={nonce}"),
-            ServerFrame::ShardSync { id, round, blob } => {
-                write!(
-                    f,
-                    "shard-sync id={id} round={round} blob={}",
-                    blob.to_token()
-                )
-            }
-            ServerFrame::ShardDone { id, rounds, blob } => {
-                write!(
-                    f,
-                    "shard-done id={id} rounds={rounds} blob={}",
-                    blob.to_token()
-                )
-            }
-        }
-    }
-}
-
-impl FromStr for ServerFrame {
-    type Err = WireError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let (kind, rest) = match s.split_once(' ') {
-            Some((k, r)) => (k, r),
-            None => (s, ""),
-        };
-        match kind {
-            "submitted" => {
-                let (id, jobs) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("submitted needs id and jobs: {s:?}")))?;
-                Ok(ServerFrame::Submitted {
-                    id: parse_num(id, "id")?,
-                    jobs: parse_num(jobs, "jobs")?,
-                })
-            }
-            "event" => {
-                let (id, rest) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("event needs id, index, body: {s:?}")))?;
-                let (index, body) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("event needs id, index, body: {s:?}")))?;
-                Ok(ServerFrame::Event {
-                    id: parse_num(id, "id")?,
-                    index: parse_num(index, "index")?,
-                    event: body.parse()?,
-                })
-            }
-            "error" => {
-                let (id, message) = rest
-                    .split_once(' ')
-                    .ok_or_else(|| wire_err(format!("error needs id and message: {s:?}")))?;
-                let id = match field(id, "id")? {
-                    "-" => None,
-                    n => Some(
-                        n.parse()
-                            .map_err(|_| wire_err(format!("bad error id {n:?}")))?,
-                    ),
-                };
-                Ok(ServerFrame::Error {
-                    id,
-                    message: unescape(field(message, "message")?)?,
-                })
-            }
-            "hello" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("hello takes codec=<name>: {s:?}")));
-                }
-                Ok(ServerFrame::Hello {
-                    codec: field(rest, "codec")?.parse().map_err(wire_err)?,
-                })
-            }
-            "pong" => {
-                if rest.contains(' ') || rest.is_empty() {
-                    return Err(wire_err(format!("pong takes nonce=<n>: {s:?}")));
-                }
-                Ok(ServerFrame::Pong {
-                    nonce: parse_num(rest, "nonce")?,
-                })
-            }
-            "shard-sync" => {
-                let (id, round, blob) = split3(s, rest, "shard-sync")?;
-                Ok(ServerFrame::ShardSync {
-                    id: parse_num(id, "id")?,
-                    round: parse_num(round, "round")?,
-                    blob: parse_blob(blob)?,
-                })
-            }
-            "shard-done" => {
-                let (id, rounds, blob) = split3(s, rest, "shard-done")?;
-                Ok(ServerFrame::ShardDone {
-                    id: parse_num(id, "id")?,
-                    rounds: parse_num(rounds, "rounds")?,
-                    blob: parse_blob(blob)?,
-                })
-            }
-            other => Err(wire_err(format!("unknown server frame {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::CommSummary;
+    use crate::spec::{CommSummary, JobOutput, JobResult};
 
     fn result(spec: &str, output: JobOutput) -> JobResult {
         JobResult {
@@ -1286,6 +757,7 @@ mod tests {
             "event id=1 index=0 finished elapsed=zz output=tv:rounds=1,replicas=1,tv=0 spec=x",
             "event id=1 index=0 state round=5 blob=2/3/!!!",
             "error id=7 message=bad%GG",
+            "error id=7 message=bad%+A",
         ] {
             assert!(bad.parse::<ServerFrame>().is_err(), "{bad:?}");
         }
