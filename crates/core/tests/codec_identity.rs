@@ -376,3 +376,104 @@ proptest! {
         assert_codecs_agree(&server, &spec.to_string());
     }
 }
+
+/// Bytes skewed toward the wire alphabet, so mutations land on
+/// separators, keys, escapes and digits as often as on noise.
+fn arb_wire_byte() -> impl Strategy<Value = u8> {
+    const ALPHABET: &[u8] = b" =:,;/%+-_0123456789abcdefAZ\n";
+    prop_oneof![any::<u8>(), (0..ALPHABET.len()).prop_map(|i| ALPHABET[i]),]
+}
+
+/// One to four edits, each overwriting, inserting or deleting a byte.
+fn arb_edits() -> impl Strategy<Value = Vec<(usize, u8, u8)>> {
+    proptest::collection::vec((any::<usize>(), any::<u8>(), arb_wire_byte()), 1..5)
+}
+
+fn mutate(mut bytes: Vec<u8>, edits: &[(usize, u8, u8)]) -> Vec<u8> {
+    for &(at, op, byte) in edits {
+        let at = at % (bytes.len() + 1);
+        match op % 3 {
+            0 if at < bytes.len() => bytes[at] = byte,
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    bytes
+}
+
+fn mutate_text(text: String, edits: &[(usize, u8, u8)]) -> String {
+    String::from_utf8_lossy(&mutate(text.into_bytes(), edits)).into_owned()
+}
+
+fn arb_result() -> impl Strategy<Value = JobResult> {
+    (arb_string(), arb_output(), any::<f64>()).prop_map(|(spec, output, elapsed_secs)| JobResult {
+        spec,
+        output,
+        elapsed_secs,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A panic-free boundary for the binary decoders: noise and
+    /// byte-mutated encodings of every frame decode to a frame or a
+    /// typed error, and whatever decodes re-encodes to the same frame.
+    #[test]
+    fn binary_decoders_never_panic(
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        server in arb_server_frame(),
+        client in arb_client_frame(),
+        edits in arb_edits(),
+    ) {
+        for bytes in [
+            noise,
+            mutate(codec::encode_server(&server), &edits),
+            mutate(codec::encode_client(&client), &edits),
+        ] {
+            if let Ok(frame) = codec::decode_server(&bytes) {
+                let again = codec::decode_server(&codec::encode_server(&frame)).unwrap();
+                prop_assert_eq!(format!("{again:?}"), format!("{frame:?}"));
+            }
+            if let Ok(frame) = codec::decode_client(&bytes) {
+                let again = codec::decode_client(&codec::encode_client(&frame)).unwrap();
+                prop_assert_eq!(again, frame);
+            }
+        }
+    }
+
+    /// The same boundary for the text parsers: wire-alphabet noise and
+    /// byte-mutated printed frames and results parse to a value or a
+    /// typed error, and whatever parses prints to a line that parses
+    /// back to it.
+    #[test]
+    fn text_decoders_never_panic(
+        noise in proptest::collection::vec(arb_wire_byte(), 0..80),
+        server in arb_server_frame(),
+        client in arb_client_frame(),
+        result in arb_result(),
+        edits in arb_edits(),
+    ) {
+        for line in [
+            String::from_utf8_lossy(&noise).into_owned(),
+            mutate_text(server.to_string(), &edits),
+            mutate_text(client.to_string(), &edits),
+            mutate_text(result.to_string(), &edits),
+        ] {
+            if let Ok(frame) = line.parse::<ServerFrame>() {
+                let again: ServerFrame = frame.to_string().parse().unwrap();
+                prop_assert_eq!(format!("{again:?}"), format!("{frame:?}"));
+            }
+            if let Ok(frame) = line.parse::<ClientFrame>() {
+                let again: ClientFrame = frame.to_string().parse().unwrap();
+                prop_assert_eq!(again, frame);
+            }
+            if let Ok(result) = line.parse::<JobResult>() {
+                let again: JobResult = result.to_string().parse().unwrap();
+                prop_assert_eq!(format!("{again:?}"), format!("{result:?}"));
+            }
+        }
+    }
+}
