@@ -540,29 +540,26 @@ struct Line<'a, 'b> {
     f: &'a mut fmt::Formatter<'b>,
     sep: char,
     next: char,
-    status: fmt::Result,
 }
 
 impl<'a, 'b> Line<'a, 'b> {
-    fn open(f: &'a mut fmt::Formatter<'b>, keyword: &str, first: char, sep: char) -> Self {
-        let status = f.write_str(keyword);
-        Line {
+    fn open(
+        f: &'a mut fmt::Formatter<'b>,
+        keyword: &str,
+        first: char,
+        sep: char,
+    ) -> Result<Self, fmt::Error> {
+        f.write_str(keyword)?;
+        Ok(Line {
             f,
             sep,
             next: first,
-            status,
-        }
+        })
     }
 
-    fn field<K: Kind<T>, T>(mut self, v: &T, key: &str) -> Self {
-        if self.status.is_ok() {
-            self.status = K::write(v, key, &mut self);
-        }
-        self
-    }
-
-    fn close(self) -> fmt::Result {
-        self.status
+    fn field<K: Kind<T>, T>(mut self, v: &T, key: &str) -> Result<Self, fmt::Error> {
+        K::write(v, key, &mut self)?;
+        Ok(self)
     }
 
     /// Opens the next field (an empty `key` is an unkeyed field).
@@ -1043,12 +1040,12 @@ macro_rules! frames {
             fn write_text(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
                 match self {
                     $( $ty::$var { $( $field: bind!($field $($bind)?) ),* } => {
-                        Line::open(f, $keyword, $first, $sep)
+                        Line::open(f, $keyword, $first, $sep)?
                             $( .field::<$kind, _>(
                                 bind!($field $($bind)?),
                                 key!($field $($key)?),
-                            ) )*
-                            .close()
+                            )? )*;
+                        Ok(())
                     } )*
                 }
             }
