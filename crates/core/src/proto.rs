@@ -435,7 +435,8 @@ pub fn decode_spec_error(token: &str) -> Result<SpecError, WireError> {
 // Session frames
 // ---------------------------------------------------------------------
 
-/// A client → server frame.
+/// A client → server frame. Both wire forms come from its rows in the
+/// frame table of [`codec`](crate::codec).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClientFrame {
     /// Submit a spec (or sweep) line under a client-chosen id; the
@@ -507,7 +508,8 @@ pub enum ClientFrame {
     },
 }
 
-/// A server → client frame.
+/// A server → client frame. Both wire forms come from its rows in the
+/// frame table of [`codec`](crate::codec).
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerFrame {
     /// Ack: the submitted line parsed and expanded into `jobs` member
