@@ -5,7 +5,8 @@
 //! shards at increasing shard counts (contiguous partition — row
 //! bands on the torus). The gap between `sequential` and `sharded/1`
 //! is the pure slab/exchange bookkeeping overhead; growth past the
-//! core count shows the scoped-thread fork-join floor.
+//! core count shows the floor of dispatching a round to the chain's
+//! persistent round pool when shards outnumber cores.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lsl_core::engine::rules::LocalMetropolisRule;

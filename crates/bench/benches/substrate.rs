@@ -31,7 +31,7 @@ fn bench_substrate(c: &mut Criterion) {
         b.iter(|| {
             let ctx = RoundCtx::new(&mrf, 1, round);
             for v in torus.vertices() {
-                marks[v.index()] = sched.mark(v, ctx.propose_rng(v).raw());
+                marks[v.index()] = sched.mark(v, ctx.propose_rng(v).raw().next());
             }
             scheduled_mask(&sched, &ctx, &marks, &mut mask);
             round += 1;

@@ -15,7 +15,10 @@
 //!   baseline's vertex-steps/sec, plus the headline kernel on
 //!   `parallel:2` and `sharded:2`: kernels run one range per worker or
 //!   shard, so two workers should beat one;
-//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime.
+//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime;
+//! * 32×32 torus Ising, the headline kernel on `sequential`,
+//!   `parallel:2` and `sharded:2` over many short rounds — where a
+//!   round's dispatch to the workers costs most against its work.
 //!
 //! Every row is one [`JobSpec`] differing only in the `backend=` and
 //! `hotpath=` keys, and every row's final-state fingerprint is asserted
@@ -118,6 +121,7 @@ fn main() {
     let tiny = std::env::args().any(|a| a == "--tiny" || a == "tiny" || a == "quick")
         || std::env::var("LSL_BENCH_QUICK").is_ok_and(|v| v != "0");
     let (side, rounds, repeats) = if tiny { (48, 4, 1) } else { (256, 96, 4) };
+    let small_rounds = if tiny { 40 } else { 4000 };
 
     // Sequential scalar first (implicit), then every lane variant the
     // model's q admits: the full packing × RNG matrix on Ising (q = 2
@@ -142,12 +146,21 @@ fn main() {
     .iter()
     .map(|s| (Backend::Sequential, lanes(s)))
     .collect();
+    let small: Vec<(Backend, HotPath)> = [
+        Backend::Sequential,
+        Backend::Parallel { threads: 2 },
+        Backend::Sharded { shards: 2 },
+    ]
+    .into_iter()
+    .map(|b| (b, lanes("lanes:bit:block")))
+    .collect();
 
     header(&[
         "E17: hot-path engine: packed slabs + block RNG + lane kernels",
         "every row is bit-identical to the scalar oracle (fingerprints asserted);",
         "headline: lanes:bit:block on the torus Ising local-metropolis workload,",
-        "on sequential, parallel:2 and sharded:2 (speedups vs the sequential scalar row)",
+        "on sequential, parallel:2 and sharded:2 (speedups vs the sequential scalar row),",
+        "at 256x256 and at 32x32 (many short rounds)",
     ]);
     header_row("workload,backend,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
 
@@ -167,6 +180,15 @@ fn main() {
         side,
         &coloring,
         rounds,
+        repeats,
+        &mut rows,
+    );
+    sweep(
+        "torus32-ising",
+        "ising:beta=0.4",
+        32,
+        &small,
+        small_rounds,
         repeats,
         &mut rows,
     );
@@ -207,7 +229,8 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"LocalMetropolis torus Ising \
          beta=0.4 + proper coloring q=16, hotpath sweep (scalar oracle vs packed lane \
-         kernels x block RNG; Ising headline kernel also on parallel:2 and sharded:2)\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
+         kernels x block RNG; Ising headline kernel also on parallel:2 and sharded:2, \
+         at 256x256 and 32x32)\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
          [\n{}\n  ]\n}}\n",
         lsl_bench::meta_json(),
         json_rows.join(",\n")

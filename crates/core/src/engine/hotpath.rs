@@ -17,9 +17,11 @@
 //!   unchanged — each head is still the pure function of
 //!   `(master, round, vertex-or-edge)` the determinism contract
 //!   demands — so trajectories are provably unchanged, and each edge
-//!   coin is computed **once**, not once per endpoint. Multi-draw
-//!   consumers keep full streams, rebuilt from a seed block
-//!   ([`lsl_local::rng::fill_stream_seeds_at`]).
+//!   coin is computed **once**, not once per endpoint. Proposals are
+//!   counted off each vertex kind's breakpoint table
+//!   ([`lsl_mrf::VertexActivity::breakpoints`]) rather than walked
+//!   down the sampler's ladder, and marks are functions of one head
+//!   ([`crate::schedule::VertexScheduler::mark`]).
 //! * **packed lanes** — states and proposals live in `u8` (or bit)
 //!   lanes, so the resolve phase's neighborhood gathers touch a quarter
 //!   (or a thirty-second) of the cache lines.
@@ -54,10 +56,7 @@ use super::{RoundCtx, EDGE_LABEL};
 use crate::schedule::VertexScheduler;
 use crate::update::Resampler;
 use lsl_graph::{EdgeId, Graph, VertexId};
-use lsl_local::rng::{
-    fill_stream_heads, fill_stream_heads_at, fill_stream_seeds, fill_stream_seeds_at, head_to_f64,
-    Xoshiro256pp, VERTEX_STREAM_LABEL,
-};
+use lsl_local::rng::{fill_stream_heads, fill_stream_heads_at, head_to_f64, VERTEX_STREAM_LABEL};
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
 
@@ -354,14 +353,6 @@ impl KernelRange {
         }
     }
 
-    /// `out[k]` = the seed of stream `(master, label, vertex(lo + k))`.
-    fn fill_seeds(&self, master: u64, label: u64, lo: usize, out: &mut [u64]) {
-        match &self.verts {
-            None => fill_stream_seeds(master, label, lo as u64, out),
-            Some(v) => fill_stream_seeds_at(master, label, &v[lo..], out),
-        }
-    }
-
     /// Loads local lanes from a full configuration.
     fn gather<L: LaneBuf>(&self, state: &[Spin], lanes: &mut L) {
         match &self.verts {
@@ -427,34 +418,6 @@ pub trait HotKernel<L>: Send {
         next: &mut [Spin],
         locals: Option<&mut [L]>,
     );
-}
-
-/// A generator that serves a precomputed stream head: its first draw is
-/// exactly the underlying stream's first draw. Only handed to
-/// single-draw consumers (one proposal sample / one mark), which is
-/// checked against the scalar path by the bit-identity property tests.
-struct OneShotRng(u64);
-
-impl rand::TryRng for OneShotRng {
-    type Error = std::convert::Infallible;
-
-    #[inline]
-    fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
-        Ok((self.0 >> 32) as u32)
-    }
-
-    #[inline]
-    fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
-        Ok(self.0)
-    }
-
-    fn try_fill_bytes(&mut self, dst: &mut [u8]) -> Result<(), Self::Error> {
-        for chunk in dst.chunks_mut(8) {
-            let bytes = self.0.to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-        Ok(())
-    }
 }
 
 /// Monomorphic packed lanes — the kernels' private storage. Same
@@ -635,10 +598,10 @@ struct LmKernel<L: LaneBuf> {
     /// usual generator output) — lets the edge pass skip the per-edge
     /// `etbl` load.
     kind0: Option<u32>,
-    /// `q == 2` with one vertex kind: `(total, w0, w1, fallback)` of
-    /// the single activity, for the vectorized proposal pass (exact
-    /// float-op order of [`lsl_mrf::VertexActivity::sample`]).
-    fast2: Option<(f64, f64, f64, Spin)>,
+    /// The proposal table of the model's single vertex kind (`None`
+    /// with several kinds, which look theirs up per vertex): see
+    /// [`lsl_mrf::VertexActivity::breakpoints`].
+    breakpoints: Option<Vec<u64>>,
     /// Per-edge-kind normalized activities, `q²` entries each: the same
     /// `get / max` values [`lsl_mrf::EdgeActivity::normalized`]
     /// computes, divided once at construction.
@@ -712,12 +675,10 @@ impl<L: LaneBuf> LmKernel<L> {
         if kind0.is_some() {
             etbl = Vec::new();
         }
-        let fast2 = (q == 2 && mrf.vertex_palette().len() == 1).then(|| {
-            let act = &mrf.vertex_palette()[0];
-            // `rposition(w > 0)` of the scalar sampler's slack fallback.
-            let fallback = if act.get(1) > 0.0 { 1 } else { 0 };
-            (act.total(), act.get(0), act.get(1), fallback)
-        });
+        let breakpoints = match mrf.vertex_palette() {
+            [act] => Some(act.breakpoints().to_vec()),
+            _ => None,
+        };
         let (mut products, mut products2, mut thr2) = (Vec::new(), Vec::new(), Vec::new());
         if q == 2 {
             products.reserve(mrf.edge_palette().len() * 16);
@@ -750,7 +711,7 @@ impl<L: LaneBuf> LmKernel<L> {
             euv,
             etbl,
             kind0,
-            fast2,
+            breakpoints,
             tables,
             products,
             products2,
@@ -798,27 +759,24 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                     let heads = &mut self.chunk[..RNG_CHUNK.min(range.len() - lo)];
                     range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
                     let proposals = &mut self.proposals_wide[lo..][..heads.len()];
-                    if let Some((total, w0, w1, fallback)) = self.fast2 {
-                        // The scalar sampler's exact subtraction ladder
-                        // for the single two-entry activity, as a
-                        // vectorizable pass (then one pack pass into
-                        // the proposal lanes).
-                        for (slot, &head) in proposals.iter_mut().zip(heads.iter()) {
-                            let t0 = head_to_f64(head) * total - w0;
-                            let t1 = t0 - w1;
-                            *slot = if t0 < 0.0 {
-                                0
-                            } else if t1 < 0.0 {
-                                1
-                            } else {
-                                fallback
-                            };
+                    // The proposal is the number of the vertex kind's
+                    // breakpoints at or below the head's 53-bit draw —
+                    // exactly the scalar sampler's subtraction ladder
+                    // (see `VertexActivity::breakpoints`). With one
+                    // kind, one vectorizable counting pass per
+                    // breakpoint.
+                    if let Some(bps) = &self.breakpoints {
+                        proposals.fill(0);
+                        for &b in bps {
+                            for (slot, &head) in proposals.iter_mut().zip(heads.iter()) {
+                                *slot += Spin::from(head >> 11 >= b);
+                            }
                         }
                     } else {
                         for (k, (slot, &head)) in proposals.iter_mut().zip(heads.iter()).enumerate()
                         {
                             let act = self.mrf.vertex_activity(range.vertex(lo + k));
-                            *slot = act.sample(&mut OneShotRng(head));
+                            *slot = act.sample_head(head);
                         }
                     }
                 }
@@ -1050,24 +1008,24 @@ pub(crate) fn local_metropolis_kernel(
     }
 }
 
-/// The LubyGlauber kernel: a seed-block mark pass over owned ∪ halo,
+/// The LubyGlauber kernel: a head-block mark pass over owned ∪ halo,
 /// then heat-bath resamples for exactly the selected owned vertices
 /// (resolve streams are constructed *only* for them).
 ///
 /// Schedulers read marks, and the model's marginal reads spins, by
 /// global vertex id, so the mark buffer and the packed state lanes are
 /// full-length — written only at the range's vertices, which are all a
-/// selection or marginal on an owned vertex reads. The seed block is
-/// range-sized.
+/// selection or marginal on an owned vertex reads. The head block is
+/// one chunk.
 struct LgKernel<S: VertexScheduler, L: LaneBuf> {
     mrf: Arc<Mrf>,
     range: KernelRange,
     scheduler: S,
     block_rng: bool,
     sx: L,
-    /// One chunk of seeds for the mark streams (marks may draw any
-    /// number of times, so they get full streams, not heads).
-    seeds: Vec<u64>,
+    /// One chunk of mark-stream heads (a mark is a function of its
+    /// stream's first draw; see [`VertexScheduler::mark`]).
+    heads: Vec<u64>,
     weights: Vec<f64>,
     resampler: Resampler,
     /// Mark buffer, keyed like the LM proposal block so coupled
@@ -1083,7 +1041,7 @@ impl<S: VertexScheduler, L: LaneBuf> LgKernel<S, L> {
             scheduler,
             block_rng,
             sx: L::with_len(n),
-            seeds: vec![0; if block_rng { RNG_CHUNK } else { 0 }],
+            heads: vec![0; if block_rng { RNG_CHUNK } else { 0 }],
             weights: vec![0.0; mrf.q()],
             resampler: Resampler::new(&mrf),
             marks_wide: vec![S::Mark::default(); n],
@@ -1105,24 +1063,23 @@ impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
         let range = &self.range;
         range.load_at(state, &mut self.sx);
 
-        // Propose: the scheduler marks owned ∪ halo, streams rebuilt
-        // from one seed block (identical streams, one derivation pass).
+        // Propose: the scheduler marks owned ∪ halo from one block of
+        // propose-stream heads (each mark's single draw).
         if self.marks_key != Some(ctx.propose_master) {
             if self.block_rng {
                 for lo in (0..range.len()).step_by(RNG_CHUNK) {
-                    let seeds = &mut self.seeds[..RNG_CHUNK.min(range.len() - lo)];
-                    range.fill_seeds(ctx.propose_master, VERTEX_STREAM_LABEL, lo, seeds);
-                    for (k, &seed) in seeds.iter().enumerate() {
+                    let heads = &mut self.heads[..RNG_CHUNK.min(range.len() - lo)];
+                    range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
+                    for (k, &head) in heads.iter().enumerate() {
                         let v = range.vertex(lo + k);
-                        let mut rng = Xoshiro256pp::seed_from(seed);
-                        self.marks_wide[v.index()] = self.scheduler.mark(v, &mut rng);
+                        self.marks_wide[v.index()] = self.scheduler.mark(v, head);
                     }
                 }
             } else {
                 for i in 0..range.len() {
                     let v = range.vertex(i);
                     let mut rng = ctx.propose_rng(v);
-                    self.marks_wide[v.index()] = self.scheduler.mark(v, rng.raw());
+                    self.marks_wide[v.index()] = self.scheduler.mark(v, rng.raw().next());
                 }
             }
             self.marks_key = Some(ctx.propose_master);
@@ -1201,7 +1158,7 @@ pub(crate) fn luby_glauber_kernel<S: VertexScheduler>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsl_local::rng::stream_head;
+    use lsl_local::rng::Xoshiro256pp;
 
     #[test]
     fn hotpath_display_parses_back() {
@@ -1260,16 +1217,6 @@ mod tests {
             HotPath::default().resolved_packing(1000),
             Some(Packing::Wide)
         );
-    }
-
-    #[test]
-    fn one_shot_serves_its_head() {
-        use rand::RngExt;
-        let head = stream_head(7, VERTEX_STREAM_LABEL, 3);
-        let mut one = OneShotRng(head);
-        let mut full =
-            Xoshiro256pp::seed_from(lsl_local::rng::derive_seed(7, VERTEX_STREAM_LABEL, 3));
-        assert_eq!(one.random::<f64>(), full.uniform_f64());
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! * a [`Backend`] says how the sweep runs — four execution backends,
 //!   all bit-identical by the determinism contract:
 //!   [`Backend::Sequential`] (one vertex after another),
-//!   [`Backend::Parallel`] (a scoped-thread fork-join over vertex
-//!   ranges), [`Backend::Sharded`] (owner-computes graph shards with
-//!   boundary exchange and communication accounting — see
-//!   [`sharded::ShardedChain`]), and the batched-replica backend
+//!   [`Backend::Parallel`] (contiguous vertex ranges, one per worker
+//!   of a persistent round pool), [`Backend::Sharded`]
+//!   (owner-computes graph shards with boundary exchange and
+//!   communication accounting — see [`sharded::ShardedChain`]), and
+//!   the batched-replica backend
 //!   ([`replicas::ReplicaSet`], which advances a whole batch of chains
 //!   in one cache-friendly pass — the workhorse for TV estimation and
 //!   grand couplings);
@@ -35,6 +36,7 @@
 //! the paper's grand coupling by construction.
 
 pub mod hotpath;
+mod pool;
 pub mod replicas;
 pub mod rules;
 pub mod sharded;
@@ -42,6 +44,8 @@ pub mod slab;
 
 pub use hotpath::{HotKernel, HotPath, KernelRange};
 pub use slab::{Packing, StateSlab, StateView};
+
+use pool::RoundPool;
 
 use lsl_graph::{EdgeId, VertexId};
 use lsl_local::rng::{derive_seed, round_key, VertexRng, Xoshiro256pp};
@@ -221,10 +225,12 @@ pub trait SyncRule: Send + Sync {
 pub enum Backend {
     /// One vertex after another on the calling thread.
     Sequential,
-    /// Fork-join over contiguous vertex ranges with scoped threads —
-    /// one lane kernel per range (see [`hotpath`]) when the rule has
-    /// one, else the scalar phases chunked the same way. Bit-identical
-    /// to [`Backend::Sequential`] by the determinism contract.
+    /// Contiguous vertex ranges, one per worker of the chain's
+    /// persistent round pool (started once, joined on drop; the
+    /// calling thread is one of the workers) — one lane kernel per
+    /// range (see [`hotpath`]) when the rule has one, else the scalar
+    /// phases chunked the same way. Bit-identical to
+    /// [`Backend::Sequential`] by the determinism contract.
     ///
     /// **`threads == 0` means auto-detect**: the worker count resolves
     /// to [`std::thread::available_parallelism`] (clamped to at least
@@ -347,42 +353,58 @@ impl std::str::FromStr for Backend {
     }
 }
 
-/// Fills `out[i] = f(offset + i, scratch)` using `workers` threads over
-/// contiguous chunks. `f` must be a pure function of the index (plus
-/// its captured shared references) — the chunking is then unobservable.
+/// Fills `out[i] = f(i, scratch)` over contiguous chunks of
+/// [`kernel_chunk`] indices, one per worker of `pool` (inline without
+/// one). `f` must be a pure function of the index (plus its captured
+/// shared references) — the chunking is then unobservable.
 fn fill_indexed<T: Send, S: Send>(
-    workers: usize,
+    pool: Option<&mut RoundPool>,
     out: &mut [T],
     scratches: &mut [S],
     f: impl Fn(usize, &mut T, &mut S) + Sync,
 ) {
-    if workers <= 1 || out.len() < 2 * workers {
-        let s = &mut scratches[0];
+    let workers = pool
+        .as_ref()
+        .map_or(1, |p| p.workers())
+        .min(scratches.len());
+    let chunk = kernel_chunk(out.len(), workers);
+    let fill = |ci: usize, (out, scratch): &mut (&mut [T], &mut S)| {
         for (i, slot) in out.iter_mut().enumerate() {
-            f(i, slot, s);
+            f(ci * chunk + i, slot, scratch);
         }
-        return;
+    };
+    match pool {
+        Some(pool) if chunk < out.len() => {
+            let mut jobs: Vec<_> = out.chunks_mut(chunk).zip(scratches.iter_mut()).collect();
+            pool.run(&mut jobs, fill);
+        }
+        _ => fill(0, &mut (out, &mut scratches[0])),
     }
-    let chunk = out.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (ci, (chunk_out, scratch)) in
-            out.chunks_mut(chunk).zip(scratches.iter_mut()).enumerate()
-        {
-            let f = &f;
-            scope.spawn(move || {
-                let base = ci * chunk;
-                for (i, slot) in chunk_out.iter_mut().enumerate() {
-                    f(base + i, slot, scratch);
-                }
-            });
-        }
-    });
+}
+
+/// Below this many vertices per worker, handing a round to a pool's
+/// threads costs more than the work it splits, so an `n`-vertex chain
+/// on `workers` workers runs its rounds on the calling thread when
+/// `n < MIN_WORKER_VERTICES · workers` — still split into the same
+/// ranges, shards or chunks. On a 2-CPU host, two workers took about
+/// 1.7× one worker's time per round on an 8² Ising torus, broke even
+/// near 14², and won from 16² up. Not an option: trajectories do not
+/// depend on how many threads run a round.
+const MIN_WORKER_VERTICES: usize = 128;
+
+/// The round pool of an `n`-vertex chain split `workers` ways: one
+/// worker (no threads) below [`MIN_WORKER_VERTICES`] per worker.
+fn round_pool(workers: usize, n: usize) -> RoundPool {
+    RoundPool::new(if n >= MIN_WORKER_VERTICES * workers {
+        workers
+    } else {
+        1
+    })
 }
 
 /// The owned-range length of each kernel of an `n`-vertex chain on
 /// `workers` workers: the whole graph on one worker (or when there are
-/// fewer than two vertices per worker — the same cutoff as
-/// [`fill_indexed`]), else `n / workers` rounded up.
+/// fewer than two vertices per worker), else `n / workers` rounded up.
 fn kernel_chunk(n: usize, workers: usize) -> usize {
     if workers <= 1 || n < 2 * workers {
         n.max(1)
@@ -398,9 +420,9 @@ fn propose_phase<R: SyncRule>(
     state: &[Spin],
     locals: &mut [R::Local],
     scratches: &mut [R::Scratch],
-    workers: usize,
+    pool: Option<&mut RoundPool>,
 ) {
-    fill_indexed(workers, locals, scratches, |i, slot, scratch| {
+    fill_indexed(pool, locals, scratches, |i, slot, scratch| {
         let v = VertexId(i as u32);
         let mut rng = ctx.propose_rng(v);
         *slot = rule.propose(ctx, v, state, rng.raw(), scratch);
@@ -415,9 +437,9 @@ fn resolve_phase<R: SyncRule>(
     locals: &[R::Local],
     next: &mut [Spin],
     scratches: &mut [R::Scratch],
-    workers: usize,
+    pool: Option<&mut RoundPool>,
 ) {
-    fill_indexed(workers, next, scratches, |i, slot, scratch| {
+    fill_indexed(pool, next, scratches, |i, slot, scratch| {
         let v = VertexId(i as u32);
         let mut rng = ctx.resolve_rng(v);
         *slot = rule.resolve(ctx, v, state, locals, rng.raw(), scratch);
@@ -435,7 +457,7 @@ fn run_round<R: SyncRule>(
     next: &mut Vec<Spin>,
     locals: &mut [R::Local],
     scratches: &mut [R::Scratch],
-    workers: usize,
+    mut pool: Option<&mut RoundPool>,
 ) {
     if let Some(v) = rule.active_vertex(ctx) {
         let mut rng = ctx.resolve_rng(v);
@@ -444,9 +466,9 @@ fn run_round<R: SyncRule>(
         return;
     }
     if R::HAS_PROPOSE {
-        propose_phase(rule, ctx, state, locals, scratches, workers);
+        propose_phase(rule, ctx, state, locals, scratches, pool.as_deref_mut());
     }
-    resolve_phase(rule, ctx, state, locals, next, scratches, workers);
+    resolve_phase(rule, ctx, state, locals, next, scratches, pool);
     std::mem::swap(state, next);
 }
 
@@ -479,10 +501,13 @@ pub struct SyncChain<R: SyncRule> {
     state: Vec<Spin>,
     next: Vec<Spin>,
     locals: Vec<R::Local>,
+    /// One per worker.
     scratches: Vec<R::Scratch>,
-    /// Resolved worker count (cached at `set_backend`; probing
+    /// The backend's resolved worker count (resolved once: probing
     /// available parallelism per round is not free).
     workers: usize,
+    /// The threads that run a round's ranges (see [`round_pool`]).
+    pool: RoundPool,
     /// The hot-path selection (see [`HotPath`]).
     hotpath: HotPath,
     /// The rule's lane-batched kernels under `hotpath`, one per
@@ -515,25 +540,57 @@ impl<R: SyncRule> SyncChain<R> {
         Self::with_state(mrf, rule, master, start)
     }
 
-    /// Builds the chain from an explicit start.
+    /// Builds the chain from an explicit start, with the sequential
+    /// backend and the default hot path.
     ///
     /// # Panics
     /// Panics if the configuration has the wrong length.
     pub fn with_state(mrf: impl Into<Arc<Mrf>>, rule: R, master: u64, state: Vec<Spin>) -> Self {
+        Self::configured(
+            mrf,
+            rule,
+            master,
+            state,
+            Backend::Sequential,
+            HotPath::default(),
+        )
+    }
+
+    /// Builds the chain from an explicit start for its final backend
+    /// and hot path: each kernel is built once, for the ranges of the
+    /// backend's workers (what the sampler facade builds). Equivalent
+    /// to [`SyncChain::with_state`] followed by
+    /// [`SyncChain::set_backend`] and [`SyncChain::set_hotpath`],
+    /// without the kernels those would build and drop.
+    ///
+    /// # Panics
+    /// Panics if the configuration has the wrong length, or if an
+    /// explicitly requested packing cannot hold this model's spins.
+    pub fn configured(
+        mrf: impl Into<Arc<Mrf>>,
+        rule: R,
+        master: u64,
+        state: Vec<Spin>,
+        backend: Backend,
+        hotpath: HotPath,
+    ) -> Self {
         let mrf = mrf.into();
         assert_eq!(state.len(), mrf.num_vertices(), "state length must be n");
+        hotpath.validate_for(mrf.q()).expect("invalid hot path");
         let n = state.len();
-        let scratches = vec![rule.make_scratch(&mrf)];
+        let workers = backend.worker_count();
+        let scratches = (0..workers).map(|_| rule.make_scratch(&mrf)).collect();
         let mut chain = SyncChain {
             mrf,
             rule,
-            backend: Backend::Sequential,
+            backend,
             state,
             next: vec![0; n],
             locals: vec![R::Local::default(); n],
             scratches,
-            workers: 1,
-            hotpath: HotPath::default(),
+            workers,
+            pool: round_pool(workers, n),
+            hotpath,
             kernels: Vec::new(),
             master,
             round: 0,
@@ -565,12 +622,17 @@ impl<R: SyncRule> SyncChain<R> {
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
         let want = backend.worker_count();
+        if want == self.workers {
+            return;
+        }
         while self.scratches.len() < want {
             self.scratches.push(self.rule.make_scratch(&self.mrf));
         }
         let n = self.state.len();
         let resplit = kernel_chunk(n, want) != kernel_chunk(n, self.workers);
         self.workers = want;
+        // The old pool's threads are joined before the new pool starts.
+        self.pool = round_pool(want, n);
         if resplit {
             self.build_kernels();
         }
@@ -667,33 +729,22 @@ impl<R: SyncRule> SyncChain<R> {
     /// [`Sampler::step_keyed`]: crate::sampler::Sampler::step_keyed
     pub fn step_keyed(&mut self, master: u64) {
         let ctx = RoundCtx::new(&self.mrf, master, self.round);
-        let workers = self.workers.min(self.scratches.len());
         // Lane-batched kernels serve synchronous rounds on every
         // backend: one range inline, or one contiguous range per worker
-        // under a per-round scope (the calling thread takes the first).
+        // of the round pool (the calling thread takes the first).
         // Single-site rounds touch one vertex and keep the scalar path.
         if !self.kernels.is_empty() && self.rule.active_vertex(&ctx).is_none() {
             let (ctx, state) = (&ctx, &self.state[..]);
             let chunk = kernel_chunk(state.len(), self.workers);
-            let mut jobs = self
+            let mut jobs: Vec<_> = self
                 .kernels
                 .iter_mut()
                 .zip(self.next.chunks_mut(chunk))
-                .zip(self.locals.chunks_mut(chunk));
-            let first = jobs.next();
-            let run = |((kernel, next), locals): ((&mut Box<dyn HotKernel<_>>, _), _)| {
+                .zip(self.locals.chunks_mut(chunk))
+                .collect();
+            self.pool.run(&mut jobs, |_, ((kernel, next), locals)| {
                 kernel.advance(ctx, state, next, Some(locals))
-            };
-            if jobs.len() == 0 {
-                first.map(run);
-            } else {
-                std::thread::scope(|scope| {
-                    for job in jobs {
-                        scope.spawn(move || run(job));
-                    }
-                    first.map(run);
-                });
-            }
+            });
             std::mem::swap(&mut self.state, &mut self.next);
         } else {
             run_round(
@@ -703,7 +754,7 @@ impl<R: SyncRule> SyncChain<R> {
                 &mut self.next,
                 &mut self.locals,
                 &mut self.scratches,
-                workers,
+                Some(&mut self.pool),
             );
         }
         self.last_key = Some((master, self.round));
@@ -755,6 +806,51 @@ mod tests {
     fn luby_glauber_parallel_matches_sequential() {
         let mrf = models::proper_coloring(generators::cycle(17), 5);
         trajectories_match(&mrf, LubyGlauberRule::luby(), 30);
+    }
+
+    #[test]
+    fn refused_pool_threads_run_rounds_on_the_caller() {
+        // An OS at its thread limit: every backend still runs, on the
+        // calling thread, with the sequential trajectory.
+        let mrf = Arc::new(models::proper_coloring(generators::torus(24, 24), 10));
+        let start = crate::single_site::default_start(&mrf);
+        let mut seq = SyncChain::new(Arc::clone(&mrf), LocalMetropolisRule::new(), 5);
+        pool::REFUSE_THREADS.with(|r| r.set(true));
+        let mut chains: Vec<Box<dyn FnMut() -> Vec<Spin>>> = Vec::new();
+        for hotpath in [HotPath::default(), HotPath::Scalar] {
+            let mut par = SyncChain::configured(
+                Arc::clone(&mrf),
+                LocalMetropolisRule::new(),
+                5,
+                start.clone(),
+                Backend::Parallel { threads: 3 },
+                hotpath,
+            );
+            chains.push(Box::new(move || {
+                par.step();
+                par.state().to_vec()
+            }));
+            let part = lsl_graph::partition::Partition::contiguous(mrf.graph(), 3);
+            let mut sharded = sharded::ShardedChain::configured(
+                Arc::clone(&mrf),
+                LocalMetropolisRule::new(),
+                5,
+                start.clone(),
+                part,
+                hotpath,
+            );
+            chains.push(Box::new(move || {
+                sharded.step();
+                sharded.state().to_vec()
+            }));
+        }
+        for round in 0..10 {
+            seq.step();
+            for step in chains.iter_mut() {
+                assert_eq!(step(), seq.state(), "diverged at round {round}");
+            }
+        }
+        pool::REFUSE_THREADS.with(|r| r.set(false));
     }
 
     #[test]

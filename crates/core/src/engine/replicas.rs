@@ -17,9 +17,10 @@
 //!   `B` copies — the batch does `1/B` of the proposal randomness work.
 //!
 //! Replicas are embarrassingly parallel, so the set also accepts a
-//! [`Backend`] that shards replicas over scoped threads.
+//! [`Backend`] that splits replicas over the workers of a persistent
+//! round pool.
 
-use super::{HotKernel, HotPath, KernelRange, RoundCtx, SyncRule};
+use super::{HotKernel, HotPath, KernelRange, RoundCtx, RoundPool, SyncRule};
 use crate::engine::Backend;
 use lsl_local::rng::derive_seed;
 use lsl_mrf::{Mrf, Spin};
@@ -61,21 +62,28 @@ pub struct ReplicaSet<R: SyncRule> {
     coupled: bool,
     /// Shared locals for coupled state-free proposals.
     shared_locals: Vec<R::Local>,
-    /// Per-worker (locals, scratch) pairs.
-    worker_locals: Vec<Vec<R::Local>>,
-    scratches: Vec<R::Scratch>,
-    /// The hot-path selection, and one whole-graph kernel per worker
-    /// (replicas are sharded by whole replica, so per-worker kernels
-    /// preserve trajectories at any worker count). A kernel's proposal cache is
-    /// keyed by the round's propose master, which is what amortizes the
-    /// coupled batch's shared randomness without a separate shared
-    /// propose pass.
+    /// Per-worker state, built on the first round that uses the
+    /// worker: each worker's locals, scratch, and whole-graph kernel
+    /// (replicas are split by whole replica, so per-worker kernels
+    /// preserve trajectories at any worker count). A kernel's proposal
+    /// cache is keyed by the round's propose master, which is what
+    /// amortizes the coupled batch's shared randomness without a
+    /// separate shared propose pass.
+    workers: Vec<Worker<R>>,
+    /// The hot-path selection every worker's kernel follows.
     hotpath: HotPath,
-    kernels: Vec<Option<Box<dyn HotKernel<R::Local>>>>,
-    /// Resolved worker count (cached at `set_backend`; probing
-    /// available parallelism per round is not free).
-    workers: usize,
+    /// The round pool, sized to the backend's resolved worker count
+    /// (resolved once: probing available parallelism per round is not
+    /// free).
+    pool: RoundPool,
     round: u64,
+}
+
+/// One worker's reusable buffers.
+struct Worker<R: SyncRule> {
+    locals: Vec<R::Local>,
+    scratch: R::Scratch,
+    kernel: Option<Box<dyn HotKernel<R::Local>>>,
 }
 
 impl<R: SyncRule> std::fmt::Debug for ReplicaSet<R> {
@@ -96,9 +104,6 @@ impl<R: SyncRule> ReplicaSet<R> {
         assert!(n > 0, "replica sets need a non-empty model");
         let count = masters.len();
         assert_eq!(states.len(), n * count);
-        let scratches = vec![rule.make_scratch(&mrf)];
-        let hotpath = HotPath::default();
-        let kernels = vec![hotpath.build_kernel(&mrf, &rule, KernelRange::whole(mrf.graph()))];
         ReplicaSet {
             rule,
             backend: Backend::Sequential,
@@ -109,11 +114,9 @@ impl<R: SyncRule> ReplicaSet<R> {
             masters,
             coupled,
             shared_locals: vec![R::Local::default(); n],
-            worker_locals: vec![vec![R::Local::default(); n]],
-            scratches,
-            hotpath,
-            kernels,
-            workers: 1,
+            workers: Vec::new(),
+            hotpath: HotPath::default(),
+            pool: RoundPool::new(1),
             round: 0,
             mrf,
         }
@@ -171,21 +174,14 @@ impl<R: SyncRule> ReplicaSet<R> {
         Self::build(mrf, rule, states, masters, true)
     }
 
-    /// Shards replicas over `backend`'s workers (trajectories are
+    /// Splits replicas over `backend`'s workers (trajectories are
     /// unaffected).
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
         let want = backend.worker_count();
-        while self.scratches.len() < want {
-            self.scratches.push(self.rule.make_scratch(&self.mrf));
-            self.worker_locals.push(vec![R::Local::default(); self.n]);
-            self.kernels.push(self.hotpath.build_kernel(
-                &self.mrf,
-                &self.rule,
-                KernelRange::whole(self.mrf.graph()),
-            ));
+        if want != self.pool.workers() {
+            self.pool = RoundPool::new(want);
         }
-        self.workers = want;
     }
 
     /// Selects the hot path for the synchronous rounds (trajectories are
@@ -199,9 +195,23 @@ impl<R: SyncRule> ReplicaSet<R> {
             .validate_for(self.mrf.q())
             .expect("invalid hot path for this model");
         self.hotpath = hotpath;
-        for slot in self.kernels.iter_mut() {
-            *slot =
-                hotpath.build_kernel(&self.mrf, &self.rule, KernelRange::whole(self.mrf.graph()));
+        // Kernels are rebuilt, under the new selection, as rounds need
+        // them.
+        self.workers.clear();
+    }
+
+    /// Builds the per-worker buffers of the first `count` workers.
+    fn ensure_workers(&mut self, count: usize) {
+        while self.workers.len() < count {
+            self.workers.push(Worker {
+                locals: vec![R::Local::default(); self.n],
+                scratch: self.rule.make_scratch(&self.mrf),
+                kernel: self.hotpath.build_kernel(
+                    &self.mrf,
+                    &self.rule,
+                    KernelRange::whole(self.mrf.graph()),
+                ),
+            });
         }
     }
 
@@ -244,13 +254,30 @@ impl<R: SyncRule> ReplicaSet<R> {
         let probe = RoundCtx::new(&self.mrf, self.masters[0], round);
         let single_site = self.rule.active_vertex(&probe).is_some();
 
+        // Below this much per-round work (spins actually touched: one per
+        // replica for single-site rules, the whole arena otherwise), a
+        // round's dispatch rivals the work itself — run on the calling
+        // thread.
+        const MIN_PARALLEL_SPINS: usize = 1 << 14;
+        let touched = if single_site {
+            self.count
+        } else {
+            self.count * self.n
+        };
+        let workers = if touched < MIN_PARALLEL_SPINS {
+            1
+        } else {
+            self.pool.workers().min(self.count)
+        };
+        self.ensure_workers(workers);
+
         // Coupled + state-free proposals: one propose phase serves every
         // replica (they share all randomness, and proposals ignore the
         // state) — the batch's 1/B randomness amortization. Engaged
         // kernels get the same amortization from their propose cache
         // (keyed by the shared propose master), so the precompute is
         // skipped for them.
-        let kernels_engaged = !single_site && self.kernels[0].is_some();
+        let kernels_engaged = !single_site && self.workers[0].kernel.is_some();
         let share_propose = !single_site
             && self.coupled
             && R::HAS_PROPOSE
@@ -263,40 +290,31 @@ impl<R: SyncRule> ReplicaSet<R> {
                 &ctx,
                 &self.states[..self.n],
                 &mut self.shared_locals,
-                &mut self.scratches[..1],
-                1,
+                std::slice::from_mut(&mut self.workers[0].scratch),
+                None,
             );
         }
 
-        // Below this much per-round work (spins actually touched: one per
-        // replica for single-site rules, the whole arena otherwise),
-        // fork-join overhead rivals the work itself — run on the calling
-        // thread.
-        const MIN_PARALLEL_SPINS: usize = 1 << 14;
-        let touched = if single_site {
-            self.count
-        } else {
-            self.count * self.n
-        };
-        let workers = if touched < MIN_PARALLEL_SPINS {
-            1
-        } else {
-            self.workers.min(self.count).max(1)
-        };
         let per_worker = self.count.div_ceil(workers);
         let n = self.n;
         let mrf: &Mrf = &self.mrf;
         let rule = &self.rule;
         let masters = &self.masters;
         let shared_locals = &self.shared_locals;
+        let pool = &mut self.pool;
 
         if single_site {
             // In-place: only the active vertex of each replica changes.
-            // Per-worker body over a contiguous run of replicas starting
-            // at replica index `base`.
-            let work = |base: usize, chunk: &mut [Spin], scratch: &mut R::Scratch| {
+            // Job `wi` runs a contiguous run of replicas starting at
+            // replica index `wi * per_worker`.
+            let mut jobs: Vec<_> = self
+                .states
+                .chunks_mut(per_worker * n)
+                .zip(&mut self.workers)
+                .collect();
+            pool.run(&mut jobs, |wi, (chunk, worker)| {
                 for (bi, state) in chunk.chunks_mut(n).enumerate() {
-                    let ctx = RoundCtx::new(mrf, masters[base + bi], round);
+                    let ctx = RoundCtx::new(mrf, masters[wi * per_worker + bi], round);
                     let v = rule
                         .active_vertex(&ctx)
                         .expect("active_vertex must be rule-constant");
@@ -305,31 +323,31 @@ impl<R: SyncRule> ReplicaSet<R> {
                     // (default-valued) shared buffer stands in for locals
                     // — same as SyncChain's fast path, and safely
                     // indexable by any rule.
-                    state[v.index()] =
-                        rule.resolve(&ctx, v, state, shared_locals, rng.raw(), scratch);
+                    state[v.index()] = rule.resolve(
+                        &ctx,
+                        v,
+                        state,
+                        shared_locals,
+                        rng.raw(),
+                        &mut worker.scratch,
+                    );
                 }
-            };
-            if workers <= 1 {
-                work(0, &mut self.states, &mut self.scratches[0]);
-            } else {
-                let state_chunks = self.states.chunks_mut(per_worker * n);
-                let scratch_iter = self.scratches.iter_mut();
-                std::thread::scope(|scope| {
-                    for (wi, (chunk, scratch)) in state_chunks.zip(scratch_iter).enumerate() {
-                        let work = &work;
-                        scope.spawn(move || work(wi * per_worker, chunk, scratch));
-                    }
-                });
-            }
+            });
         } else {
-            let work = |base: usize,
-                        states: &[Spin],
-                        next: &mut [Spin],
-                        scratch: &mut R::Scratch,
-                        locals: &mut Vec<R::Local>,
-                        kernel: &mut Option<Box<dyn HotKernel<R::Local>>>| {
+            let mut jobs: Vec<_> = self
+                .states
+                .chunks(per_worker * n)
+                .zip(self.next.chunks_mut(per_worker * n))
+                .zip(&mut self.workers)
+                .collect();
+            pool.run(&mut jobs, |wi, ((states, next), worker)| {
+                let Worker {
+                    locals,
+                    scratch,
+                    kernel,
+                } = worker;
                 for (bi, (state, next)) in states.chunks(n).zip(next.chunks_mut(n)).enumerate() {
-                    let ctx = RoundCtx::new(mrf, masters[base + bi], round);
+                    let ctx = RoundCtx::new(mrf, masters[wi * per_worker + bi], round);
                     if let Some(k) = kernel.as_mut() {
                         k.advance(&ctx, state, next, Some(locals));
                         continue;
@@ -344,7 +362,7 @@ impl<R: SyncRule> ReplicaSet<R> {
                                 state,
                                 locals,
                                 std::slice::from_mut(scratch),
-                                1,
+                                None,
                             );
                         }
                         locals
@@ -356,40 +374,10 @@ impl<R: SyncRule> ReplicaSet<R> {
                         locals_for_replica,
                         next,
                         std::slice::from_mut(scratch),
-                        1,
+                        None,
                     );
                 }
-            };
-            if workers <= 1 {
-                work(
-                    0,
-                    &self.states,
-                    &mut self.next,
-                    &mut self.scratches[0],
-                    &mut self.worker_locals[0],
-                    &mut self.kernels[0],
-                );
-            } else {
-                let state_chunks = self.states.chunks(per_worker * n);
-                let next_chunks = self.next.chunks_mut(per_worker * n);
-                let scratch_iter = self.scratches.iter_mut();
-                let locals_iter = self.worker_locals.iter_mut();
-                let kernel_iter = self.kernels.iter_mut();
-                std::thread::scope(|scope| {
-                    for (wi, ((((states, next), scratch), locals), kernel)) in state_chunks
-                        .zip(next_chunks)
-                        .zip(scratch_iter)
-                        .zip(locals_iter)
-                        .zip(kernel_iter)
-                        .enumerate()
-                    {
-                        let work = &work;
-                        scope.spawn(move || {
-                            work(wi * per_worker, states, next, scratch, locals, kernel)
-                        });
-                    }
-                });
-            }
+            });
             std::mem::swap(&mut self.states, &mut self.next);
         }
         self.round += 1;

@@ -261,7 +261,7 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
         rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> S::Mark {
-        self.scheduler.mark(v, rng)
+        self.scheduler.mark(v, rng.next())
     }
 
     fn resolve<Sv: StateView + ?Sized>(

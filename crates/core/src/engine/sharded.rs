@@ -52,7 +52,7 @@
 //! every partition — property-tested across partitioners, algorithms,
 //! and schedulers in `tests/sharded.rs`.
 
-use super::{HotKernel, HotPath, KernelRange, Packing, RoundCtx, SyncRule};
+use super::{round_pool, HotKernel, HotPath, KernelRange, Packing, RoundCtx, RoundPool, SyncRule};
 use lsl_graph::partition::Partition;
 use lsl_graph::{Graph, VertexId};
 use lsl_mrf::{Mrf, Spin};
@@ -551,6 +551,9 @@ pub struct ShardedChain<R: SyncRule> {
     rule: R,
     partition: Partition,
     shards: Vec<ShardCore<R>>,
+    /// One worker per shard (shard `s` always advances on worker `s`),
+    /// or none for a small model (see [`round_pool`]).
+    pool: RoundPool,
     exchange: Exchange,
     /// The hot-path selection every shard's kernel follows.
     hotpath: HotPath,
@@ -586,7 +589,8 @@ impl<R: SyncRule> ShardedChain<R> {
         Self::with_state(mrf, rule, master, start, partition)
     }
 
-    /// Builds the sharded chain from an explicit start.
+    /// Builds the sharded chain from an explicit start, with the
+    /// default hot path.
     ///
     /// # Panics
     /// As [`ShardedChain::new`], plus if the configuration has the
@@ -598,7 +602,28 @@ impl<R: SyncRule> ShardedChain<R> {
         state: Vec<Spin>,
         partition: Partition,
     ) -> Self {
+        Self::configured(mrf, rule, master, state, partition, HotPath::default())
+    }
+
+    /// Builds the sharded chain from an explicit start for its final
+    /// hot path: each shard's kernel is built once (what the sampler
+    /// facade builds). Equivalent to [`ShardedChain::with_state`]
+    /// followed by [`ShardedChain::set_hotpath`], without the kernels
+    /// that would build and drop.
+    ///
+    /// # Panics
+    /// As [`ShardedChain::with_state`], plus if an explicitly requested
+    /// packing cannot hold this model's spins.
+    pub fn configured(
+        mrf: impl Into<Arc<Mrf>>,
+        rule: R,
+        master: u64,
+        state: Vec<Spin>,
+        partition: Partition,
+        hotpath: HotPath,
+    ) -> Self {
         let mrf = mrf.into();
+        hotpath.validate_for(mrf.q()).expect("invalid hot path");
         let n = mrf.num_vertices();
         assert_eq!(state.len(), n, "state length must be n");
         assert_eq!(
@@ -608,13 +633,13 @@ impl<R: SyncRule> ShardedChain<R> {
             partition.len()
         );
         let exchange = Exchange::new(&mrf, &partition, &state);
-        let hotpath = HotPath::default();
         let shards = (0..partition.num_shards())
             .map(|s| ShardCore::build(&mrf, &rule, &partition, exchange.plan(), s, &state, hotpath))
             .collect();
         ShardedChain {
             mrf,
             rule,
+            pool: round_pool(partition.num_shards(), n),
             partition,
             shards,
             exchange,
@@ -740,20 +765,15 @@ impl<R: SyncRule> ShardedChain<R> {
         let rule = &self.rule;
         let active = rule.active_vertex(ctx);
         // Every shard advances; only a synchronous round has enough
-        // work per shard to be worth a thread each (the calling thread
+        // work per shard to be worth a worker each (the calling thread
         // takes the first shard).
-        if active.is_some() || self.shards.len() == 1 {
+        if active.is_some() {
             for w in &mut self.shards {
                 w.advance(rule, ctx, active);
             }
         } else {
-            let (first, rest) = self.shards.split_at_mut(1);
-            std::thread::scope(|scope| {
-                for w in rest {
-                    scope.spawn(move || w.advance(rule, ctx, None));
-                }
-                first[0].advance(rule, ctx, None);
-            });
+            self.pool
+                .run(&mut self.shards, |_, w| w.advance(rule, ctx, None));
         }
 
         // Owners publish into the exchange and the canonical mirror —

@@ -550,43 +550,10 @@ impl SamplerBuilder {
                     .start
                     .unwrap_or_else(|| crate::single_site::default_start(&mrf));
                 let seed = self.seed;
-                let hotpath = self.hotpath;
+                let hotpath = self.hotpath.unwrap_or_default();
                 dispatch_rule!(self.algorithm, self.scheduler, &mrf, |rule| {
-                    // The sharded backend is a different executor, not a
-                    // different sweep order: owner-computes shards over a
-                    // contiguous partition, exchanging boundary states.
-                    // `cluster:k` built in-process is the same executor
-                    // with the same partition — the distributed run (see
-                    // `crate::cluster`) is bit-identical to it by the
-                    // determinism contract.
-                    let inner: Box<dyn DynSampler + Send> = if let Backend::Sharded { .. }
-                    | Backend::Cluster { .. } = backend
-                    {
-                        // min-then-max (not clamp) so a hypothetical
-                        // empty model degrades instead of panicking.
-                        let k = backend.worker_count().min(mrf.num_vertices()).max(1);
-                        let partition = self.partitioner.partition(mrf.graph(), k);
-                        let mut chain = ShardedChain::with_state(
-                            Arc::clone(&mrf),
-                            rule,
-                            seed,
-                            start,
-                            partition,
-                        );
-                        if let Some(hp) = hotpath {
-                            // Validated above, so this cannot panic.
-                            chain.set_hotpath(hp);
-                        }
-                        Box::new(chain)
-                    } else {
-                        let mut chain = SyncChain::with_state(Arc::clone(&mrf), rule, seed, start);
-                        chain.set_backend(backend);
-                        if let Some(hp) = hotpath {
-                            // Validated above, so this cannot panic.
-                            chain.set_hotpath(hp);
-                        }
-                        Box::new(chain)
-                    };
+                    let inner =
+                        mrf_chain(&mrf, rule, seed, start, backend, hotpath, self.partitioner);
                     Sampler {
                         inner,
                         mrf: Some(mrf),
@@ -896,6 +863,50 @@ impl ReplicaBuilder {
         };
         sampler.run(self.base.burn_in);
         Ok(sampler)
+    }
+}
+
+/// The chain a [`SamplerBuilder`] builds for `rule` on an MRF, every
+/// kernel built once for the final backend and hot path (the hot path
+/// validated by the caller).
+///
+/// The sharded backend is a different executor, not a different sweep
+/// order: owner-computes shards over a `partitioner` partition,
+/// exchanging boundary states. `cluster:k` built in-process is the same
+/// executor with the same partition — the distributed run (see
+/// `crate::cluster`) is bit-identical to it by the determinism
+/// contract.
+fn mrf_chain<R: SyncRule + 'static>(
+    mrf: &Arc<Mrf>,
+    rule: R,
+    seed: u64,
+    start: Vec<Spin>,
+    backend: Backend,
+    hotpath: HotPath,
+    partitioner: lsl_graph::partition::Partitioner,
+) -> Box<dyn DynSampler + Send> {
+    if let Backend::Sharded { .. } | Backend::Cluster { .. } = backend {
+        // min-then-max (not clamp) so a hypothetical empty model
+        // degrades instead of panicking.
+        let k = backend.worker_count().min(mrf.num_vertices()).max(1);
+        let partition = partitioner.partition(mrf.graph(), k);
+        Box::new(ShardedChain::configured(
+            Arc::clone(mrf),
+            rule,
+            seed,
+            start,
+            partition,
+            hotpath,
+        ))
+    } else {
+        Box::new(SyncChain::configured(
+            Arc::clone(mrf),
+            rule,
+            seed,
+            start,
+            backend,
+            hotpath,
+        ))
     }
 }
 
@@ -1525,6 +1536,89 @@ mod tests {
             assert_eq!(s.state().len(), 16);
             assert_eq!(s.round(), 40);
             assert_eq!(s.algorithm(), alg);
+        }
+    }
+
+    /// LocalMetropolis, counting the kernels it is asked to build.
+    struct CountingRule {
+        inner: LocalMetropolisRule,
+        kernels: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl SyncRule for CountingRule {
+        type Local = Spin;
+        type Scratch = ();
+        const STATE_FREE_PROPOSE: bool = true;
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn make_scratch(&self, _mrf: &Mrf) {}
+
+        fn propose<Sv: crate::engine::StateView + ?Sized>(
+            &self,
+            ctx: &crate::engine::RoundCtx,
+            v: lsl_graph::VertexId,
+            state: &Sv,
+            rng: &mut Xoshiro256pp,
+            scratch: &mut (),
+        ) -> Spin {
+            self.inner.propose(ctx, v, state, rng, scratch)
+        }
+
+        fn resolve<Sv: crate::engine::StateView + ?Sized>(
+            &self,
+            ctx: &crate::engine::RoundCtx,
+            v: lsl_graph::VertexId,
+            state: &Sv,
+            locals: &[Spin],
+            rng: &mut Xoshiro256pp,
+            scratch: &mut (),
+        ) -> Spin {
+            self.inner.resolve(ctx, v, state, locals, rng, scratch)
+        }
+
+        fn hot_kernel(
+            &self,
+            mrf: &Arc<Mrf>,
+            range: crate::engine::KernelRange,
+            packing: crate::engine::Packing,
+            block_rng: bool,
+        ) -> Option<Box<dyn crate::engine::HotKernel<Spin>>> {
+            self.kernels
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.hot_kernel(mrf, range, packing, block_rng)
+        }
+    }
+
+    #[test]
+    fn builder_builds_each_kernel_once() {
+        // Three workers or shards, an explicit hot path: three kernels,
+        // built for the final split, none built and then dropped.
+        let mrf = Arc::new(models::proper_coloring(generators::torus(6, 6), 10));
+        let hotpath: HotPath = "lanes:byte:block".parse().unwrap();
+        for backend in [
+            Backend::Parallel { threads: 3 },
+            Backend::Sharded { shards: 3 },
+        ] {
+            let kernels = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let rule = CountingRule {
+                inner: LocalMetropolisRule::new(),
+                kernels: Arc::clone(&kernels),
+            };
+            let start = crate::single_site::default_start(&mrf);
+            let partitioner = lsl_graph::partition::Partitioner::Contiguous;
+            let mut chain = mrf_chain(&mrf, rule, 7, start, backend, hotpath, partitioner);
+            for _ in 0..5 {
+                chain.step();
+            }
+            assert!(chain.kernel_engaged());
+            assert_eq!(
+                kernels.load(std::sync::atomic::Ordering::Relaxed),
+                3,
+                "{backend}"
+            );
         }
     }
 

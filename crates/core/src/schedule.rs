@@ -23,7 +23,7 @@
 use crate::engine::RoundCtx;
 use lsl_graph::coloring::ProperColoring;
 use lsl_graph::{Graph, VertexId};
-use lsl_local::rng::Xoshiro256pp;
+use lsl_local::rng::head_to_f64;
 
 /// A strategy for picking the set of vertices to update this round, in
 /// the step engine's per-vertex form: a **mark** drawn from each
@@ -39,8 +39,13 @@ pub trait VertexScheduler: Send + Sync + Clone + 'static {
     /// The per-vertex mark published by the propose phase.
     type Mark: Copy + Send + Sync + Default;
 
-    /// Draws vertex `v`'s mark from its private stream.
-    fn mark(&self, v: VertexId, rng: &mut Xoshiro256pp) -> Self::Mark;
+    /// Vertex `v`'s mark, from `draw`: the first `u64` of its private
+    /// propose stream this round. A mark is a function of that one
+    /// draw — every scheduler here needs at most one uniform — which is
+    /// what lets the lane kernels fill a round's marks from one block
+    /// of stream heads ([`lsl_local::rng::fill_stream_heads`]) instead
+    /// of building a generator per vertex.
+    fn mark(&self, v: VertexId, draw: u64) -> Self::Mark;
 
     /// Whether `v` is in this round's update set, as a pure function of
     /// the marks and the round context. Must yield an independent set.
@@ -74,8 +79,8 @@ impl LubyScheduler {
 impl VertexScheduler for LubyScheduler {
     type Mark = f64;
 
-    fn mark(&self, _v: VertexId, rng: &mut Xoshiro256pp) -> f64 {
-        rng.uniform_f64()
+    fn mark(&self, _v: VertexId, draw: u64) -> f64 {
+        head_to_f64(draw)
     }
 
     fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[f64]) -> bool {
@@ -93,7 +98,7 @@ pub struct SingletonScheduler;
 impl VertexScheduler for SingletonScheduler {
     type Mark = ();
 
-    fn mark(&self, _v: VertexId, _rng: &mut Xoshiro256pp) {}
+    fn mark(&self, _v: VertexId, _draw: u64) {}
 
     fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
         // Every vertex evaluates the same shared draw, so exactly one is
@@ -133,8 +138,8 @@ impl BernoulliFilterScheduler {
 impl VertexScheduler for BernoulliFilterScheduler {
     type Mark = bool;
 
-    fn mark(&self, _v: VertexId, rng: &mut Xoshiro256pp) -> bool {
-        rng.uniform_f64() < self.p
+    fn mark(&self, _v: VertexId, draw: u64) -> bool {
+        head_to_f64(draw) < self.p
     }
 
     fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[bool]) -> bool {
@@ -169,7 +174,7 @@ impl ChromaticScheduler {
 impl VertexScheduler for ChromaticScheduler {
     type Mark = ();
 
-    fn mark(&self, _v: VertexId, _rng: &mut Xoshiro256pp) {}
+    fn mark(&self, _v: VertexId, _draw: u64) {}
 
     fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
         // The class is a function of the round index.
@@ -194,7 +199,7 @@ mod tests {
         let ctx = RoundCtx::new(&mrf, master, round);
         let marks: Vec<S::Mark> = g
             .vertices()
-            .map(|v| sched.mark(v, ctx.propose_rng(v).raw()))
+            .map(|v| sched.mark(v, ctx.propose_rng(v).raw().next()))
             .collect();
         let mut out = vec![false; g.num_vertices()];
         scheduled_mask(sched, &ctx, &marks, &mut out);

@@ -2160,7 +2160,7 @@ impl ScenarioRegistry {
             ScenarioEntry {
                 kind: K::Backend,
                 syntax: "parallel:<threads>",
-                summary: "scoped-thread fork-join (0 = auto)",
+                summary: "vertex ranges on a persistent round pool (0 = auto)",
             },
             ScenarioEntry {
                 kind: K::Backend,

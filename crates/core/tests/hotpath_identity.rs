@@ -181,11 +181,36 @@ proptest! {
     fn bernoulli_scheduled_lanes_match_scalar(
         master in 0u64..10_000, len in 4usize..20, p in 0.1f64..0.9
     ) {
-        // A scheduler whose marks draw a variable number of times per
-        // stream — the seed-block (not head-block) kernel path.
+        // A scheduler whose mark is a Bernoulli(p) draw, not a raw
+        // uniform: one draw per stream, like every scheduler, taken
+        // from the head block through a threshold compare.
         let mrf = models::proper_coloring(generators::cycle(len), 5);
         let rule = LubyGlauberRule::with_scheduler(BernoulliFilterScheduler::new(p));
         assert_hotpaths_agree(&mrf, rule, master);
+    }
+
+    #[test]
+    fn local_metropolis_lanes_match_scalar_on_list_coloring(
+        master in 0u64..10_000, rows in 3usize..6, cols in 3usize..6, seed in 0u64..500
+    ) {
+        // Several vertex kinds with q > 2: each vertex's proposal is
+        // counted off its own kind's breakpoint table.
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let g = generators::torus(rows, cols);
+        let q = 7;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let lists: Vec<Vec<u32>> = (0..g.num_vertices())
+            .map(|_| {
+                let mut colors: Vec<u32> = (0..q as u32).collect();
+                colors.shuffle(&mut rng);
+                colors.truncate(5);
+                colors
+            })
+            .collect();
+        let mrf = models::list_coloring(g, q, &lists);
+        assert!(mrf.vertex_palette().len() > 1);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
     }
 }
 

@@ -64,7 +64,7 @@ proptest! {
         let g = mrf.graph();
         let sched = LubyScheduler::new();
         let ctx = RoundCtx::new(&mrf, seed, 0);
-        let marks: Vec<f64> = g.vertices().map(|v| sched.mark(v, ctx.propose_rng(v).raw())).collect();
+        let marks: Vec<f64> = g.vertices().map(|v| sched.mark(v, ctx.propose_rng(v).raw().next())).collect();
         let mut out = vec![false; g.num_vertices()];
         scheduled_mask(&sched, &ctx, &marks, &mut out);
         prop_assert!(g.is_independent_set(&out));

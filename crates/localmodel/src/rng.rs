@@ -339,17 +339,6 @@ simd_fill!(
     head_fast, head_at
 );
 
-simd_fill!(
-    /// Fills `out[i] = derive_seed(master, label, start + i)` — the seed
-    /// block for multi-draw consumers, which then build each full stream
-    /// with [`Xoshiro256pp::seed_from`] exactly as the scalar path does.
-    fill_stream_seeds,
-    /// Fills `out[i] = derive_seed(master, label, indices[i])` — the
-    /// gathered form of [`fill_stream_seeds`].
-    fill_stream_seeds_at,
-    |m, l, i| (derive_seed(m, l, i), 0), derive_seed
-);
-
 /// Fills `out[i]` with the first `uniform_f64` of stream
 /// `(master, label, i)` — [`fill_stream_heads`] composed with
 /// [`head_to_f64`], both passes vectorized (filling heads and
@@ -538,40 +527,20 @@ mod tests {
     }
 
     #[test]
-    fn stream_seeds_match_derive_seed() {
-        let mut seeds = vec![0u64; 32];
-        fill_stream_seeds(7, VERTEX_STREAM_LABEL, 0, &mut seeds);
-        for (i, &s) in seeds.iter().enumerate() {
-            assert_eq!(s, derive_seed(7, VERTEX_STREAM_LABEL, i as u64));
-            // Seeding from the block seed reproduces the full stream.
-            let mut blocked = Xoshiro256pp::seed_from(s);
-            let mut scalar = VertexRng::for_vertex(7, i as u32);
-            for _ in 0..8 {
-                assert_eq!(blocked.next(), scalar.random::<u64>());
-            }
-        }
-    }
-
-    #[test]
     fn gathered_fills_match_contiguous_fills() {
         let master = round_key(3, 11);
         let indices: Vec<u32> = vec![40, 2, 17, 17, 0, 63, 5];
-        let (mut heads, mut seeds) = (vec![0u64; 64], vec![0u64; 64]);
+        let mut heads = vec![0u64; 64];
         fill_stream_heads(master, VERTEX_STREAM_LABEL, 0, &mut heads);
-        fill_stream_seeds(master, VERTEX_STREAM_LABEL, 0, &mut seeds);
-        let (mut gh, mut gs) = (vec![0u64; indices.len()], vec![0u64; indices.len()]);
+        let mut gh = vec![0u64; indices.len()];
         fill_stream_heads_at(master, VERTEX_STREAM_LABEL, &indices, &mut gh);
-        fill_stream_seeds_at(master, VERTEX_STREAM_LABEL, &indices, &mut gs);
         for (k, &i) in indices.iter().enumerate() {
             assert_eq!(gh[k], heads[i as usize], "head at {i}");
-            assert_eq!(gs[k], seeds[i as usize], "seed at {i}");
         }
-        // The contiguous forms at an offset are a window of the block.
-        let (mut oh, mut os) = (vec![0u64; 9], vec![0u64; 9]);
+        // The contiguous form at an offset is a window of the block.
+        let mut oh = vec![0u64; 9];
         fill_stream_heads(master, VERTEX_STREAM_LABEL, 50, &mut oh);
-        fill_stream_seeds(master, VERTEX_STREAM_LABEL, 50, &mut os);
         assert_eq!(oh, heads[50..59]);
-        assert_eq!(os, seeds[50..59]);
     }
 
     #[test]

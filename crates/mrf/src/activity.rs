@@ -152,7 +152,13 @@ impl EdgeActivity {
 pub struct VertexActivity {
     data: Vec<f64>,
     total: f64,
+    /// The [`VertexActivity::sample`] ladder as a step function of its
+    /// 53-bit draw (see [`VertexActivity::breakpoints`]).
+    breakpoints: Vec<u64>,
 }
+
+/// The number of distinct 53-bit draws behind one uniform `f64`.
+const DRAWS: u64 = 1 << 53;
 
 impl VertexActivity {
     /// Builds a vertex activity from its `q` entries.
@@ -176,7 +182,53 @@ impl VertexActivity {
         if total == 0.0 {
             return Err("vertex activity must have a positive entry".into());
         }
-        Ok(VertexActivity { data, total })
+        let mut act = VertexActivity {
+            data,
+            total,
+            breakpoints: Vec::new(),
+        };
+        act.breakpoints = act.find_breakpoints();
+        Ok(act)
+    }
+
+    /// The ladder's state after subtracting entry `c` from the scaled
+    /// draw `k`, in the exact float-op order of
+    /// [`VertexActivity::sample`].
+    fn residual(&self, k: u64, c: usize) -> f64 {
+        let mut target = k as f64 * (1.0 / DRAWS as f64) * self.total;
+        for &w in &self.data[..=c] {
+            target -= w;
+        }
+        target
+    }
+
+    /// Each breakpoint by search over the ladder itself. The ladder
+    /// returns more than `c` iff its residual after entry `c` is still
+    /// non-negative (residuals only fall, and the slack fallback is the
+    /// last positive entry, above every such `c`), so breakpoint `c` is
+    /// the least draw with `residual(k, c) ≥ 0`: monotone in `k`, since
+    /// every float op of the ladder is. The search gallops from the
+    /// exact-arithmetic estimate, which rounding rarely moves by more
+    /// than a few draws, then bisects the bracket.
+    fn find_breakpoints(&self) -> Vec<u64> {
+        let last = self
+            .data
+            .iter()
+            .rposition(|&w| w > 0.0)
+            .expect("total > 0 guarantees a positive entry");
+        let mut partial = 0.0;
+        let mut floor = 0;
+        (0..self.data.len() - 1)
+            .map(|c| {
+                partial += self.data[c];
+                if c >= last {
+                    return DRAWS;
+                }
+                let guess = (partial / self.total * DRAWS as f64).ceil() as u64;
+                floor = least_draw(floor, guess, |k| self.residual(k, c) >= 0.0);
+                floor
+            })
+            .collect()
     }
 
     /// The all-ones activity (uniform external field).
@@ -228,8 +280,36 @@ impl VertexActivity {
         self.total
     }
 
+    /// The proposal ladder of [`VertexActivity::sample`] as a table:
+    /// `sample` is a nondecreasing step function of its 53-bit draw
+    /// `k` (the generator's next `u64`, shifted right by 11), and entry
+    /// `c` of this slice is the least `k` for which it returns more
+    /// than `c` (`2⁵³`, past every draw, if it never does). There are
+    /// `q − 1` entries, nondecreasing, computed once when the activity
+    /// is built.
+    ///
+    /// # Example
+    /// ```
+    /// use lsl_mrf::VertexActivity;
+    /// let b = VertexActivity::uniform(4);
+    /// assert_eq!(b.breakpoints(), &[1 << 51, 2 << 51, 3 << 51]);
+    /// ```
+    pub fn breakpoints(&self) -> &[u64] {
+        &self.breakpoints
+    }
+
+    /// The spin [`VertexActivity::sample`] draws from a generator whose
+    /// next `u64` is `head`: the number of breakpoints at or below the
+    /// draw.
+    #[inline]
+    pub fn sample_head(&self, head: u64) -> u32 {
+        let k = head >> 11;
+        self.breakpoints.partition_point(|&b| b <= k) as u32
+    }
+
     /// Samples a spin with probability proportional to `b` — the
-    /// LocalMetropolis *propose* step.
+    /// LocalMetropolis *propose* step. This ladder is the oracle the
+    /// [`VertexActivity::breakpoints`] table is checked against.
     pub fn sample(&self, rng: &mut impl rand::Rng) -> u32 {
         use rand::RngExt;
         let mut target = rng.random::<f64>() * self.total;
@@ -245,6 +325,45 @@ impl VertexActivity {
             .rposition(|&w| w > 0.0)
             .expect("total > 0 guarantees a positive entry") as u32
     }
+}
+
+/// The least draw `k ≥ lo` satisfying `holds`, which must be monotone
+/// (false, then true) on `lo..2⁵³` and is taken as true at `2⁵³`:
+/// galloping from `guess` to a bracket, then bisecting it.
+fn least_draw(mut lo: u64, guess: u64, holds: impl Fn(u64) -> bool) -> u64 {
+    let holds = |k: u64| k >= DRAWS || holds(k);
+    let mut hi = guess.clamp(lo, DRAWS);
+    let mut step = 1;
+    if holds(hi) {
+        while hi > lo {
+            let probe = hi.saturating_sub(step).max(lo);
+            if !holds(probe) {
+                lo = probe + 1;
+                break;
+            }
+            hi = probe;
+            step *= 2;
+        }
+    } else {
+        loop {
+            lo = hi + 1;
+            hi = (hi + step).min(DRAWS);
+            if holds(hi) {
+                break;
+            }
+            step *= 2;
+        }
+    }
+    // Now `lo ≤ answer ≤ hi` and `holds(hi)`.
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    hi
 }
 
 #[cfg(test)]
@@ -313,6 +432,65 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         for _ in 0..100 {
             assert_eq!(b.sample(&mut rng), 2);
+        }
+    }
+
+    /// A generator whose every draw is one fixed `u64`.
+    struct Fixed(u64);
+
+    impl rand::TryRng for Fixed {
+        type Error = std::convert::Infallible;
+        fn try_next_u32(&mut self) -> Result<u32, Self::Error> {
+            Ok((self.0 >> 32) as u32)
+        }
+        fn try_next_u64(&mut self) -> Result<u64, Self::Error> {
+            Ok(self.0)
+        }
+        fn try_fill_bytes(&mut self, _: &mut [u8]) -> Result<(), Self::Error> {
+            unreachable!("the ladder draws one u64")
+        }
+    }
+
+    /// The spin the ladder returns for the 53-bit draw `k`.
+    fn ladder_at(b: &VertexActivity, k: u64) -> u32 {
+        b.sample(&mut Fixed(k << 11))
+    }
+
+    #[test]
+    fn breakpoint_table_matches_the_ladder() {
+        use rand::RngExt;
+        let mut palettes: Vec<VertexActivity> = [3, 5, 12, 16]
+            .into_iter()
+            .map(VertexActivity::uniform)
+            .collect();
+        palettes.push(VertexActivity::hardcore(1.0));
+        palettes.push(VertexActivity::hardcore(0.8));
+        palettes.push(VertexActivity::new(vec![0.0, 1e-9, 0.7, 0.0, 2.5, 1e-9, 0.0]).unwrap());
+        palettes.push(VertexActivity::list_indicator(9, &[0, 4, 8]));
+        let mut rng = StdRng::seed_from_u64(17);
+        for b in &palettes {
+            let bps = b.breakpoints();
+            assert_eq!(bps.len(), b.q() - 1);
+            assert!(bps.windows(2).all(|w| w[0] <= w[1]));
+            for _ in 0..100_000 {
+                let head: u64 = rng.random();
+                assert_eq!(
+                    b.sample_head(head),
+                    ladder_at(b, head >> 11),
+                    "{b:?} at {head}"
+                );
+            }
+            // Both sides of every step, and the ends of the draw range.
+            let edges = bps
+                .iter()
+                .filter(|&&k| k < DRAWS)
+                .flat_map(|&k| k.saturating_sub(2)..k + 3);
+            for k in edges
+                .chain([0, 1, DRAWS - 2, DRAWS - 1])
+                .filter(|&k| k < DRAWS)
+            {
+                assert_eq!(b.sample_head(k << 11), ladder_at(b, k), "{b:?} at draw {k}");
+            }
         }
     }
 
