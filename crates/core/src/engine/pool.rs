@@ -10,13 +10,14 @@
 //! calling thread always takes job 0.
 //!
 //! Between rounds a worker spins on a generation counter for [`SPIN`],
-//! then parks on a condition variable. Job `i` always runs on worker
-//! `i`, so each worker's range (and its kernel's buffers) stays in one
-//! core's cache round after round. A panic in any job is re-raised on
-//! the calling thread once every job of the round has finished. If the
-//! OS refuses a thread, the jobs it would have run execute on the
-//! calling thread: slower, but the same trajectory, since the
-//! determinism contract makes execution order unobservable.
+//! yielding its core now and then, then parks on a condition variable.
+//! Job `i` always runs on worker `i`, so each worker's range (and its
+//! kernel's buffers) stays in one core's cache round after round. A
+//! panic in any job is re-raised on the calling thread once every job
+//! of the round has finished. If the OS refuses a thread, the jobs it
+//! would have run execute on the calling thread: slower, but the same
+//! trajectory, since the determinism contract makes execution order
+//! unobservable.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -31,6 +32,11 @@ use std::time::{Duration, Instant};
 /// back-to-back rounds never pay a wake-up, and short enough that an
 /// idle chain gives its core back almost at once.
 const SPIN: Duration = Duration::from_micros(200);
+
+/// Spinning threads yield their core every this many polls, so that on
+/// an oversubscribed host (more workers than cores, or several pools)
+/// a spinner never holds a core that a working thread is waiting for.
+const YIELD_EVERY: u32 = 64;
 
 /// One round's job, called once per job index.
 type Job<'a> = dyn Fn(usize) + Sync + 'a;
@@ -86,8 +92,11 @@ impl Shared {
                 return None;
             }
             spins = spins.wrapping_add(1);
-            if spins % 64 == 0 && start.elapsed() > SPIN {
-                break;
+            if spins % YIELD_EVERY == 0 {
+                if start.elapsed() > SPIN {
+                    break;
+                }
+                std::thread::yield_now();
             }
             std::hint::spin_loop();
         }
@@ -240,12 +249,11 @@ impl RoundPool {
         // even when the caller's own jobs panicked.
         let mut spins = 0u32;
         while shared.pending.load(Ordering::Acquire) != 0 {
-            spins = spins.saturating_add(1);
-            if spins < 1 << 12 {
-                std::hint::spin_loop();
-            } else {
+            spins = spins.wrapping_add(1);
+            if spins % YIELD_EVERY == 0 {
                 std::thread::yield_now();
             }
+            std::hint::spin_loop();
         }
         let theirs = shared
             .panic
@@ -276,8 +284,14 @@ impl Drop for RoundPool {
 }
 
 /// Spawns a named pool thread.
-#[cfg(not(test))]
 fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if REFUSE_THREADS.with(|r| r.get()) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::WouldBlock,
+            "thread refused by the test hook",
+        ));
+    }
     std::thread::Builder::new().name(name).spawn(body)
 }
 
@@ -286,17 +300,6 @@ std::thread_local! {
     /// Test hook: pools built on this thread are refused every thread,
     /// as by an OS at its thread limit.
     pub(crate) static REFUSE_THREADS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-#[cfg(test)]
-fn spawn(name: String, body: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
-    if REFUSE_THREADS.with(|r| r.get()) {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::WouldBlock,
-            "thread refused by the test hook",
-        ));
-    }
-    std::thread::Builder::new().name(name).spawn(body)
 }
 
 #[cfg(test)]
