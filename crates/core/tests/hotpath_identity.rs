@@ -15,9 +15,10 @@
 use lsl_core::engine::rules::{LocalMetropolisRule, LubyGlauberRule};
 use lsl_core::engine::sharded::ShardedChain;
 use lsl_core::engine::{Backend, HotPath, Packing, SyncChain, SyncRule};
-use lsl_core::schedule::BernoulliFilterScheduler;
-use lsl_graph::generators;
+use lsl_core::schedule::{BernoulliFilterScheduler, ChromaticScheduler};
+use lsl_core::spec::{JobOutput, JobSpec};
 use lsl_graph::partition::Partitioner;
+use lsl_graph::{generators, Graph};
 use lsl_mrf::models;
 use proptest::prelude::*;
 
@@ -190,28 +191,87 @@ proptest! {
     }
 
     #[test]
+    fn luby_glauber_lanes_match_scalar_on_gnp_hardcore(
+        master in 0u64..10_000, seed in 0u64..500, lambda in 0.3f64..3.0
+    ) {
+        // Irregular degrees plus two isolated vertices; λ ≠ 1 takes the
+        // CDF resample scheme, λ = 1 the permutation scheme.
+        let g = gnp_with_isolated(seed);
+        assert_hotpaths_agree(&models::hardcore(g.clone(), lambda), LubyGlauberRule::luby(), master);
+        assert_hotpaths_agree(&models::hardcore(g, 1.0), LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn luby_glauber_lanes_match_scalar_on_torus_ising(
+        master in 0u64..10_000, rows in 3usize..6, cols in 3usize..6, beta in 0.2f64..2.0
+    ) {
+        // Soft edge activities: every marginal weight is a product of
+        // fractional factors.
+        let mrf = models::ising(generators::torus(rows, cols), beta);
+        assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn luby_glauber_lanes_match_scalar_on_list_coloring(
+        master in 0u64..10_000, rows in 3usize..6, cols in 3usize..6, seed in 0u64..500
+    ) {
+        // Several vertex kinds: each marginal starts from its own
+        // kind's activity.
+        let mrf = random_list_coloring(rows, cols, seed);
+        assert!(mrf.vertex_palette().len() > 1);
+        assert_hotpaths_agree(&mrf, LubyGlauberRule::luby(), master);
+    }
+
+    #[test]
+    fn chromatic_scheduled_lanes_match_scalar(
+        master in 0u64..10_000, seed in 0u64..500
+    ) {
+        // A mark-free scheduler whose selection is a function of the
+        // round index.
+        let g = gnp_with_isolated(seed);
+        let rule = LubyGlauberRule::with_scheduler(ChromaticScheduler::greedy(&g));
+        assert_hotpaths_agree(&models::proper_coloring(g, 9), rule, master);
+    }
+
+    #[test]
     fn local_metropolis_lanes_match_scalar_on_list_coloring(
         master in 0u64..10_000, rows in 3usize..6, cols in 3usize..6, seed in 0u64..500
     ) {
         // Several vertex kinds with q > 2: each vertex's proposal is
         // counted off its own kind's breakpoint table.
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
-        let g = generators::torus(rows, cols);
-        let q = 7;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let lists: Vec<Vec<u32>> = (0..g.num_vertices())
-            .map(|_| {
-                let mut colors: Vec<u32> = (0..q as u32).collect();
-                colors.shuffle(&mut rng);
-                colors.truncate(5);
-                colors
-            })
-            .collect();
-        let mrf = models::list_coloring(g, q, &lists);
+        let mrf = random_list_coloring(rows, cols, seed);
         assert!(mrf.vertex_palette().len() > 1);
         assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
     }
+}
+
+/// A `G(12, 0.3)` graph with two isolated vertices appended.
+fn gnp_with_isolated(seed: u64) -> Graph {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let g = generators::gnp(12, 0.3, &mut rng);
+    let edges: Vec<(u32, u32)> = g.edges().map(|(_, a, b)| (a.0, b.0)).collect();
+    Graph::from_edges(g.num_vertices() + 2, &edges)
+}
+
+/// A `q = 7` list coloring of a torus, each vertex drawing a random
+/// list of 5 colors (more than any torus degree, so no marginal
+/// vanishes).
+fn random_list_coloring(rows: usize, cols: usize, seed: u64) -> lsl_mrf::Mrf {
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    let g = generators::torus(rows, cols);
+    let q = 7;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let lists: Vec<Vec<u32>> = (0..g.num_vertices())
+        .map(|_| {
+            let mut colors: Vec<u32> = (0..q as u32).collect();
+            colors.shuffle(&mut rng);
+            colors.truncate(5);
+            colors
+        })
+        .collect();
+    models::list_coloring(g, q, &lists)
 }
 
 /// Ranges longer than one block-RNG chunk (1,024 indices), with coins
@@ -239,6 +299,54 @@ fn kernels_match_scalar_across_rng_chunks_and_repeated_rounds() {
         lanes.step_all();
         for b in 0..starts.len() {
             assert_eq!(oracle.state(b), lanes.state(b), "copy {b} at round {round}");
+        }
+    }
+}
+
+/// Coupled LubyGlauber replicas on a range longer than one block-RNG
+/// chunk: each round's kernel sees the same randomness once per copy,
+/// so whatever it keys by the round must serve every copy alike.
+#[test]
+fn coupled_luby_glauber_replicas_match_scalar() {
+    use lsl_core::engine::replicas::ReplicaSet;
+    let mrf = models::proper_coloring(generators::torus(40, 40), 9);
+    let n = mrf.num_vertices();
+    let starts = vec![
+        vec![0; n],
+        (0..n as u32).map(|v| v % 9).collect(),
+        lsl_core::single_site::default_start(&mrf),
+    ];
+    let mut oracle = ReplicaSet::coupled(&mrf, LubyGlauberRule::luby(), &starts, 12);
+    oracle.set_hotpath(HotPath::Scalar);
+    let mut lanes = ReplicaSet::coupled(&mrf, LubyGlauberRule::luby(), &starts, 12);
+    for round in 0..8 {
+        oracle.step_all();
+        lanes.step_all();
+        for b in 0..starts.len() {
+            assert_eq!(oracle.state(b), lanes.state(b), "copy {b} at round {round}");
+        }
+    }
+}
+
+/// List-coloring trajectories are pinned to fingerprints recorded
+/// before the model builder shared one activity between vertices with
+/// equal lists: the sharing must not change a single spin.
+#[test]
+fn list_coloring_fingerprints_are_pinned() {
+    for (algorithm, pinned) in [
+        ("local-metropolis", 0x48cf_e201_6b0b_7247u64),
+        ("luby-glauber", 0xd8c8_5f10_37c7_b9e3),
+    ] {
+        for hotpath in ["scalar", "lanes:auto:block"] {
+            let line = format!(
+                "graph=torus:16x16 model=list-coloring:q=8,size=5 algorithm={algorithm} \
+                 seed=3 hotpath={hotpath} job=run:rounds=40"
+            );
+            let result = line.parse::<JobSpec>().unwrap().run().unwrap();
+            let JobOutput::Run { fingerprint, .. } = result.output else {
+                panic!("{line}: expected a run, got {result:?}");
+            };
+            assert_eq!(fingerprint, pinned, "{line}");
         }
     }
 }
