@@ -18,7 +18,10 @@
 //! * 256×256 torus proper coloring, q = 16 — the byte-lane regime;
 //! * 32×32 torus Ising, the headline kernel on `sequential`,
 //!   `parallel:2` and `sharded:2` over many short rounds — where a
-//!   round's dispatch to the workers costs most against its work.
+//!   round's dispatch to the workers costs most against its work;
+//! * 256×256 torus hardcore at λ = 1 under LubyGlauber — the
+//!   edge-pass selection and gathered resolve heads, on `sequential`,
+//!   `parallel:2` and `sharded:2`.
 //!
 //! Every row is one [`JobSpec`] differing only in the `backend=` and
 //! `hotpath=` keys, and every row's final-state fingerprint is asserted
@@ -68,19 +71,16 @@ fn best_run(spec: &JobSpec, model: &BuiltModel, repeats: usize) -> (f64, u64) {
 
 fn sweep(
     workload: &'static str,
-    model_spec: &str,
+    chain: &str,
     side: usize,
     variants: &[(Backend, HotPath)],
     rounds: usize,
     repeats: usize,
     rows: &mut Vec<Row>,
 ) {
-    let base: JobSpec = format!(
-        "graph=torus:{side}x{side} model={model_spec} algorithm=local-metropolis \
-         seed=1 job=run:rounds={rounds}"
-    )
-    .parse()
-    .expect("a valid E17 base spec");
+    let base: JobSpec = format!("graph=torus:{side}x{side} {chain} seed=1 job=run:rounds={rounds}")
+        .parse()
+        .expect("a valid E17 base spec");
     let model = base.build_model();
     let n = side * side;
 
@@ -146,28 +146,34 @@ fn main() {
     .iter()
     .map(|s| (Backend::Sequential, lanes(s)))
     .collect();
-    let small: Vec<(Backend, HotPath)> = [
+    let backends = [
         Backend::Sequential,
         Backend::Parallel { threads: 2 },
         Backend::Sharded { shards: 2 },
-    ]
-    .into_iter()
-    .map(|b| (b, lanes("lanes:bit:block")))
-    .collect();
+    ];
+    let small: Vec<(Backend, HotPath)> = backends
+        .into_iter()
+        .map(|b| (b, lanes("lanes:bit:block")))
+        .collect();
+    let luby: Vec<(Backend, HotPath)> = backends
+        .into_iter()
+        .map(|b| (b, lanes("lanes:auto:block")))
+        .collect();
 
     header(&[
         "E17: hot-path engine: packed slabs + block RNG + lane kernels",
         "every row is bit-identical to the scalar oracle (fingerprints asserted);",
         "headline: lanes:bit:block on the torus Ising local-metropolis workload,",
         "on sequential, parallel:2 and sharded:2 (speedups vs the sequential scalar row),",
-        "at 256x256 and at 32x32 (many short rounds)",
+        "at 256x256 and at 32x32 (many short rounds); hardcore luby-glauber",
+        "on the same three backends",
     ]);
     header_row("workload,backend,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
 
     let mut rows: Vec<Row> = Vec::new();
     sweep(
         "torus-ising",
-        "ising:beta=0.4",
+        "model=ising:beta=0.4 algorithm=local-metropolis",
         side,
         &ising,
         rounds,
@@ -176,7 +182,7 @@ fn main() {
     );
     sweep(
         "torus-coloring-q16",
-        "coloring:q=16",
+        "model=coloring:q=16 algorithm=local-metropolis",
         side,
         &coloring,
         rounds,
@@ -185,10 +191,19 @@ fn main() {
     );
     sweep(
         "torus32-ising",
-        "ising:beta=0.4",
+        "model=ising:beta=0.4 algorithm=local-metropolis",
         32,
         &small,
         small_rounds,
+        repeats,
+        &mut rows,
+    );
+    sweep(
+        "torus-hardcore-lg",
+        "model=hardcore:lambda=1 algorithm=luby-glauber",
+        side,
+        &luby,
+        rounds,
         repeats,
         &mut rows,
     );
@@ -230,7 +245,8 @@ fn main() {
         "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"LocalMetropolis torus Ising \
          beta=0.4 + proper coloring q=16, hotpath sweep (scalar oracle vs packed lane \
          kernels x block RNG; Ising headline kernel also on parallel:2 and sharded:2, \
-         at 256x256 and 32x32)\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
+         at 256x256 and 32x32) + LubyGlauber torus hardcore lambda=1 on the same three \
+         backends\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
          [\n{}\n  ]\n}}\n",
         lsl_bench::meta_json(),
         json_rows.join(",\n")

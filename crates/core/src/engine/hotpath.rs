@@ -22,19 +22,22 @@
 //!   ([`lsl_mrf::VertexActivity::breakpoints`]) rather than walked
 //!   down the sampler's ladder, and marks are functions of one head
 //!   ([`crate::schedule::VertexScheduler::mark`]).
-//! * **packed lanes** — states and proposals live in `u8` (or bit)
-//!   lanes, so the resolve phase's neighborhood gathers touch a quarter
-//!   (or a thirty-second) of the cache lines.
+//! * **packed lanes** — LocalMetropolis states and proposals live in
+//!   `u8` (or bit) lanes, so the edge pass's endpoint gathers touch a
+//!   quarter (or a thirty-second) of the cache lines.
 //! * **precomputed filter tables** — the LocalMetropolis factors
 //!   `Ã_e(a, b)` are tabled per edge *kind* at construction (the same
 //!   `get / max` division, done `q²` times instead of `3·2m` times per
 //!   round).
-//! * **selected-only resolve streams** — LubyGlauber's scheduler marks
-//!   an independent set; only its members draw from their resolve
-//!   streams, so the kernel constructs exactly those generators
-//!   (the scalar path constructs all `n`). The marked independent set
-//!   also makes every write conflict-free by construction, which is
-//!   what lets one strided pass write `next` directly.
+//! * **edge-pass selection, gathered resolve heads** — LubyGlauber's
+//!   selection rule runs as one branch-free pass over the range's
+//!   edges (each scheduler's per-neighbour test, ANDed into both
+//!   endpoints), the selected owned vertices compact into an id list,
+//!   and one gathered block of resolve-stream heads — one per selected
+//!   vertex; the scalar path builds a generator for all `n` — drives
+//!   the heat-bath resamples over kernel-local activity tables. The
+//!   selected set is independent, so every write is conflict-free and
+//!   the kernel writes `next` straight from `state`.
 //!
 //! A kernel advances one [`KernelRange`]: an owned vertex set plus its
 //! distance-1 halo. Halo proposals, marks and edge coins are recomputed
@@ -361,14 +364,6 @@ impl KernelRange {
         }
     }
 
-    /// Loads full-length lanes at the range's vertices only.
-    fn load_at<L: LaneBuf>(&self, state: &[Spin], lanes: &mut L) {
-        match &self.verts {
-            None => lanes.load(state),
-            Some(v) => lanes.load_at(state, v),
-        }
-    }
-
     /// The edges with at least one owned endpoint (`None`: all of
     /// them, in id order) and their stored-orientation endpoints as
     /// local indices, packed `v << 32 | u` (one load per edge).
@@ -430,14 +425,6 @@ trait LaneBuf: Send + 'static {
     /// configuration.
     fn gather(&mut self, wide: &[Spin], idx: &[u32]);
     fn get(&self, i: usize) -> Spin;
-    fn set(&mut self, i: usize, s: Spin);
-    /// `self[g] = wide[g]` for each `g` in `idx`: full-length lanes
-    /// maintained only where a range reads them.
-    fn load_at(&mut self, wide: &[Spin], idx: &[u32]) {
-        for &g in idx {
-            self.set(g as usize, wide[g as usize]);
-        }
-    }
     /// The raw one-bit-per-index words, when this packing has them —
     /// unlocks the word-interleaved `q = 2` edge pass.
     fn as_bits(&self) -> Option<&[u64]> {
@@ -464,11 +451,6 @@ impl LaneBuf for Vec<Spin> {
     fn get(&self, i: usize) -> Spin {
         self[i]
     }
-
-    #[inline]
-    fn set(&mut self, i: usize, s: Spin) {
-        self[i] = s;
-    }
 }
 
 impl LaneBuf for Vec<u8> {
@@ -494,12 +476,6 @@ impl LaneBuf for Vec<u8> {
     #[inline]
     fn get(&self, i: usize) -> Spin {
         self[i] as Spin
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, s: Spin) {
-        debug_assert!(s < 256);
-        self[i] = s as u8;
     }
 }
 
@@ -538,14 +514,6 @@ impl LaneBuf for BitLanes {
     #[inline]
     fn get(&self, i: usize) -> Spin {
         ((self.words[i >> 6] >> (i & 63)) & 1) as Spin
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, s: Spin) {
-        debug_assert!(s < 2);
-        let w = &mut self.words[i >> 6];
-        let shift = i & 63;
-        *w = (*w & !(1u64 << shift)) | (u64::from(s) << shift);
     }
 
     fn as_bits(&self) -> Option<&[u64]> {
@@ -594,9 +562,9 @@ struct LmKernel<L: LaneBuf> {
     /// Base offset of each range edge's kind table in `tables` (empty
     /// when `kind0` is set).
     etbl: Vec<u32>,
-    /// The common table base when every edge has the same kind (the
-    /// usual generator output) — lets the edge pass skip the per-edge
-    /// `etbl` load.
+    /// `Some(0)` when the model has a single edge kind (the usual
+    /// generator output) — lets the edge pass skip the per-edge `etbl`
+    /// load, and construction skip building it.
     kind0: Option<u32>,
     /// The proposal table of the model's single vertex kind (`None`
     /// with several kinds, which look theirs up per vertex): see
@@ -664,17 +632,18 @@ impl<L: LaneBuf> LmKernel<L> {
                 }
             }
         }
-        let mut etbl: Vec<u32> = (0..m)
-            .map(|e| {
-                let id = edges.as_ref().map_or(e as u32, |ids| ids[e]);
-                mrf.edge_kind_of(EdgeId(id)) * qq
-            })
-            .collect();
-        let kind0 =
-            (etbl.windows(2).all(|w| w[0] == w[1])).then(|| etbl.first().copied().unwrap_or(0));
-        if kind0.is_some() {
-            etbl = Vec::new();
-        }
+        // One edge kind (the usual generator output): no per-edge table.
+        let kind0 = (mrf.edge_palette().len() == 1).then_some(0);
+        let etbl: Vec<u32> = if kind0.is_some() {
+            Vec::new()
+        } else {
+            (0..m)
+                .map(|e| {
+                    let id = edges.as_ref().map_or(e as u32, |ids| ids[e]);
+                    mrf.edge_kind_of(EdgeId(id)) * qq
+                })
+                .collect()
+        };
         let breakpoints = match mrf.vertex_palette() {
             [act] => Some(act.breakpoints().to_vec()),
             _ => None,
@@ -1008,51 +977,170 @@ pub(crate) fn local_metropolis_kernel(
     }
 }
 
-/// The LubyGlauber kernel: a head-block mark pass over owned ∪ halo,
-/// then heat-bath resamples for exactly the selected owned vertices
-/// (resolve streams are constructed *only* for them).
+/// The LubyGlauber kernel, three passes over one [`KernelRange`]:
 ///
-/// Schedulers read marks, and the model's marginal reads spins, by
-/// global vertex id, so the mark buffer and the packed state lanes are
-/// full-length — written only at the range's vertices, which are all a
-/// selection or marginal on an owned vertex reads. The head block is
-/// one chunk.
-struct LgKernel<S: VertexScheduler, L: LaneBuf> {
+/// 1. **marks** — the scheduler marks owned ∪ halo from one block of
+///    propose-stream heads (each mark's single draw);
+/// 2. **selection** — every vertex starts at its
+///    [`VertexScheduler::eligible`] bit, then one branch-free pass over
+///    the range's edges ANDs [`VertexScheduler::survives`] into both
+///    endpoints, and the selected owned vertices are compacted, again
+///    without branches, into an id list;
+/// 3. **resolve** — one gathered block of resolve-stream heads, one per
+///    selected vertex (the scalar path builds a generator for every
+///    vertex and reads only the selected ones), drives the heat-bath
+///    resamples ([`Resampler::resample_head`]), whose marginals come
+///    from kernel-local activity tables.
+///
+/// Marks, selection, id list and heads are functions of the round's
+/// randomness only, so they are keyed by the propose master: coupled
+/// replicas advancing one round in turn compute them once. The
+/// selected set is independent, so every write is conflict-free and
+/// the resolve reads `state` directly — no lanes.
+struct LgKernel<S: VertexScheduler> {
     mrf: Arc<Mrf>,
     range: KernelRange,
     scheduler: S,
     block_rng: bool,
-    sx: L,
+    /// The edges with an owned endpoint, as local endpoint pairs packed
+    /// `v << 32 | u` (see [`KernelRange::edges`]).
+    euv: Vec<u64>,
     /// One chunk of mark-stream heads (a mark is a function of its
     /// stream's first draw; see [`VertexScheduler::mark`]).
     heads: Vec<u64>,
+    /// Marks and selection bytes over owned ∪ halo, in local indexing.
+    marks: Vec<S::Mark>,
+    sel: Vec<u8>,
+    /// The first `picked` entries: the selected owned vertices' owned
+    /// positions, global ids and resolve-stream heads (sized for every
+    /// owned vertex, so advancing never allocates).
+    pos: Vec<u32>,
+    ids: Vec<u32>,
+    resolve_heads: Vec<u64>,
+    picked: usize,
+    /// Propose master that marks, selection and heads belong to.
+    key: Option<u64>,
+    tables: MarginalTables,
     weights: Vec<f64>,
     resampler: Resampler,
-    /// Mark buffer, keyed like the LM proposal block so coupled
-    /// replicas mark once per round.
-    marks_wide: Vec<S::Mark>,
-    marks_key: Option<u64>,
 }
 
-impl<S: VertexScheduler, L: LaneBuf> LgKernel<S, L> {
+impl<S: VertexScheduler> LgKernel<S> {
     fn new(mrf: Arc<Mrf>, range: KernelRange, scheduler: S, block_rng: bool) -> Self {
-        let n = mrf.num_vertices();
+        let (_, euv) = range.edges(mrf.graph());
+        let (len, owned) = (range.len(), range.num_owned());
         LgKernel {
             scheduler,
             block_rng,
-            sx: L::with_len(n),
+            euv,
             heads: vec![0; if block_rng { RNG_CHUNK } else { 0 }],
+            marks: vec![S::Mark::default(); len],
+            sel: vec![0; len],
+            pos: vec![0; owned],
+            ids: vec![0; owned],
+            resolve_heads: vec![0; owned],
+            picked: 0,
+            key: None,
+            tables: MarginalTables::new(&mrf),
             weights: vec![0.0; mrf.q()],
             resampler: Resampler::new(&mrf),
-            marks_wide: vec![S::Mark::default(); n],
-            marks_key: None,
             range,
             mrf,
         }
     }
+
+    /// Marks, selects and compacts the round's update set, and fills
+    /// its resolve-stream heads.
+    fn schedule(&mut self, ctx: &RoundCtx) {
+        let Self {
+            range,
+            scheduler,
+            euv,
+            heads,
+            marks,
+            sel,
+            pos,
+            ids,
+            resolve_heads,
+            ..
+        } = self;
+        if self.block_rng {
+            for lo in (0..range.len()).step_by(RNG_CHUNK) {
+                let heads = &mut heads[..RNG_CHUNK.min(range.len() - lo)];
+                range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
+                for (k, (slot, &head)) in marks[lo..].iter_mut().zip(heads.iter()).enumerate() {
+                    *slot = scheduler.mark(range.vertex(lo + k), head);
+                }
+            }
+        } else {
+            for (i, slot) in marks.iter_mut().enumerate() {
+                let v = range.vertex(i);
+                *slot = scheduler.mark(v, ctx.propose_rng(v).raw().next());
+            }
+        }
+        match &range.verts {
+            None => select(scheduler, ctx, euv, marks, sel, |i| VertexId(i as u32)),
+            Some(verts) => select(scheduler, ctx, euv, marks, sel, |i| VertexId(verts[i])),
+        }
+        // Branch-free compaction: every owned vertex writes its slot,
+        // and only the selected advance the cursor.
+        let mut picked = 0;
+        match range.owned_run() {
+            Some((a, g)) => {
+                for (k, &s) in sel[a..][..range.num_owned()].iter().enumerate() {
+                    pos[picked] = k as u32;
+                    ids[picked] = (g + k) as u32;
+                    picked += usize::from(s);
+                }
+            }
+            None => {
+                for (k, i) in range.owned().enumerate() {
+                    pos[picked] = k as u32;
+                    ids[picked] = range.vertex(i).0;
+                    picked += usize::from(sel[i]);
+                }
+            }
+        }
+        let (ids, resolve_heads) = (&ids[..picked], &mut resolve_heads[..picked]);
+        if self.block_rng {
+            fill_stream_heads_at(ctx.resolve_master, VERTEX_STREAM_LABEL, ids, resolve_heads);
+        } else {
+            for (slot, &v) in resolve_heads.iter_mut().zip(ids) {
+                *slot = ctx.resolve_rng(VertexId(v)).raw().next();
+            }
+        }
+        self.picked = picked;
+        self.key = Some(ctx.propose_master);
+    }
 }
 
-impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
+/// The selection passes: every vertex's byte starts at its
+/// [`VertexScheduler::eligible`] bit, then, for each range edge, ANDs
+/// whether each endpoint survives the other. Runs every edge (no early
+/// exit), so the loop carries no data-dependent branch. `id` maps a
+/// local index to its global vertex.
+#[inline(always)]
+fn select<S: VertexScheduler>(
+    scheduler: &S,
+    ctx: &RoundCtx,
+    euv: &[u64],
+    marks: &[S::Mark],
+    sel: &mut [u8],
+    id: impl Fn(usize) -> VertexId,
+) {
+    for (i, (slot, &mark)) in sel.iter_mut().zip(marks).enumerate() {
+        *slot = u8::from(scheduler.eligible(ctx, id(i), mark));
+    }
+    for &uv in euv {
+        let (a, b) = (uv as u32 as usize, (uv >> 32) as usize);
+        let (ma, mb) = (marks[a], marks[b]);
+        let (va, vb) = (id(a), id(b));
+        sel[a] &= u8::from(scheduler.survives(va, ma, vb, mb));
+        sel[b] &= u8::from(scheduler.survives(vb, mb, va, ma));
+    }
+}
+
+impl<S: VertexScheduler> HotKernel<S::Mark> for LgKernel<S> {
     fn advance(
         &mut self,
         ctx: &RoundCtx,
@@ -1060,99 +1148,135 @@ impl<S: VertexScheduler, L: LaneBuf> HotKernel<S::Mark> for LgKernel<S, L> {
         next: &mut [Spin],
         locals: Option<&mut [S::Mark]>,
     ) {
-        let range = &self.range;
-        range.load_at(state, &mut self.sx);
-
-        // Propose: the scheduler marks owned ∪ halo from one block of
-        // propose-stream heads (each mark's single draw).
-        if self.marks_key != Some(ctx.propose_master) {
-            if self.block_rng {
-                for lo in (0..range.len()).step_by(RNG_CHUNK) {
-                    let heads = &mut self.heads[..RNG_CHUNK.min(range.len() - lo)];
-                    range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
-                    for (k, &head) in heads.iter().enumerate() {
-                        let v = range.vertex(lo + k);
-                        self.marks_wide[v.index()] = self.scheduler.mark(v, head);
-                    }
-                }
-            } else {
-                for i in 0..range.len() {
-                    let v = range.vertex(i);
-                    let mut rng = ctx.propose_rng(v);
-                    self.marks_wide[v.index()] = self.scheduler.mark(v, rng.raw().next());
-                }
-            }
-            self.marks_key = Some(ctx.propose_master);
+        if self.key != Some(ctx.propose_master) {
+            self.schedule(ctx);
         }
         let Self {
             mrf,
             range,
-            scheduler,
-            sx,
+            marks,
+            pos,
+            ids,
+            resolve_heads,
+            picked,
+            tables,
             weights,
             resampler,
-            marks_wide,
             ..
         } = self;
-        let marks: &[S::Mark] = marks_wide;
-        if let Some(locals) = locals {
-            match range.owned_run() {
-                Some((_, g)) => locals.copy_from_slice(&marks[g..][..locals.len()]),
-                None => {
+        match range.owned_run() {
+            Some((a, g)) => {
+                if let Some(locals) = locals {
+                    locals.copy_from_slice(&marks[a..][..locals.len()]);
+                }
+                next.copy_from_slice(&state[g..][..next.len()]);
+            }
+            None => {
+                if let Some(locals) = locals {
                     for (slot, i) in locals.iter_mut().zip(range.owned()) {
-                        *slot = marks[range.vertex(i).index()];
+                        *slot = marks[i];
                     }
+                }
+                for (slot, i) in next.iter_mut().zip(range.owned()) {
+                    *slot = state[range.vertex(i).index()];
                 }
             }
         }
-
-        // Resolve: non-members keep their spin without touching their
-        // resolve stream (the scalar path builds one per vertex and
-        // discards it unread — at selection fraction ~1/(Δ+1), most of
-        // its resolve-phase randomness work). One loop body, expanded
-        // per owned-vertex iterator so each stays a tight inline loop.
-        macro_rules! resolve_owned {
-            ($vertices:expr) => {
-                for (slot, v) in next.iter_mut().zip($vertices) {
-                    *slot = if scheduler.selected(ctx, v, marks) {
-                        let mut rng = ctx.resolve_rng(v);
-                        mrf.marginal_weights_with(v, |u| sx.get(u.index()), weights);
-                        resampler
-                            .resample(weights, rng.raw())
-                            .expect("heat-bath marginal must be well-defined (paper assumption)")
-                    } else {
-                        sx.get(v.index())
-                    };
-                }
-            };
-        }
-        match range.owned_run() {
-            Some((_, g)) => resolve_owned!((g..).map(|v| VertexId(v as u32))),
-            None => resolve_owned!(range.owned().map(|i| range.vertex(i))),
+        // Resolve: only the selected vertices, each from its head; a
+        // vanished marginal keeps the spin, as the scalar rule does.
+        let picked = *picked;
+        for ((&k, &v), &head) in pos[..picked]
+            .iter()
+            .zip(&ids[..picked])
+            .zip(&resolve_heads[..picked])
+        {
+            let v = VertexId(v);
+            tables.weights(mrf, v, state, weights);
+            next[k as usize] = resampler
+                .resample_head(weights, head)
+                .unwrap_or(state[v.index()]);
         }
     }
 }
 
-/// Builds the LubyGlauber kernel over `range` at the requested packing.
+/// Kernel-local activity tables for heat-bath marginals: `b(c)` per
+/// vertex kind and `A(c, x)` per edge kind, laid out so the factors one
+/// neighbour contributes are one contiguous row.
+struct MarginalTables {
+    q: usize,
+    /// `q` entries per vertex kind: `b(c)` at `kind·q + c`.
+    vertex: Vec<f64>,
+    /// `q²` entries per edge kind: `A(c, x)` at `(kind·q + x)·q + c`.
+    edge: Vec<f64>,
+    /// Whether the model has one vertex (edge) kind — the common case,
+    /// which skips the per-vertex (per-edge) kind lookup.
+    one_vertex_kind: bool,
+    one_edge_kind: bool,
+}
+
+impl MarginalTables {
+    fn new(mrf: &Mrf) -> Self {
+        let q = mrf.q() as Spin;
+        let vertex = mrf
+            .vertex_palette()
+            .iter()
+            .flat_map(|b| (0..q).map(|c| b.get(c)))
+            .collect();
+        let edge = mrf
+            .edge_palette()
+            .iter()
+            .flat_map(|a| (0..q).flat_map(move |x| (0..q).map(move |c| a.get(c, x))))
+            .collect();
+        MarginalTables {
+            q: q as usize,
+            vertex,
+            edge,
+            one_vertex_kind: mrf.vertex_palette().len() == 1,
+            one_edge_kind: mrf.edge_palette().len() == 1,
+        }
+    }
+
+    /// `out[c] = b_v(c) · Π A_uv(c, X_u)` over `v`'s incident edges —
+    /// [`Mrf::marginal_weights_with`]'s factors in its order, so the
+    /// `f64`s are identical. That method skips a weight once it is
+    /// zero; here every factor multiplies, which yields the same bits:
+    /// activities are finite and non-negative, so a zero weight stays
+    /// `+0.0` either way — and the loop keeps no data-dependent branch.
+    #[inline]
+    fn weights(&self, mrf: &Mrf, v: VertexId, state: &[Spin], out: &mut [f64]) {
+        let q = self.q;
+        let vk = if self.one_vertex_kind {
+            0
+        } else {
+            mrf.vertex_kind_of(v) as usize
+        };
+        out.copy_from_slice(&self.vertex[vk * q..][..q]);
+        let mut times = |ek: usize, u: VertexId| {
+            let row = &self.edge[(ek * q + state[u.index()] as usize) * q..][..q];
+            for (w, &a) in out.iter_mut().zip(row) {
+                *w *= a;
+            }
+        };
+        let g = mrf.graph();
+        if self.one_edge_kind {
+            g.neighbors(v).for_each(|u| times(0, u));
+        } else {
+            for (e, u) in g.incident_edges(v) {
+                times(mrf.edge_kind_of(e) as usize, u);
+            }
+        }
+    }
+}
+
+/// Builds the LubyGlauber kernel over `range`. It reads the state
+/// directly, so it takes no packing.
 pub(crate) fn luby_glauber_kernel<S: VertexScheduler>(
     mrf: &Arc<Mrf>,
     range: KernelRange,
     scheduler: S,
-    packing: Packing,
     block_rng: bool,
 ) -> Box<dyn HotKernel<S::Mark>> {
-    let mrf = Arc::clone(mrf);
-    match packing {
-        Packing::Wide => Box::new(LgKernel::<S, Vec<Spin>>::new(
-            mrf, range, scheduler, block_rng,
-        )),
-        Packing::Byte => Box::new(LgKernel::<S, Vec<u8>>::new(
-            mrf, range, scheduler, block_rng,
-        )),
-        Packing::Bit => Box::new(LgKernel::<S, BitLanes>::new(
-            mrf, range, scheduler, block_rng,
-        )),
-    }
+    Box::new(LgKernel::new(Arc::clone(mrf), range, scheduler, block_rng))
 }
 
 #[cfg(test)]

@@ -41,6 +41,10 @@ impl HeatBathScratch {
     }
 
     /// Heat-bath resample of `v` given `state`, drawing from `rng`.
+    /// Where every marginal weight vanishes (a state the paper's
+    /// well-definedness assumption excludes, reachable from an
+    /// infeasible start), `v` keeps its spin; the draw is consumed
+    /// either way.
     fn resample<Sv: StateView + ?Sized>(
         &mut self,
         mrf: &Mrf,
@@ -51,7 +55,7 @@ impl HeatBathScratch {
         mrf.marginal_weights_with(v, |u| state.spin(u.index()), &mut self.weights);
         self.resampler
             .resample(&self.weights, rng)
-            .expect("heat-bath marginal must be well-defined (paper assumption)")
+            .unwrap_or_else(|| state.spin(v.index()))
     }
 }
 
@@ -283,14 +287,13 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
         &self,
         mrf: &Arc<Mrf>,
         range: KernelRange,
-        packing: Packing,
+        _packing: Packing,
         block_rng: bool,
     ) -> Option<Box<dyn HotKernel<S::Mark>>> {
         Some(hotpath::luby_glauber_kernel(
             mrf,
             range,
             self.scheduler.clone(),
-            packing,
             block_rng,
         ))
     }

@@ -27,14 +27,23 @@ use lsl_local::rng::head_to_f64;
 
 /// A strategy for picking the set of vertices to update this round, in
 /// the step engine's per-vertex form: a **mark** drawn from each
-/// vertex's private round stream, then a pure **selection** predicate
-/// over the neighborhood's marks (plus the round-shared stream for
-/// global draws). This is what lets LubyGlauber rounds execute in
-/// parallel — or batched across replicas — without changing the
-/// scheduled set's distribution. The γ of each scheduler is
+/// vertex's private round stream, then a pure **selection** rule over
+/// the neighborhood's marks (plus the round-shared stream for global
+/// draws). This is what lets LubyGlauber rounds execute in parallel —
+/// or batched across replicas — without changing the scheduled set's
+/// distribution. The γ of each scheduler is
 /// [`Sched::gamma`](crate::sampler::Sched::gamma). Schedulers are
 /// `Send + Sync` so the rules that embed them make `Send` chains, and
 /// `Clone + 'static` so the hot-path kernels can own a copy.
+///
+/// The selection rule is written once, in two halves: a per-vertex
+/// test ([`VertexScheduler::eligible`]) and a per-neighbour test
+/// ([`VertexScheduler::survives`]); `v` is selected iff it is eligible
+/// and survives every neighbour. [`VertexScheduler::selected`] composes
+/// them per vertex (the scalar oracle's view); the LubyGlauber kernel
+/// evaluates the same two functions as one pass over the edges,
+/// ANDing each edge's two outcomes into its endpoints — the same
+/// conjunction, so the same set.
 pub trait VertexScheduler: Send + Sync + Clone + 'static {
     /// The per-vertex mark published by the propose phase.
     type Mark: Copy + Send + Sync + Default;
@@ -47,9 +56,29 @@ pub trait VertexScheduler: Send + Sync + Clone + 'static {
     /// of building a generator per vertex.
     fn mark(&self, v: VertexId, draw: u64) -> Self::Mark;
 
-    /// Whether `v` is in this round's update set, as a pure function of
-    /// the marks and the round context. Must yield an independent set.
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[Self::Mark]) -> bool;
+    /// The per-vertex half of the selection rule: whether `v`, marked
+    /// `mark`, is a candidate this round before any neighbour is
+    /// consulted.
+    fn eligible(&self, ctx: &RoundCtx, v: VertexId, mark: Self::Mark) -> bool;
+
+    /// The per-neighbour half of the selection rule: whether candidate
+    /// `v` (marked `mark_v`) stays selected next to its neighbour `u`
+    /// (marked `mark_u`). Must be a pure function of its arguments, and
+    /// no edge may let both of two eligible endpoints survive each
+    /// other — that is what makes every selected set independent.
+    fn survives(&self, v: VertexId, mark_v: Self::Mark, u: VertexId, mark_u: Self::Mark) -> bool;
+
+    /// Whether `v` is in this round's update set: eligible, and
+    /// surviving every neighbour.
+    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[Self::Mark]) -> bool {
+        let mark = marks[v.index()];
+        self.eligible(ctx, v, mark)
+            && ctx
+                .mrf()
+                .graph()
+                .neighbors(v)
+                .all(|u| self.survives(v, mark, u, marks[u.index()]))
+    }
 
     /// For schedulers that select exactly one, mark-independent vertex
     /// per round: the engine then takes its single-site fast path (no
@@ -66,6 +95,11 @@ pub trait VertexScheduler: Send + Sync + Clone + 'static {
 /// Every vertex draws an iid uniform `β_v`; `v` joins `I` iff
 /// `β_v > max{β_u : u ∈ Γ(v)}`. Ties (probability ~2⁻⁵³ per pair) are
 /// broken by vertex id, preserving independence.
+///
+/// The mark `β_v` is the integer `head >> 11` times `2⁻⁵³`, exactly
+/// (a 53-bit integer and a power-of-two scale), so marks compare
+/// exactly as those integers do — no rounding can merge or reorder
+/// two draws.
 #[derive(Clone, Debug, Default)]
 pub struct LubyScheduler;
 
@@ -83,10 +117,14 @@ impl VertexScheduler for LubyScheduler {
         head_to_f64(draw)
     }
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[f64]) -> bool {
-        let g = ctx.mrf().graph();
-        let key = (marks[v.index()], v.0);
-        g.neighbors(v).all(|u| key > (marks[u.index()], u.0))
+    fn eligible(&self, _ctx: &RoundCtx, _v: VertexId, _mark: f64) -> bool {
+        true
+    }
+
+    #[inline]
+    fn survives(&self, v: VertexId, mark_v: f64, u: VertexId, mark_u: f64) -> bool {
+        // `(β_v, v) > (β_u, u)`, without branches.
+        (mark_v > mark_u) | ((mark_v == mark_u) & (v.0 > u.0))
     }
 }
 
@@ -100,10 +138,14 @@ impl VertexScheduler for SingletonScheduler {
 
     fn mark(&self, _v: VertexId, _draw: u64) {}
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
+    fn eligible(&self, ctx: &RoundCtx, v: VertexId, _mark: ()) -> bool {
         // Every vertex evaluates the same shared draw, so exactly one is
         // selected per round.
         ctx.mrf().num_vertices() > 0 && v == ctx.shared_vertex()
+    }
+
+    fn survives(&self, _v: VertexId, _mark_v: (), _u: VertexId, _mark_u: ()) -> bool {
+        true
     }
 
     fn single_vertex(&self, ctx: &RoundCtx) -> Option<VertexId> {
@@ -142,8 +184,13 @@ impl VertexScheduler for BernoulliFilterScheduler {
         head_to_f64(draw) < self.p
     }
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, marks: &[bool]) -> bool {
-        marks[v.index()] && ctx.mrf().graph().neighbors(v).all(|u| !marks[u.index()])
+    fn eligible(&self, _ctx: &RoundCtx, _v: VertexId, mark: bool) -> bool {
+        mark
+    }
+
+    #[inline]
+    fn survives(&self, _v: VertexId, _mark_v: bool, _u: VertexId, mark_u: bool) -> bool {
+        !mark_u
     }
 }
 
@@ -176,10 +223,15 @@ impl VertexScheduler for ChromaticScheduler {
 
     fn mark(&self, _v: VertexId, _draw: u64) {}
 
-    fn selected(&self, ctx: &RoundCtx, v: VertexId, _marks: &[()]) -> bool {
+    fn eligible(&self, ctx: &RoundCtx, v: VertexId, _mark: ()) -> bool {
         // The class is a function of the round index.
         let classes = self.coloring.num_classes().max(1) as u64;
         self.coloring.color(v) == (ctx.round() % classes) as u32
+    }
+
+    fn survives(&self, _v: VertexId, _mark_v: (), _u: VertexId, _mark_u: ()) -> bool {
+        // Classes of a proper coloring are independent already.
+        true
     }
 }
 
@@ -285,6 +337,49 @@ mod tests {
         let g = generators::cycle(5);
         let gamma = Sched::Bernoulli(0.25).gamma(&g).unwrap();
         assert!((gamma - 0.25 * 0.75 * 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn luby_ties_break_by_vertex_id() {
+        // Equal marks everywhere: the per-neighbour test is the id
+        // order, so on a path each vertex beats exactly its lower
+        // neighbour and only the last vertex is selected.
+        let sched = LubyScheduler::new();
+        let (a, b) = (VertexId(3), VertexId(5));
+        assert!(sched.survives(b, 0.5, a, 0.5));
+        assert!(!sched.survives(a, 0.5, b, 0.5));
+        assert!(
+            sched.survives(a, 0.75, b, 0.5),
+            "a larger mark wins whatever the ids"
+        );
+        let g = generators::path(4);
+        let mrf = models::uniform_independent_set(g.clone());
+        let ctx = RoundCtx::new(&mrf, 0, 0);
+        let marks = [0.25; 4];
+        let selected: Vec<bool> = g
+            .vertices()
+            .map(|v| sched.selected(&ctx, v, &marks))
+            .collect();
+        assert_eq!(selected, [false, false, false, true]);
+    }
+
+    #[test]
+    fn luby_marks_order_like_their_integer_draws() {
+        // Marks compare exactly as the integers `head >> 11`: adjacent
+        // draws stay distinct, and heads differing only below bit 11
+        // tie (and fall to the id order).
+        let heads = [0u64, (1 << 11) - 1, 1 << 11, 12345 << 11, 1 << 63, u64::MAX];
+        let sched = LubyScheduler::new();
+        for &x in &heads {
+            for &y in &heads {
+                let (mx, my) = (sched.mark(VertexId(0), x), sched.mark(VertexId(0), y));
+                assert_eq!(
+                    mx.partial_cmp(&my),
+                    Some((x >> 11).cmp(&(y >> 11))),
+                    "{x:#x} {y:#x}"
+                );
+            }
+        }
     }
 
     #[test]

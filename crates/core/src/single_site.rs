@@ -58,16 +58,16 @@ impl ScanChain {
         &self.state
     }
 
-    /// One full heat-bath sweep in vertex order.
+    /// One full heat-bath sweep in vertex order. A vertex whose
+    /// marginal vanishes keeps its spin, as in the engine's heat-bath
+    /// rules.
     pub fn step(&mut self, rng: &mut Xoshiro256pp) {
         for v in self.mrf.graph().vertices() {
             self.mrf
                 .marginal_weights_into(v, &self.state, &mut self.scratch);
-            let pick = self
-                .resampler
-                .resample(&self.scratch, rng)
-                .expect("scan marginal must be well-defined");
-            self.state[v.index()] = pick;
+            if let Some(pick) = self.resampler.resample(&self.scratch, rng) {
+                self.state[v.index()] = pick;
+            }
         }
     }
 }

@@ -48,11 +48,20 @@ impl Resampler {
     }
 
     /// Samples a spin from the (unnormalized) marginal `weights`,
-    /// consuming exactly one 64-bit draw from `rng`. Returns `None` if
-    /// all weights vanish.
+    /// consuming exactly one 64-bit draw from `rng` (see
+    /// [`Resampler::resample_head`]). Returns `None` if all weights
+    /// vanish.
     pub fn resample(&mut self, weights: &[f64], rng: &mut Xoshiro256pp) -> Option<Spin> {
-        let sub_seed = rng.next();
-        let mut sub = Xoshiro256pp::seed_from(sub_seed);
+        self.resample_head(weights, rng.next())
+    }
+
+    /// [`Resampler::resample`] given the draw itself: `head` seeds the
+    /// private subgenerator. A resolve stream's first draw is its head
+    /// ([`lsl_local::rng::stream_head`]), so kernels that fill a block
+    /// of heads resample bit-identically to the per-vertex streams.
+    /// Returns `None` if all weights vanish.
+    pub fn resample_head(&mut self, weights: &[f64], head: u64) -> Option<Spin> {
+        let mut sub = Xoshiro256pp::seed_from(head);
         if self.uniform_marginals {
             // Fisher–Yates with the shared subgenerator; the first
             // available spin in the permutation is uniform over the

@@ -350,3 +350,45 @@ fn list_coloring_fingerprints_are_pinned() {
         }
     }
 }
+
+/// A q = 4 coloring of a degree-4 torus reaches vertices whose every
+/// color is taken by a neighbour. Such a vertex keeps its spin, so the
+/// job completes, and the rule holds identically in the scalar phases
+/// and the kernel on every backend.
+#[test]
+fn vanished_marginals_keep_the_spin_on_every_backend() {
+    let spec = "graph=torus:8x8 model=coloring:q=4 algorithm=luby-glauber seed=1 job=run:rounds=50";
+    let mut seen = Vec::new();
+    for backend in ["sequential", "parallel:2", "sharded:2"] {
+        for hotpath in ["scalar", "lanes:auto:block", "lanes:auto:pervertex"] {
+            let line = format!("{spec} backend={backend} hotpath={hotpath}");
+            let result = line.parse::<JobSpec>().unwrap().run().unwrap();
+            let JobOutput::Run { fingerprint, .. } = result.output else {
+                panic!("{line}: expected a run, got {result:?}");
+            };
+            seen.push((line, fingerprint));
+        }
+    }
+    for (line, fingerprint) in &seen {
+        assert_eq!(*fingerprint, seen[0].1, "{line} vs {}", seen[0].0);
+    }
+}
+
+/// On K4 with q = 3, the coloring `[0, 1, 2, 0]` is frozen: vertices 0
+/// and 3 see all three colors around them (a vanished marginal), and
+/// vertices 1 and 2 have one color left, their own. Every round must
+/// leave it as it is, in the scalar phases and the kernel alike.
+#[test]
+fn vanished_marginals_freeze_a_stuck_coloring() {
+    let mrf = models::proper_coloring(generators::complete(4), 3);
+    let stuck = vec![0, 1, 2, 0];
+    for hp in [HotPath::Scalar, HotPath::default()] {
+        let mut chain = SyncChain::with_state(&mrf, LubyGlauberRule::luby(), 5, stuck.clone());
+        chain.set_hotpath(hp);
+        for _ in 0..20 {
+            chain.step();
+            assert_eq!(chain.state(), &stuck[..], "hotpath={hp}");
+        }
+        assert!(!mrf.is_feasible(chain.state()));
+    }
+}

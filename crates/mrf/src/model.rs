@@ -71,37 +71,42 @@ impl Mrf {
         }
     }
 
-    /// Builds an MRF with one shared edge activity but per-vertex
-    /// activities (the list-coloring shape).
+    /// Builds an MRF with one shared edge activity and a vertex-activity
+    /// `palette`, vertex `v` taking `palette[kinds[v]]` (the
+    /// list-coloring shape: one kind per distinct list).
     ///
     /// # Panics
-    /// Panics if the number of vertex activities differs from `n` or any
-    /// disagrees on `q`.
-    pub fn with_vertex_activities(
+    /// Panics if `kinds.len()` differs from `n`, a kind is outside the
+    /// palette, or an activity disagrees on `q`.
+    pub fn with_vertex_kinds(
         graph: impl Into<Arc<Graph>>,
         edge_act: EdgeActivity,
-        vertex_acts: Vec<VertexActivity>,
+        palette: Vec<VertexActivity>,
+        kinds: Vec<u32>,
     ) -> Self {
         let graph = graph.into();
         let q = edge_act.q();
         assert_eq!(
-            vertex_acts.len(),
+            kinds.len(),
             graph.num_vertices(),
-            "need one vertex activity per vertex"
+            "need one vertex kind per vertex"
         );
         assert!(
-            vertex_acts.iter().all(|b| b.q() == q),
+            kinds.iter().all(|&k| (k as usize) < palette.len()),
+            "every vertex kind must name a palette entry"
+        );
+        assert!(
+            palette.iter().all(|b| b.q() == q),
             "every vertex activity must have the same q"
         );
         let m = graph.num_edges();
-        let vertex_kind = (0..vertex_acts.len() as u32).collect();
         Mrf {
             graph,
             q,
             edge_palette: vec![edge_act],
             edge_kind: vec![0; m],
-            vertex_palette: vertex_acts,
-            vertex_kind,
+            vertex_palette: palette,
+            vertex_kind: kinds,
         }
     }
 

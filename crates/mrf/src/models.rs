@@ -3,6 +3,7 @@
 use crate::activity::{EdgeActivity, VertexActivity};
 use crate::model::Mrf;
 use lsl_graph::Graph;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Uniform proper `q`-colorings of `graph`.
@@ -32,11 +33,23 @@ pub fn list_coloring(graph: impl Into<Arc<Graph>>, q: usize, lists: &[Vec<u32>])
         graph.num_vertices(),
         "need one color list per vertex"
     );
-    let acts = lists
+    // One vertex kind per distinct color set: building an activity
+    // computes its proposal breakpoints, so equal lists share one.
+    let mut kind_of: HashMap<Vec<u32>, u32> = HashMap::new();
+    let mut palette = Vec::new();
+    let kinds = lists
         .iter()
-        .map(|list| VertexActivity::list_indicator(q, list))
+        .map(|list| {
+            let mut set = list.clone();
+            set.sort_unstable();
+            set.dedup();
+            *kind_of.entry(set).or_insert_with(|| {
+                palette.push(VertexActivity::list_indicator(q, list));
+                palette.len() as u32 - 1
+            })
+        })
         .collect();
-    Mrf::with_vertex_activities(graph, EdgeActivity::coloring(q), acts)
+    Mrf::with_vertex_kinds(graph, EdgeActivity::coloring(q), palette, kinds)
 }
 
 /// The hardcore model with fugacity `λ`: spin 1 = "in the independent
@@ -108,6 +121,23 @@ mod tests {
         assert!(mrf.is_feasible(&[0, 2, 0]));
         assert!(!mrf.is_feasible(&[1, 2, 0])); // v0 must use 0
         assert!(!mrf.is_feasible(&[0, 0, 0])); // improper AND off-list
+    }
+
+    #[test]
+    fn list_coloring_shares_one_kind_per_color_set() {
+        let lists = vec![vec![0, 1], vec![2], vec![1, 0], vec![2], vec![0, 1, 1]];
+        let mrf = list_coloring(generators::path(5), 3, &lists);
+        assert_eq!(mrf.vertex_palette().len(), 2);
+        let kinds: Vec<u32> = mrf
+            .graph()
+            .vertices()
+            .map(|v| mrf.vertex_kind_of(v))
+            .collect();
+        assert_eq!(kinds, [0, 1, 0, 1, 0]);
+        for (v, list) in mrf.graph().vertices().zip(&lists) {
+            let b = mrf.vertex_activity(v);
+            assert!((0..3).all(|c| (b.get(c) > 0.0) == list.contains(&c)));
+        }
     }
 
     #[test]
