@@ -74,10 +74,15 @@ impl Resampler {
                 let j = (sub.next() % (i as u64 + 1)) as usize;
                 self.perm.swap(i, j);
             }
-            self.perm
-                .iter()
-                .copied()
-                .find(|&c| weights[c as usize] > 0.0)
+            // The first available spin in permutation order, found by a
+            // backward scan that selects rather than branches.
+            let mut pick = None;
+            for &c in self.perm.iter().rev() {
+                if weights[c as usize] > 0.0 {
+                    pick = Some(c);
+                }
+            }
+            pick
         } else {
             lsl_mrf::model::sample_weighted(weights, &mut sub)
         }
