@@ -1075,8 +1075,19 @@ impl<S: VertexScheduler> LgKernel<S> {
             for lo in (0..range.len()).step_by(RNG_CHUNK) {
                 let heads = &mut heads[..RNG_CHUNK.min(range.len() - lo)];
                 range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
-                for (k, (slot, &head)) in marks[lo..].iter_mut().zip(heads.iter()).enumerate() {
-                    *slot = scheduler.mark(range.vertex(lo + k), head);
+                // One loop per id map, so neither indexes per element.
+                let marks = marks[lo..].iter_mut().zip(heads.iter());
+                match &range.verts {
+                    None => {
+                        for (k, (slot, &head)) in marks.enumerate() {
+                            *slot = scheduler.mark(VertexId((lo + k) as u32), head);
+                        }
+                    }
+                    Some(verts) => {
+                        for ((slot, &head), &v) in marks.zip(&verts[lo..]) {
+                            *slot = scheduler.mark(VertexId(v), head);
+                        }
+                    }
                 }
             }
         } else {
@@ -1135,7 +1146,8 @@ impl<S: VertexScheduler> LgKernel<S> {
 /// # Safety
 /// Both endpoints packed in every `euv` entry must be below
 /// `marks.len()` and `sel.len()`: the edge loop indexes them without
-/// bounds checks (a measured quarter of the pass's time).
+/// bounds checks, which cost about a quarter of the pass's time on a
+/// 256² torus (2-CPU x86-64 host).
 #[inline(always)]
 unsafe fn select<S: VertexScheduler>(
     scheduler: &S,
