@@ -78,7 +78,8 @@ pub enum HotPath {
     Scalar,
     /// Lane-batched kernels over packed slabs.
     Lanes {
-        /// Slab packing; `None` resolves to
+        /// Slab packing of the LocalMetropolis kernel (the LubyGlauber
+        /// kernel reads the state directly); `None` resolves to
         /// [`Packing::auto_for`]`(q)` per model.
         packing: Option<Packing>,
         /// `true`: per-round block fills of stream heads/seeds.
