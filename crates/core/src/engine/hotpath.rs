@@ -1383,6 +1383,40 @@ mod tests {
     }
 
     #[test]
+    fn edge_pass_breaks_equal_marks_by_vertex_id() {
+        // Equal marks everywhere: the edge pass must settle every edge
+        // by vertex id exactly as the per-vertex test does — on the
+        // whole graph and on a range whose local indices are not the
+        // global ids.
+        use crate::schedule::LubyScheduler;
+        let sched = LubyScheduler::new();
+        let g = lsl_graph::generators::cycle(8);
+        let mrf = lsl_mrf::models::uniform_independent_set(g.clone());
+        let ctx = RoundCtx::new(&mrf, 0, 0);
+        let marks_wide = [0.25; 8];
+        for range in [KernelRange::whole(&g), KernelRange::contiguous(&g, 6..8)] {
+            let (_, euv) = range.edges(&g);
+            let marks = vec![0.25; range.len()];
+            let mut sel = vec![0u8; range.len()];
+            let id = |i: usize| range.vertex(i);
+            // SAFETY: `edges` packs local indices of `range`, and both
+            // slices are `range.len()` long.
+            unsafe { select(&sched, &ctx, &euv, &marks, &mut sel, id) };
+            for i in range.owned() {
+                let v = range.vertex(i);
+                assert_eq!(sel[i] != 0, sched.selected(&ctx, v, &marks_wide), "{v:?}");
+            }
+        }
+        // On the cycle only vertex 7 beats both neighbours.
+        let picked: Vec<u32> = g
+            .vertices()
+            .filter(|&v| sched.selected(&ctx, v, &marks_wide))
+            .map(|v| v.0)
+            .collect();
+        assert_eq!(picked, [7]);
+    }
+
+    #[test]
     fn head_mapping_matches_uniform_f64() {
         for seed in 0..64 {
             let mut rng = Xoshiro256pp::seed_from(seed);

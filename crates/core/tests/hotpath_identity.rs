@@ -239,7 +239,20 @@ proptest! {
     ) {
         // Several vertex kinds with q > 2: each vertex's proposal is
         // counted off its own kind's breakpoint table.
-        let mrf = random_list_coloring(rows, cols, seed);
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let g = generators::torus(rows, cols);
+        let q = 7;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let lists: Vec<Vec<u32>> = (0..g.num_vertices())
+            .map(|_| {
+                let mut colors: Vec<u32> = (0..q as u32).collect();
+                colors.shuffle(&mut rng);
+                colors.truncate(5);
+                colors
+            })
+            .collect();
+        let mrf = models::list_coloring(g, q, &lists);
         assert!(mrf.vertex_palette().len() > 1);
         assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
     }
@@ -256,7 +269,7 @@ fn gnp_with_isolated(seed: u64) -> Graph {
 
 /// A `q = 7` list coloring of a torus, each vertex drawing a random
 /// list of 5 colors (more than any torus degree, so no marginal
-/// vanishes).
+/// vanishes) — the lists of the LocalMetropolis list-coloring case.
 fn random_list_coloring(rows: usize, cols: usize, seed: u64) -> lsl_mrf::Mrf {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
