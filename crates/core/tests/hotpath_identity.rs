@@ -256,6 +256,45 @@ proptest! {
         assert!(mrf.vertex_palette().len() > 1);
         assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
     }
+
+    #[test]
+    fn local_metropolis_lanes_match_scalar_on_gnp_hard_edge_kinds(
+        master in 0u64..10_000, seed in 0u64..500
+    ) {
+        // Several hard edge kinds, q = 6: some edges forbid a different
+        // spin pattern, and their activities' max is 2.5, not 1.
+        let mrf = gnp_hard_edge_kinds(seed);
+        assert!(mrf.all_hard_constraints());
+        assert!(mrf.edge_palette().len() > 1);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
+        assert_hotpaths_agree(&mrf, LocalMetropolisRule::without_rule3(), master);
+    }
+}
+
+/// A `q = 6` proper coloring of `G(12, 0.3)` in which the first edge
+/// and about every third other edge (by a seeded draw) carry their own
+/// hard activity: entries 0 or 2.5,
+/// forbidding `a == b` and `(a + b) mod 6 == r` for an edge-chosen `r`.
+fn gnp_hard_edge_kinds(seed: u64) -> lsl_mrf::Mrf {
+    use lsl_mrf::EdgeActivity;
+    use rand::{RngExt, SeedableRng};
+    let q = 6;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let g = generators::gnp(12, 0.3, &mut rng);
+    let edges: Vec<_> = g.edges().map(|(e, _, _)| e).collect();
+    let mut mrf = models::proper_coloring(g, q);
+    for (i, e) in edges.into_iter().enumerate() {
+        if i > 0 && rng.random_range(0..3) != 0 {
+            continue;
+        }
+        let r = rng.random_range(0..q);
+        let data = (0..q)
+            .flat_map(|a| (0..q).map(move |b| (a, b)))
+            .map(|(a, b)| if a == b || (a + b) % q == r { 0.0 } else { 2.5 })
+            .collect();
+        mrf.set_edge_activity(e, EdgeActivity::new(q, data).unwrap());
+    }
+    mrf
 }
 
 /// A `G(12, 0.3)` graph with two isolated vertices appended.
@@ -314,6 +353,15 @@ fn kernels_match_scalar_across_rng_chunks_and_repeated_rounds() {
             assert_eq!(oracle.state(b), lanes.state(b), "copy {b} at round {round}");
         }
     }
+}
+
+/// A hard q = 7 coloring without rule 3 on a range longer than one
+/// block-RNG chunk: seven uniform proposals put the breakpoints at
+/// non-dyadic draws, and the hard edge pass tests two factors per edge.
+#[test]
+fn coloring_without_rule3_matches_scalar_across_rng_chunks() {
+    let mrf = models::proper_coloring(generators::torus(40, 40), 7);
+    assert_hotpaths_agree(&mrf, LocalMetropolisRule::without_rule3(), 6);
 }
 
 /// Coupled LubyGlauber replicas on a range longer than one block-RNG
