@@ -15,7 +15,9 @@
 //!   baseline's vertex-steps/sec, plus the headline kernel on
 //!   `parallel:2` and `sharded:2`: kernels run one range per worker or
 //!   shard, so two workers should beat one;
-//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime;
+//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime
+//!   (vectorized proposal count, byte-table hard edge pass), with the
+//!   byte-lane block kernel also on `parallel:2` and `sharded:2`;
 //! * 32×32 torus Ising, the headline kernel on `sequential`,
 //!   `parallel:2` and `sharded:2` over many short rounds — where a
 //!   round's dispatch to the workers costs most against its work;
@@ -138,7 +140,12 @@ fn main() {
         .collect();
     ising.push((Backend::Parallel { threads: 2 }, lanes("lanes:bit:block")));
     ising.push((Backend::Sharded { shards: 2 }, lanes("lanes:bit:block")));
-    let coloring: Vec<(Backend, HotPath)> = [
+    let backends = [
+        Backend::Sequential,
+        Backend::Parallel { threads: 2 },
+        Backend::Sharded { shards: 2 },
+    ];
+    let mut coloring: Vec<(Backend, HotPath)> = [
         "lanes:wide:block",
         "lanes:byte:block",
         "lanes:byte:pervertex",
@@ -146,11 +153,11 @@ fn main() {
     .iter()
     .map(|s| (Backend::Sequential, lanes(s)))
     .collect();
-    let backends = [
-        Backend::Sequential,
-        Backend::Parallel { threads: 2 },
-        Backend::Sharded { shards: 2 },
-    ];
+    coloring.extend(
+        backends[1..]
+            .iter()
+            .map(|&b| (b, lanes("lanes:byte:block"))),
+    );
     let small: Vec<(Backend, HotPath)> = backends
         .into_iter()
         .map(|b| (b, lanes("lanes:bit:block")))
@@ -165,8 +172,8 @@ fn main() {
         "every row is bit-identical to the scalar oracle (fingerprints asserted);",
         "headline: lanes:bit:block on the torus Ising local-metropolis workload,",
         "on sequential, parallel:2 and sharded:2 (speedups vs the sequential scalar row),",
-        "at 256x256 and at 32x32 (many short rounds); hardcore luby-glauber",
-        "on the same three backends",
+        "at 256x256 and at 32x32 (many short rounds); q=16 coloring byte lanes",
+        "and hardcore luby-glauber on the same three backends",
     ]);
     header_row("workload,backend,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
 
@@ -245,7 +252,7 @@ fn main() {
         "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"LocalMetropolis torus Ising \
          beta=0.4 + proper coloring q=16, hotpath sweep (scalar oracle vs packed lane \
          kernels x block RNG; Ising headline kernel also on parallel:2 and sharded:2, \
-         at 256x256 and 32x32) + LubyGlauber torus hardcore lambda=1 on the same three \
+         at 256x256 and 32x32, q=16 byte lanes also on parallel:2 and sharded:2) + LubyGlauber torus hardcore lambda=1 on the same three \
          backends\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
          [\n{}\n  ]\n}}\n",
         lsl_bench::meta_json(),

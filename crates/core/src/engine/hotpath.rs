@@ -20,15 +20,19 @@
 //!   coin is computed **once**, not once per endpoint. Proposals are
 //!   counted off each vertex kind's breakpoint table
 //!   ([`lsl_mrf::VertexActivity::breakpoints`]) rather than walked
-//!   down the sampler's ladder, and marks are functions of one head
-//!   ([`crate::schedule::VertexScheduler::mark`]).
+//!   down the sampler's ladder — for a single-kind model in one
+//!   compare-and-add pass per breakpoint, runtime-dispatched to
+//!   AVX2/AVX-512 clones like the head fills — and marks are functions
+//!   of one head ([`crate::schedule::VertexScheduler::mark`]).
 //! * **packed lanes** — LocalMetropolis states and proposals live in
 //!   `u8` (or bit) lanes, so the edge pass's endpoint gathers touch a
 //!   quarter (or a thirty-second) of the cache lines.
 //! * **precomputed filter tables** — the LocalMetropolis factors
 //!   `Ã_e(a, b)` are tabled per edge *kind* at construction (the same
 //!   `get / max` division, done `q²` times instead of `3·2m` times per
-//!   round).
+//!   round). Hard models also table `Ã_e(a, b) > 0` as bytes, so their
+//!   edge pass ANDs bytes instead of multiplying `f64` factors, and
+//!   `q = 2` models table the whole filter product per state nibble.
 //! * **edge-pass selection, gathered resolve heads** — LubyGlauber's
 //!   selection rule runs as one branch-free pass over the range's
 //!   edges (each scheduler's per-neighbour test, ANDed into both
@@ -59,7 +63,9 @@ use super::{RoundCtx, EDGE_LABEL};
 use crate::schedule::VertexScheduler;
 use crate::update::Resampler;
 use lsl_graph::{EdgeId, Graph, VertexId};
-use lsl_local::rng::{fill_stream_heads, fill_stream_heads_at, head_to_f64, VERTEX_STREAM_LABEL};
+use lsl_local::rng::{
+    fill_stream_heads, fill_stream_heads_at, head_to_f64, SimdLevel, VERTEX_STREAM_LABEL,
+};
 use lsl_mrf::{Mrf, Spin};
 use std::sync::Arc;
 
@@ -425,7 +431,11 @@ trait LaneBuf: Send + 'static {
     /// `self[i] = wide[idx[i]]`: a range's local lanes from a full
     /// configuration.
     fn gather(&mut self, wide: &[Spin], idx: &[u32]);
-    fn get(&self, i: usize) -> Spin;
+    /// Lane `i`.
+    ///
+    /// # Safety
+    /// `i` must be below the length the buffer was built with.
+    unsafe fn get_unchecked(&self, i: usize) -> Spin;
     /// The raw one-bit-per-index words, when this packing has them —
     /// unlocks the word-interleaved `q = 2` edge pass.
     fn as_bits(&self) -> Option<&[u64]> {
@@ -449,8 +459,9 @@ impl LaneBuf for Vec<Spin> {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Spin {
-        self[i]
+    unsafe fn get_unchecked(&self, i: usize) -> Spin {
+        // SAFETY: `i < len`, per the trait's contract.
+        unsafe { *<[Spin]>::get_unchecked(self, i) }
     }
 }
 
@@ -475,8 +486,9 @@ impl LaneBuf for Vec<u8> {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Spin {
-        self[i] as Spin
+    unsafe fn get_unchecked(&self, i: usize) -> Spin {
+        // SAFETY: `i < len`, per the trait's contract.
+        Spin::from(unsafe { *<[u8]>::get_unchecked(self, i) })
     }
 }
 
@@ -493,10 +505,13 @@ impl LaneBuf for BitLanes {
     }
 
     fn load(&mut self, wide: &[Spin]) {
-        self.words.fill(0);
-        for (i, &s) in wide.iter().enumerate() {
-            debug_assert!(s < 2);
-            self.words[i >> 6] |= u64::from(s) << (i & 63);
+        for (word, chunk) in self.words.iter_mut().zip(wide.chunks(64)) {
+            let mut acc = 0u64;
+            for (bit, &s) in chunk.iter().enumerate() {
+                debug_assert!(s < 2);
+                acc |= u64::from(s) << bit;
+            }
+            *word = acc;
         }
     }
 
@@ -513,8 +528,11 @@ impl LaneBuf for BitLanes {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Spin {
-        ((self.words[i >> 6] >> (i & 63)) & 1) as Spin
+    unsafe fn get_unchecked(&self, i: usize) -> Spin {
+        // SAFETY: `i < len`, per the trait's contract, so its word is
+        // below `len.div_ceil(64)`.
+        let word = unsafe { *self.words.get_unchecked(i >> 6) };
+        ((word >> (i & 63)) & 1) as Spin
     }
 
     fn as_bits(&self) -> Option<&[u64]> {
@@ -575,6 +593,12 @@ struct LmKernel<L: LaneBuf> {
     /// `get / max` values [`lsl_mrf::EdgeActivity::normalized`]
     /// computes, divided once at construction.
     tables: Vec<f64>,
+    /// Hard models only (else empty): `tables > 0` as bytes, at the
+    /// same offsets. A hard activity's normalized entries are exactly
+    /// 0.0 or 1.0, so a filter product is positive exactly when every
+    /// factor's byte is 1 — the hard edge pass ANDs bytes instead of
+    /// multiplying `f64`s.
+    allow: Vec<u8>,
     /// `q == 2` only (else empty): the filter *products* per edge kind,
     /// 16 entries indexed by the state nibble
     /// `sp(u)·8 + sp(v)·4 + sx(u)·2 + sx(v)`, multiplied at
@@ -623,6 +647,13 @@ impl<L: LaneBuf> LmKernel<L> {
     fn new(mrf: Arc<Mrf>, range: KernelRange, rule3: bool, block_rng: bool) -> Self {
         let (edges, euv) = range.edges(mrf.graph());
         let (len, m) = (range.len(), euv.len());
+        // The edge pass indexes `ok` and the lanes (all `len` long, or
+        // `len` bits) by these endpoints without bounds checks.
+        assert!(
+            euv.iter()
+                .all(|&uv| (uv as u32).max((uv >> 32) as u32) < len as u32),
+            "range edge endpoints must be local indices"
+        );
         let q = mrf.q();
         let qq = (q * q) as u32;
         let mut tables = Vec::with_capacity(mrf.edge_palette().len() * (q * q));
@@ -672,6 +703,11 @@ impl<L: LaneBuf> LmKernel<L> {
             }
         }
         let hard = mrf.all_hard_constraints();
+        let allow = if hard {
+            tables.iter().map(|&p| u8::from(p > 0.0)).collect()
+        } else {
+            Vec::new()
+        };
         LmKernel {
             rule3,
             block_rng,
@@ -683,6 +719,7 @@ impl<L: LaneBuf> LmKernel<L> {
             kind0,
             breakpoints,
             tables,
+            allow,
             products,
             products2,
             thr2,
@@ -733,15 +770,9 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                     // breakpoints at or below the head's 53-bit draw —
                     // exactly the scalar sampler's subtraction ladder
                     // (see `VertexActivity::breakpoints`). With one
-                    // kind, one vectorizable counting pass per
-                    // breakpoint.
+                    // kind, one counting pass over the block.
                     if let Some(bps) = &self.breakpoints {
-                        proposals.fill(0);
-                        for &b in bps {
-                            for (slot, &head) in proposals.iter_mut().zip(heads.iter()) {
-                                *slot += Spin::from(head >> 11 >= b);
-                            }
-                        }
+                        count_breakpoints(SimdLevel::detected(), bps, heads, proposals);
                     } else {
                         for (k, (slot, &head)) in proposals.iter_mut().zip(heads.iter()).enumerate()
                         {
@@ -808,6 +839,7 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
             etbl,
             kind0,
             tables,
+            allow,
             products,
             products2,
             thr2,
@@ -823,7 +855,8 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         let m = euv.len();
         // One loop shape, pluggable accept test over `(edge, coin head,
         // endpoints)`; the coin head is meaningful only under block
-        // coins.
+        // coins. The test runs inside the loop's `unsafe` block: it
+        // reads the endpoints' lanes unchecked.
         macro_rules! edge_pass {
             ($acc_of:expr) => {
                 for lo in (0..m).step_by(RNG_CHUNK) {
@@ -837,13 +870,18 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                         }
                         heads
                     };
-                    for (e, &c) in (lo..hi).zip(heads) {
-                        let uv = euv[e];
+                    for (e, (&uv, &c)) in (lo..).zip(euv[lo..hi].iter().zip(heads)) {
                         let u = uv as u32 as usize;
                         let v = (uv >> 32) as usize;
-                        let acc: u8 = $acc_of(e, c, u, v);
-                        ok[u] &= acc;
-                        ok[v] &= acc;
+                        // SAFETY: `new` asserted both endpoints of every
+                        // `euv` entry are below `range.len()`: the length
+                        // of `ok` and of both lane buffers (whose 2-bit
+                        // interleave `cbits` holds as many lanes).
+                        unsafe {
+                            let acc: u8 = $acc_of(e, c, u, v);
+                            *ok.get_unchecked_mut(u) &= acc;
+                            *ok.get_unchecked_mut(v) &= acc;
+                        }
                     }
                 }
             };
@@ -852,15 +890,11 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         let kind = |e: usize| kind0.unwrap_or_else(|| etbl[e]) as usize;
         let edges = edges.as_deref();
         let coin = |e: usize| ctx.edge_coin(EdgeId(edges.map_or(e as u32, |ids| ids[e])));
-        // The f64 accept test: every factor of a hard model is 0 or 1,
-        // so `p > 0.0` is "no factor rejected" with no coin consulted —
-        // the branch the scalar rule takes per edge. Soft models fold
-        // the scalar ladder into one `coin < p`.
+        // The soft accept test folds the scalar ladder into one
+        // `coin < p`.
         macro_rules! accept {
             ($e:expr, $c:expr, $p:expr) => {
-                if hard {
-                    u8::from($p > 0.0)
-                } else if block_rng {
+                if block_rng {
                     u8::from(head_to_f64($c) < $p)
                 } else {
                     u8::from(coin($e) < $p)
@@ -878,46 +912,73 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                     cbits[2 * i + 1] = spread32(p >> 32) << 1 | spread32(x >> 32);
                 }
                 let cbits: &[u64] = cbits;
-                let idx_of = |u: usize, v: usize| {
-                    let cu = cbits[u >> 5] >> ((u & 31) << 1) & 3;
-                    let cv = cbits[v >> 5] >> ((v & 31) << 1) & 3;
-                    (cu << 2 | cv) as usize
-                };
+                // Expanded inside the edge pass's unchecked block.
+                macro_rules! idx_of {
+                    ($u:expr, $v:expr) => {{
+                        let (u, v): (usize, usize) = ($u, $v);
+                        let cu = cbits.get_unchecked(u >> 5) >> ((u & 31) << 1) & 3;
+                        let cv = cbits.get_unchecked(v >> 5) >> ((v & 31) << 1) & 3;
+                        (cu << 2 | cv) as usize
+                    }};
+                }
                 let base = |e: usize| kind(e) * 4;
                 if hard {
-                    edge_pass!(|e: usize, _, u, v| u8::from(thr2[base(e) + idx_of(u, v)] != 0));
+                    edge_pass!(|e: usize, _, u, v| u8::from(thr2[base(e) + idx_of!(u, v)] != 0));
                 } else if block_rng {
                     edge_pass!(|e: usize, c: u64, u, v| u8::from(
-                        c >> 11 < thr2[base(e) + idx_of(u, v)]
+                        c >> 11 < thr2[base(e) + idx_of!(u, v)]
                     ));
                 } else {
                     edge_pass!(|e: usize, _, u, v| u8::from(
-                        coin(e) < products2[base(e) + idx_of(u, v)]
+                        coin(e) < products2[base(e) + idx_of!(u, v)]
                     ));
                 }
+            }
+            _ if hard => {
+                // Hard constraints: every coin is deterministic (the
+                // branch the scalar rule takes per edge), and the
+                // product is positive iff every factor's byte is 1.
+                edge_pass!(|e: usize, _, u: usize, v: usize| {
+                    let tbl = &allow[kind(e)..][..qq];
+                    let (su, sv) = (sp.get_unchecked(u) as usize, sp.get_unchecked(v) as usize);
+                    let (xu, xv) = (sx.get_unchecked(u) as usize, sx.get_unchecked(v) as usize);
+                    let mut acc = tbl[su * q + sv] & tbl[xu * q + sv];
+                    if rule3 {
+                        acc &= tbl[su * q + xv];
+                    }
+                    acc
+                });
             }
             (true, ..) => {
                 // Wider slabs, q = 2: still one product-table load in
                 // place of the factor gathers + multiplies.
-                let idx_of = |u: usize, v: usize| {
-                    (sp.get(u) << 3 | sp.get(v) << 2 | sx.get(u) << 1 | sx.get(v)) as usize
-                };
+                // Expanded inside the edge pass's unchecked block.
+                macro_rules! idx_of {
+                    ($u:expr, $v:expr) => {{
+                        let (u, v): (usize, usize) = ($u, $v);
+                        let (su, sv) = (sp.get_unchecked(u), sp.get_unchecked(v));
+                        (su << 3 | sv << 2 | sx.get_unchecked(u) << 1 | sx.get_unchecked(v))
+                            as usize
+                    }};
+                }
                 if let Some(b) = *kind0 {
                     let pt: &[f64] = &products[b as usize * 4..][..16];
-                    edge_pass!(|e: usize, c: u64, u, v| accept!(e, c, pt[idx_of(u, v)]));
+                    edge_pass!(|e: usize, c: u64, u, v| accept!(e, c, pt[idx_of!(u, v)]));
                 } else {
                     edge_pass!(|e: usize, c: u64, u, v| accept!(
                         e,
                         c,
-                        products[etbl[e] as usize * 4 + idx_of(u, v)]
+                        products[etbl[e] as usize * 4 + idx_of!(u, v)]
                     ));
                 }
             }
             _ => {
+                // Soft constraints, q > 2: the factors multiply in the
+                // exact order of the scalar rule.
                 edge_pass!(|e: usize, c: u64, u: usize, v: usize| {
                     let tbl = &tables[kind(e)..][..qq];
-                    let (su, sv) = (sp.get(u) as usize, sp.get(v) as usize);
-                    let (xu, xv) = (sx.get(u) as usize, sx.get(v) as usize);
+                    let (su, sv) = (sp.get_unchecked(u) as usize, sp.get_unchecked(v) as usize);
+                    let (xu, xv) = (sx.get_unchecked(u) as usize, sx.get_unchecked(v) as usize);
                     let mut p = tbl[su * q + sv] * tbl[xu * q + sv];
                     if rule3 {
                         p *= tbl[su * q + xv];
@@ -959,6 +1020,28 @@ fn fill_coins(edges: &Option<Vec<u32>>, edge_master: u64, lo: usize, out: &mut [
         None => fill_stream_heads(edge_master, EDGE_LABEL, lo as u64, out),
         Some(ids) => fill_stream_heads_at(edge_master, EDGE_LABEL, &ids[lo..], out),
     }
+}
+
+/// `out[k]` = the number of breakpoints `bps` at or below the 53-bit
+/// draw of `heads[k]` — [`lsl_mrf::VertexActivity::sample_head`] over a
+/// block, as one compare-and-add pass per breakpoint. Runs in the clone
+/// of `level` (capped at what the host supports): baseline x86-64 has
+/// no 64-bit vector compare, so only the AVX2/AVX-512 clones vectorize.
+///
+/// # Panics
+/// Panics if `heads` is shorter than `out`.
+fn count_breakpoints(level: SimdLevel, bps: &[u64], heads: &[u64], out: &mut [Spin]) {
+    #[inline(always)]
+    fn portable(bps: &[u64], heads: &[u64], out: &mut [Spin]) {
+        let heads = &heads[..out.len()];
+        out.fill(0);
+        for &b in bps {
+            for (slot, &head) in out.iter_mut().zip(heads) {
+                *slot += Spin::from(head >> 11 >= b);
+            }
+        }
+    }
+    lsl_local::simd_dispatch!(@at level, portable(bps: &[u64], heads: &[u64], out: &mut [Spin]))
 }
 
 /// Builds the LocalMetropolis kernel over `range` at the requested
@@ -1408,6 +1491,38 @@ mod tests {
                 let oracle = sched.selected(&ctx, v, &marks_wide);
                 assert_eq!(sel[i] != 0, oracle, "{v:?}");
                 assert_eq!(oracle, v.0 == 5, "only vertex 5 beats both neighbours");
+            }
+        }
+    }
+
+    #[test]
+    fn breakpoint_count_matches_sample_head_in_every_clone() {
+        use lsl_mrf::VertexActivity;
+        let acts = [
+            VertexActivity::uniform(3),
+            VertexActivity::uniform(7),
+            VertexActivity::uniform(16),
+            VertexActivity::new(vec![0.3, 0.0, 2.5, 1.0 / 3.0, 0.0, 1e-9, 4.0, 0.0]).unwrap(),
+        ];
+        let mut rng = Xoshiro256pp::seed_from(17);
+        for act in &acts {
+            // Random heads, then every breakpoint's least draw and its
+            // neighbours: ±{0, 1, 2} draws, each with random low bits.
+            let mut heads: Vec<u64> = (0..700).map(|_| rng.next()).collect();
+            for &b in act.breakpoints() {
+                for d in [-2i64, -1, 0, 1, 2] {
+                    let k = b.saturating_add_signed(d).min((1 << 53) - 1);
+                    heads.push(k << 11 | (rng.next() & 0x7FF));
+                }
+            }
+            let oracle: Vec<Spin> = heads.iter().map(|&h| act.sample_head(h)).collect();
+            for level in SimdLevel::ALL {
+                if level > SimdLevel::detected() {
+                    continue;
+                }
+                let mut out = vec![Spin::MAX; heads.len()];
+                count_breakpoints(level, act.breakpoints(), &heads, &mut out);
+                assert_eq!(out, oracle, "{level:?} on {act:?}");
             }
         }
     }

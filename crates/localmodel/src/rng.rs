@@ -219,14 +219,61 @@ pub fn head_to_f64(head: u64) -> f64 {
     (head >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+/// An instruction-set tier of the `simd_dispatch!` clones (the block
+/// fills here, the hot kernels' counting loops), ordered by width.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum SimdLevel {
+    /// The baseline build: no `#[target_feature]` clone.
+    Portable,
+    /// The AVX2 clone.
+    Avx2,
+    /// The AVX-512 (F, DQ, VL) clone.
+    Avx512,
+}
+
+impl SimdLevel {
+    /// Every tier, narrowest first.
+    pub const ALL: [SimdLevel; 3] = [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512];
+
+    /// The widest tier the host supports (the feature checks are cached
+    /// by `std`, so this is a few loads).
+    #[inline]
+    pub fn detected() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512dq")
+                && std::arch::is_x86_feature_detected!("avx512vl")
+            {
+                return SimdLevel::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return SimdLevel::Avx2;
+            }
+        }
+        SimdLevel::Portable
+    }
+}
+
 /// Runs `$body(args..)` through the widest instruction set the host
 /// supports: scalar/AVX2/AVX-512 clones of one `#[inline(always)]`
 /// loop. The bodies are identical — the `#[target_feature]` clones just
 /// let LLVM vectorize the (branchless, independent-per-index) loop with
-/// wider registers and native 64-bit multiplies (`vpmullq` needs
-/// AVX-512DQ). On non-x86-64 hosts only the portable loop exists.
+/// wider registers and native 64-bit compares and multiplies
+/// (`vpmullq` needs AVX-512DQ). On non-x86-64 hosts only the portable
+/// loop exists. The body returns `()` and the macro `return`s from the
+/// enclosing function, so it must end that function.
+///
+/// The `@at $level,` form runs the clone of a given [`SimdLevel`],
+/// capped at [`SimdLevel::detected`] (so no host runs an instruction it
+/// lacks): tests drive every clone the host has through it.
+#[doc(hidden)]
+#[macro_export]
 macro_rules! simd_dispatch {
-    ($body:ident($($arg:ident: $ty:ty),*)) => {{
+    ($body:ident($($arg:ident: $ty:ty),*)) => {
+        $crate::simd_dispatch!(@at $crate::rng::SimdLevel::Avx512, $body($($arg: $ty),*))
+    };
+    (@at $level:expr, $body:ident($($arg:ident: $ty:ty),*)) => {{
+        let level: $crate::rng::SimdLevel = $level;
         #[cfg(target_arch = "x86_64")]
         {
             #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
@@ -237,17 +284,16 @@ macro_rules! simd_dispatch {
             unsafe fn wide256($($arg: $ty),*) {
                 $body($($arg),*)
             }
-            if std::arch::is_x86_feature_detected!("avx512dq")
-                && std::arch::is_x86_feature_detected!("avx512vl")
-            {
-                // SAFETY: the required features were just detected.
-                return unsafe { wide512($($arg),*) };
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
+            match level.min($crate::rng::SimdLevel::detected()) {
+                // SAFETY: the clone's features were just detected.
+                $crate::rng::SimdLevel::Avx512 => return unsafe { wide512($($arg),*) },
                 // SAFETY: AVX2 was just detected.
-                return unsafe { wide256($($arg),*) };
+                $crate::rng::SimdLevel::Avx2 => return unsafe { wide256($($arg),*) },
+                $crate::rng::SimdLevel::Portable => {}
             }
         }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = level;
         $body($($arg),*)
     }};
 }
@@ -301,7 +347,7 @@ macro_rules! simd_fill {
             fn portable(master: u64, label: u64, start: u64, out: &mut [u64]) {
                 fill_with(master, label, out, |i| start + i as u64, $fast, $exact)
             }
-            simd_dispatch!(portable(master: u64, label: u64, start: u64, out: &mut [u64]))
+            crate::simd_dispatch!(portable(master: u64, label: u64, start: u64, out: &mut [u64]))
         }
 
         $(#[$gdoc])*
@@ -315,7 +361,7 @@ macro_rules! simd_fill {
                 let indices = &indices[..out.len()];
                 fill_with(master, label, out, |i| u64::from(indices[i]), $fast, $exact)
             }
-            simd_dispatch!(portable(master: u64, label: u64, indices: &[u32], out: &mut [u64]))
+            crate::simd_dispatch!(portable(master: u64, label: u64, indices: &[u32], out: &mut [u64]))
         }
     };
 }
