@@ -232,9 +232,6 @@ pub enum SimdLevel {
 }
 
 impl SimdLevel {
-    /// Every tier, narrowest first.
-    pub const ALL: [SimdLevel; 3] = [SimdLevel::Portable, SimdLevel::Avx2, SimdLevel::Avx512];
-
     /// The widest tier the host supports (the feature checks are cached
     /// by `std`, so this is a few loads).
     #[inline]
