@@ -897,9 +897,10 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                     // SAFETY: `new` asserted both endpoints of every
                     // `euv` entry are below `range.len()`: the length of
                     // `ok` and of both lane buffers (whose 2-bit
-                    // interleave `cbits` holds as many lanes). This round
-                    // asserted every lane below `q`, so a `q × q` table
-                    // row `a·q + b` of two lanes is in bounds.
+                    // interleave `cbits` holds as many lanes). Every
+                    // lane was asserted below `q` when loaded, so a
+                    // `q × q` table entry `a·q + b` of two lanes is in
+                    // bounds.
                     unsafe { accept_edges(lo, &euv[lo..hi], heads, ok, $acc_of) };
                 }
             };

@@ -344,7 +344,7 @@ macro_rules! simd_fill {
             fn portable(master: u64, label: u64, start: u64, out: &mut [u64]) {
                 fill_with(master, label, out, |i| start + i as u64, $fast, $exact)
             }
-            crate::simd_dispatch!(portable(master: u64, label: u64, start: u64, out: &mut [u64]))
+            simd_dispatch!(portable(master: u64, label: u64, start: u64, out: &mut [u64]))
         }
 
         $(#[$gdoc])*
@@ -358,7 +358,7 @@ macro_rules! simd_fill {
                 let indices = &indices[..out.len()];
                 fill_with(master, label, out, |i| u64::from(indices[i]), $fast, $exact)
             }
-            crate::simd_dispatch!(portable(master: u64, label: u64, indices: &[u32], out: &mut [u64]))
+            simd_dispatch!(portable(master: u64, label: u64, indices: &[u32], out: &mut [u64]))
         }
     };
 }
