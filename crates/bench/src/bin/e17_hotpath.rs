@@ -1,29 +1,24 @@
-//! E17 — hot-path engine: packed state slabs, block RNG, and
-//! lane-batched kernels.
+//! E17 — hot-path engine: the scalar oracle against the lane-batched
+//! kernels, per workload and backend.
 //!
 //! The engine's determinism contract (every draw of round `r` is a
 //! pure function of `(master, r, vertex)`) permits a much faster
-//! *implementation* of the same trajectory: pack states into u8/bit
+//! *implementation* of the same trajectory: pack states into `u8`
 //! lanes, fill each round's randomness as one contiguous block of
 //! stream heads instead of constructing a generator per vertex, and
-//! sweep same-phase vertices in batches over the slab. This sweep
-//! measures each layer against the scalar oracle on the step-engine
-//! reference workloads:
+//! sweep the round as strided passes over the range's vertices and
+//! edges. This sweep measures `hotpath=scalar` against `hotpath=lanes`
+//! on `sequential`, `parallel:2` and `sharded:2` for each workload:
 //!
 //! * 256×256 torus Ising at β = 0.4 under LocalMetropolis — the
-//!   headline row (bit lanes, q = 2), targeting ≥ 3× the scalar
-//!   baseline's vertex-steps/sec, plus the headline kernel on
-//!   `parallel:2` and `sharded:2`: kernels run one range per worker or
-//!   shard, so two workers should beat one;
-//! * 256×256 torus proper coloring, q = 16 — the byte-lane regime
-//!   (vectorized proposal count, byte-table hard edge pass), with the
-//!   byte-lane block kernel also on `parallel:2` and `sharded:2`;
-//! * 32×32 torus Ising, the headline kernel on `sequential`,
-//!   `parallel:2` and `sharded:2` over many short rounds — where a
-//!   round's dispatch to the workers costs most against its work;
+//!   headline (q = 2, coins drawn, one product-table load per edge),
+//!   targeting ≥ 3× the sequential scalar row's vertex-steps/sec;
+//! * 256×256 torus proper coloring, q = 16 (vectorized proposal count,
+//!   byte-table hard edge pass);
+//! * 32×32 torus Ising over many short rounds — where a round's
+//!   dispatch to the workers costs most against its work;
 //! * 256×256 torus hardcore at λ = 1 under LubyGlauber — the
-//!   edge-pass selection and gathered resolve heads, on `sequential`,
-//!   `parallel:2` and `sharded:2`.
+//!   edge-pass selection and gathered resolve heads.
 //!
 //! Every row is one [`JobSpec`] differing only in the `backend=` and
 //! `hotpath=` keys, and every row's final-state fingerprint is asserted
@@ -71,11 +66,12 @@ fn best_run(spec: &JobSpec, model: &BuiltModel, repeats: usize) -> (f64, u64) {
     (best, fp)
 }
 
+/// Runs one workload as `hotpath=scalar` and `hotpath=lanes` rows on
+/// each backend, the `sequential` scalar row first.
 fn sweep(
     workload: &'static str,
     chain: &str,
     side: usize,
-    variants: &[(Backend, HotPath)],
     rounds: usize,
     repeats: usize,
     rows: &mut Vec<Row>,
@@ -86,36 +82,39 @@ fn sweep(
     let model = base.build_model();
     let n = side * side;
 
-    let mut scalar_rate = f64::NAN;
-    let mut scalar_fp = 0;
-    for (i, &(backend, hp)) in std::iter::once(&(Backend::Sequential, HotPath::Scalar))
-        .chain(variants)
-        .enumerate()
-    {
-        let mut spec = base.clone();
-        spec.backend = Some(backend);
-        spec.hotpath = Some(hp);
-        let (secs, fp) = best_run(&spec, &model, repeats);
-        let rate = rounds as f64 * n as f64 / secs;
-        if i == 0 {
-            scalar_rate = rate;
-            scalar_fp = fp;
+    let (first, mut scalar_rate, mut scalar_fp) = (rows.len(), f64::NAN, 0);
+    let backends = [
+        Backend::Sequential,
+        Backend::Parallel { threads: 2 },
+        Backend::Sharded { shards: 2 },
+    ];
+    for backend in backends {
+        for hp in [HotPath::Scalar, HotPath::Lanes] {
+            let mut spec = base.clone();
+            spec.backend = Some(backend);
+            spec.hotpath = Some(hp);
+            let (secs, fp) = best_run(&spec, &model, repeats);
+            let rate = rounds as f64 * n as f64 / secs;
+            if rows.len() == first {
+                scalar_rate = rate;
+                scalar_fp = fp;
+            }
+            assert_eq!(
+                fp, scalar_fp,
+                "{workload} backend={backend} hotpath={hp} diverged from the scalar oracle"
+            );
+            rows.push(Row {
+                workload,
+                backend,
+                hotpath: hp.to_string(),
+                n,
+                rounds,
+                secs,
+                steps_vertices_per_sec: rate,
+                speedup_vs_scalar: rate / scalar_rate,
+                fingerprint: fp,
+            });
         }
-        assert_eq!(
-            fp, scalar_fp,
-            "{workload} backend={backend} hotpath={hp} diverged from the scalar oracle"
-        );
-        rows.push(Row {
-            workload,
-            backend,
-            hotpath: hp.to_string(),
-            n,
-            rounds,
-            secs,
-            steps_vertices_per_sec: rate,
-            speedup_vs_scalar: rate / scalar_rate,
-            fingerprint: fp,
-        });
     }
 }
 
@@ -125,91 +124,31 @@ fn main() {
     let (side, rounds, repeats) = if tiny { (48, 4, 1) } else { (256, 96, 4) };
     let small_rounds = if tiny { 40 } else { 4000 };
 
-    // Sequential scalar first (implicit), then every lane variant the
-    // model's q admits: the full packing × RNG matrix on Ising (q = 2
-    // supports bit lanes) plus the headline kernel on two workers and
-    // two shards, the wide/byte column on q = 16 coloring.
-    let lanes = |s: &str| -> HotPath { s.parse().expect("a lane variant") };
-    let mut ising: Vec<(Backend, HotPath)> = ["wide", "byte", "bit"]
-        .iter()
-        .flat_map(|p| {
-            ["block", "pervertex"]
-                .iter()
-                .map(move |r| (Backend::Sequential, lanes(&format!("lanes:{p}:{r}"))))
-        })
-        .collect();
-    ising.push((Backend::Parallel { threads: 2 }, lanes("lanes:bit:block")));
-    ising.push((Backend::Sharded { shards: 2 }, lanes("lanes:bit:block")));
-    let backends = [
-        Backend::Sequential,
-        Backend::Parallel { threads: 2 },
-        Backend::Sharded { shards: 2 },
-    ];
-    let mut coloring: Vec<(Backend, HotPath)> = [
-        "lanes:wide:block",
-        "lanes:byte:block",
-        "lanes:byte:pervertex",
-    ]
-    .iter()
-    .map(|s| (Backend::Sequential, lanes(s)))
-    .collect();
-    coloring.extend(
-        backends[1..]
-            .iter()
-            .map(|&b| (b, lanes("lanes:byte:block"))),
-    );
-    let small: Vec<(Backend, HotPath)> = backends
-        .into_iter()
-        .map(|b| (b, lanes("lanes:bit:block")))
-        .collect();
-    let luby: Vec<(Backend, HotPath)> = backends
-        .into_iter()
-        .map(|b| (b, lanes("lanes:auto:block")))
-        .collect();
-
     header(&[
-        "E17: hot-path engine: packed slabs + block RNG + lane kernels",
-        "every row is bit-identical to the scalar oracle (fingerprints asserted);",
-        "headline: lanes:bit:block on the torus Ising local-metropolis workload,",
-        "on sequential, parallel:2 and sharded:2 (speedups vs the sequential scalar row),",
-        "at 256x256 and at 32x32 (many short rounds); q=16 coloring byte lanes",
-        "and hardcore luby-glauber on the same three backends",
+        "E17: hot-path engine: scalar oracle vs lane kernels, per workload and backend",
+        "every row is bit-identical to the sequential scalar row (fingerprints asserted);",
+        "headline: hotpath=lanes on the torus Ising local-metropolis workload",
+        "(speedups vs the sequential scalar row), at 256x256 and at 32x32 (many short",
+        "rounds); q=16 coloring and hardcore luby-glauber on the same three backends",
     ]);
     header_row("workload,backend,hotpath,n,rounds,secs,steps_vertices_per_sec,speedup_vs_scalar");
 
     let mut rows: Vec<Row> = Vec::new();
-    sweep(
-        "torus-ising",
-        "model=ising:beta=0.4 algorithm=local-metropolis",
-        side,
-        &ising,
-        rounds,
-        repeats,
-        &mut rows,
-    );
+    let ising = "model=ising:beta=0.4 algorithm=local-metropolis";
+    sweep("torus-ising", ising, side, rounds, repeats, &mut rows);
     sweep(
         "torus-coloring-q16",
         "model=coloring:q=16 algorithm=local-metropolis",
         side,
-        &coloring,
         rounds,
         repeats,
         &mut rows,
     );
-    sweep(
-        "torus32-ising",
-        "model=ising:beta=0.4 algorithm=local-metropolis",
-        32,
-        &small,
-        small_rounds,
-        repeats,
-        &mut rows,
-    );
+    sweep("torus32-ising", ising, 32, small_rounds, repeats, &mut rows);
     sweep(
         "torus-hardcore-lg",
         "model=hardcore:lambda=1 algorithm=luby-glauber",
         side,
-        &luby,
         rounds,
         repeats,
         &mut rows,
@@ -249,12 +188,11 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"LocalMetropolis torus Ising \
-         beta=0.4 + proper coloring q=16, hotpath sweep (scalar oracle vs packed lane \
-         kernels x block RNG; Ising headline kernel also on parallel:2 and sharded:2, \
-         at 256x256 and 32x32, q=16 byte lanes also on parallel:2 and sharded:2) + LubyGlauber torus hardcore lambda=1 on the same three \
-         backends\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \"rows\": \
-         [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"workload\": \"hotpath=scalar vs \
+         hotpath=lanes on sequential, parallel:2 and sharded:2: LocalMetropolis torus Ising \
+         beta=0.4 at 256x256 and 32x32, proper coloring q=16 at 256x256, LubyGlauber torus \
+         hardcore lambda=1 at 256x256\",\n  \"meta\": {},\n  \"tiny\": {tiny},\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
         lsl_bench::meta_json(),
         json_rows.join(",\n")
     );

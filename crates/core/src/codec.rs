@@ -43,7 +43,7 @@
 //! Both codecs answer bit-identical results — property-tested in
 //! `tests/codec_identity.rs` the same way remote-vs-local identity is.
 
-use crate::engine::{Packing, StateSlab};
+use crate::engine::Packing;
 use crate::lifecycle::RejectReason;
 use crate::proto::{self, escape, field, unescape, wire_err, ClientFrame, ServerFrame, WireError};
 use crate::service::JobEvent;
@@ -165,27 +165,21 @@ impl StateBlob {
     /// Packs a configuration over domain `[0, q)`.
     ///
     /// # Panics
-    /// Panics if a spin is `≥ q` (debug builds assert inside the slab;
-    /// release builds catch it in the explicit check here).
+    /// Panics if a spin is `≥ q`.
     pub fn pack(state: &[Spin], q: usize) -> StateBlob {
         let q = q.max(1);
         assert!(
             state.iter().all(|&s| (s as usize) < q),
             "spin out of domain [0, {q})"
         );
-        let packing = Packing::auto_for(q);
-        let slab = StateSlab::from_spins(packing, state);
-        let bytes = match &slab {
-            StateSlab::Wide(v) => v.iter().flat_map(|s| s.to_le_bytes()).collect(),
-            StateSlab::Byte(v) => v.clone(),
-            StateSlab::Bit { words, len } => {
-                let mut out = Vec::with_capacity(len.div_ceil(8));
-                for word in words {
-                    out.extend_from_slice(&word.to_le_bytes());
-                }
-                out.truncate(len.div_ceil(8));
-                out
-            }
+        let bytes = match Packing::auto_for(q) {
+            Packing::Wide => state.iter().flat_map(|s| s.to_le_bytes()).collect(),
+            Packing::Byte => state.iter().map(|&s| s as u8).collect(),
+            // LSB-first: spin `i` is bit `i % 8` of byte `i / 8`.
+            Packing::Bit => state
+                .chunks(8)
+                .map(|c| (0..).zip(c).fold(0u8, |b, (k, &s)| b | (s as u8) << k))
+                .collect(),
         };
         StateBlob {
             n: state.len(),

@@ -7,8 +7,7 @@
 //! *endpoint* (each shared coin is evaluated twice), and a normalizing
 //! division per filter factor. None of that is the chain — it is
 //! plumbing. A [`HotKernel`] removes it by restructuring one round as a
-//! few strided passes over packed [`StateSlab`](super::StateSlab)
-//! lanes:
+//! few strided passes over packed lanes:
 //!
 //! * **block RNG** — the round's single-draw randomness (proposal
 //!   draws, scheduler marks, edge coins) is generated once per phase as
@@ -25,14 +24,16 @@
 //!   AVX2/AVX-512 clones like the head fills — and marks are functions
 //!   of one head ([`crate::schedule::VertexScheduler::mark`]).
 //! * **packed lanes** — LocalMetropolis states and proposals live in
-//!   `u8` (or bit) lanes, so the edge pass's endpoint gathers touch a
-//!   quarter (or a thirty-second) of the cache lines.
+//!   `u8` lanes (`u32` lanes above `q = 256`: the lane width follows
+//!   `q`, it is not an option), so the edge pass's endpoint gathers
+//!   touch a quarter of the cache lines.
 //! * **precomputed filter tables** — the LocalMetropolis factors
 //!   `Ã_e(a, b)` are tabled per edge *kind* at construction (the same
 //!   `get / max` division, done `q²` times instead of `3·2m` times per
 //!   round). Hard models also table `Ã_e(a, b) > 0` as bytes, so their
 //!   edge pass ANDs bytes instead of multiplying `f64` factors, and
-//!   `q = 2` models table the whole filter product per state nibble.
+//!   soft `q = 2` models table the whole filter product per state
+//!   nibble.
 //! * **edge-pass selection, gathered resolve heads** — LubyGlauber's
 //!   selection rule runs as one branch-free pass over the range's
 //!   edges (each scheduler's per-neighbour test, ANDed into both
@@ -58,7 +59,6 @@
 //! scalar path stays compiled and selectable ([`HotPath::Scalar`]) as
 //! the regression oracle.
 
-use super::slab::Packing;
 use super::{RoundCtx, EDGE_LABEL};
 use crate::schedule::VertexScheduler;
 use crate::update::Resampler;
@@ -71,101 +71,48 @@ use std::sync::Arc;
 
 /// Which implementation serves a chain's synchronous rounds.
 ///
-/// The default is the lane-batched hot path with auto packing — always
-/// bit-identical to [`HotPath::Scalar`], which remains available as the
-/// regression oracle. The selection applies on every backend: kernels
-/// advance the whole graph on `sequential`, one contiguous range per
-/// worker on `parallel:k`, and each shard's owned set on `sharded:k`
-/// and `cluster:k`. Single-site rounds and rules without a kernel
-/// always run the scalar phases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The default is the lane-batched hot path — always bit-identical to
+/// [`HotPath::Scalar`], which remains available as the regression
+/// oracle. The selection applies on every backend: kernels advance the
+/// whole graph on `sequential`, one contiguous range per worker on
+/// `parallel:k`, and each shard's owned set on `sharded:k` and
+/// `cluster:k`. Single-site rounds and rules without a kernel always
+/// run the scalar phases.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum HotPath {
     /// The scalar per-vertex phases — the oracle.
     Scalar,
-    /// Lane-batched kernels over packed slabs.
-    Lanes {
-        /// Slab packing of the LocalMetropolis kernel (the LubyGlauber
-        /// kernel reads the state directly); `None` resolves to
-        /// [`Packing::auto_for`]`(q)` per model.
-        packing: Option<Packing>,
-        /// `true`: per-round block fills of stream heads/seeds.
-        /// `false`: a generator construction per vertex, as the scalar
-        /// path does (the ablation arm of the E17 sweep).
-        block_rng: bool,
-    },
-}
-
-impl Default for HotPath {
-    fn default() -> Self {
-        HotPath::Lanes {
-            packing: None,
-            block_rng: true,
-        }
-    }
+    /// Lane-batched kernels: block-filled stream heads, `u8` lanes for
+    /// `q ≤ 256` (`u32` above), filter tables per edge kind.
+    #[default]
+    Lanes,
 }
 
 impl HotPath {
-    /// Checks an explicitly requested packing against a model's domain
-    /// size (auto packing is always valid).
-    ///
-    /// # Errors
-    /// A message naming the unsupported combination.
-    pub fn validate_for(&self, q: usize) -> Result<(), String> {
-        match *self {
-            HotPath::Lanes {
-                packing: Some(p), ..
-            } if !p.supports(q) => Err(format!("packing {p} cannot hold q = {q} spins")),
-            _ => Ok(()),
-        }
-    }
-
-    /// The packing a chain on a `q`-spin model would use (`None` for
-    /// the scalar path).
-    pub fn resolved_packing(&self, q: usize) -> Option<Packing> {
-        match *self {
-            HotPath::Scalar => None,
-            HotPath::Lanes { packing, .. } => Some(packing.unwrap_or_else(|| Packing::auto_for(q))),
-        }
-    }
-
     /// Builds `rule`'s kernel over `range` under this selection: `None`
-    /// for [`HotPath::Scalar`], for rules without a kernel, and for an
-    /// (unvalidated) packing that cannot hold the model's spins — the
+    /// for [`HotPath::Scalar`] and for rules without a kernel — the
     /// engine then runs the scalar phases.
     pub fn build_kernel<R: super::SyncRule>(
         &self,
         mrf: &Arc<Mrf>,
         rule: &R,
         range: KernelRange,
-    ) -> Option<Box<dyn HotKernel<R::Local>>> {
-        match *self {
+    ) -> Option<Box<dyn HotKernel>> {
+        match self {
             HotPath::Scalar => None,
-            HotPath::Lanes { packing, block_rng } => {
-                let packing = packing.unwrap_or_else(|| Packing::auto_for(mrf.q()));
-                if !packing.supports(mrf.q()) {
-                    return None;
-                }
-                rule.hot_kernel(mrf, range, packing, block_rng)
-            }
+            HotPath::Lanes => rule.hot_kernel(mrf, range),
         }
     }
 }
 
-/// Canonical spec-string form: `scalar` or
-/// `lanes:<auto|wide|byte|bit>:<block|pervertex>`; the `FromStr` impl
-/// also accepts the segments after `lanes` in any order or omitted.
+/// Canonical spec-string form, accepted back by the `FromStr` impl:
+/// `scalar` or `lanes`.
 impl std::fmt::Display for HotPath {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            HotPath::Scalar => write!(f, "scalar"),
-            HotPath::Lanes { packing, block_rng } => {
-                match packing {
-                    None => write!(f, "lanes:auto")?,
-                    Some(p) => write!(f, "lanes:{p}")?,
-                }
-                write!(f, ":{}", if block_rng { "block" } else { "pervertex" })
-            }
-        }
+        f.write_str(match self {
+            HotPath::Scalar => "scalar",
+            HotPath::Lanes => "lanes",
+        })
     }
 }
 
@@ -173,34 +120,10 @@ impl std::str::FromStr for HotPath {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut parts = s.split(':');
-        match parts.next() {
-            Some("scalar") => match parts.next() {
-                None => Ok(HotPath::Scalar),
-                Some(extra) => Err(format!("scalar takes no argument, got {extra:?}")),
-            },
-            Some("lanes") => {
-                let (mut packing, mut block_rng) = (None, true);
-                for part in parts {
-                    match part {
-                        "auto" => packing = None,
-                        "block" => block_rng = true,
-                        "pervertex" => block_rng = false,
-                        p => {
-                            packing = Some(p.parse::<Packing>().map_err(|_| {
-                                format!(
-                                    "unknown hot-path option {p:?} \
-                                 (expected auto | wide | byte | bit | block | pervertex)"
-                                )
-                            })?)
-                        }
-                    }
-                }
-                Ok(HotPath::Lanes { packing, block_rng })
-            }
-            _ => Err(format!(
-                "unknown hot path {s:?} (expected scalar | lanes[:packing][:block|pervertex])"
-            )),
+        match s {
+            "scalar" => Ok(HotPath::Scalar),
+            "lanes" => Ok(HotPath::Lanes),
+            _ => Err(format!("unknown hot path {s:?} (expected scalar | lanes)")),
         }
     }
 }
@@ -326,8 +249,7 @@ impl KernelRange {
         self.len == 0
     }
 
-    /// Owned vertices — the length of a kernel's `next` and `locals`
-    /// outputs.
+    /// Owned vertices — the length of a kernel's `next` output.
     pub fn num_owned(&self) -> usize {
         self.num_owned
     }
@@ -406,26 +328,16 @@ impl KernelRange {
 /// `advance` must be bit-identical, on the range's owned vertices, to
 /// running the scalar propose + resolve phases of the same rule under
 /// the same [`RoundCtx`]. It reads `state` (a full configuration, valid
-/// at least on owned ∪ halo), writes the owned vertices' next spins
-/// into `next`, and — when asked — their published propose-phase locals
-/// into `locals` (so observers like
-/// [`SyncChain::locals`](super::SyncChain::locals) see exactly what the
-/// scalar phases would publish). Both outputs run parallel to the
-/// range's owned vertices in ascending order.
-pub trait HotKernel<L>: Send {
+/// at least on owned ∪ halo) and writes the owned vertices' next spins
+/// into `next`, parallel to the range's owned vertices in ascending
+/// order.
+pub trait HotKernel: Send {
     /// Executes one synchronous round over this kernel's range.
-    fn advance(
-        &mut self,
-        ctx: &RoundCtx,
-        state: &[Spin],
-        next: &mut [Spin],
-        locals: Option<&mut [L]>,
-    );
+    fn advance(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin]);
 }
 
-/// Monomorphic packed lanes — the kernels' private storage. Same
-/// layouts as [`StateSlab`](super::StateSlab), but resolved at compile
-/// time so the gather loops stay branch-free.
+/// Monomorphic packed lanes — the kernels' private storage, resolved at
+/// compile time so the gather loops stay branch-free.
 /// Loads return the largest spin they read (0 for no spin), so the
 /// edge pass can index its `q²` tables unchecked once every lane is
 /// known to be below `q`.
@@ -441,11 +353,6 @@ trait LaneBuf: Send + 'static {
     /// # Safety
     /// `i` must be below the length the buffer was built with.
     unsafe fn get_unchecked(&self, i: usize) -> Spin;
-    /// The raw one-bit-per-index words, when this packing has them —
-    /// unlocks the word-interleaved `q = 2` edge pass.
-    fn as_bits(&self) -> Option<&[u64]> {
-        None
-    }
 }
 
 impl LaneBuf for Vec<Spin> {
@@ -505,70 +412,6 @@ impl LaneBuf for Vec<u8> {
     }
 }
 
-/// Bit lanes in `u64` words.
-struct BitLanes {
-    words: Vec<u64>,
-}
-
-impl LaneBuf for BitLanes {
-    fn with_len(len: usize) -> Self {
-        BitLanes {
-            words: vec![0; len.div_ceil(64)],
-        }
-    }
-
-    fn load(&mut self, wide: &[Spin]) -> Spin {
-        let mut max = 0;
-        for (word, chunk) in self.words.iter_mut().zip(wide.chunks(64)) {
-            let mut acc = 0u64;
-            for (bit, &s) in chunk.iter().enumerate() {
-                acc |= u64::from(s) << bit;
-                max = max.max(s);
-            }
-            *word = acc;
-        }
-        max
-    }
-
-    fn gather(&mut self, wide: &[Spin], idx: &[u32]) -> Spin {
-        let mut max = 0;
-        for (word, chunk) in self.words.iter_mut().zip(idx.chunks(64)) {
-            let mut acc = 0u64;
-            for (bit, &g) in chunk.iter().enumerate() {
-                let s = wide[g as usize];
-                acc |= u64::from(s) << bit;
-                max = max.max(s);
-            }
-            *word = acc;
-        }
-        max
-    }
-
-    #[inline]
-    unsafe fn get_unchecked(&self, i: usize) -> Spin {
-        // SAFETY: `i < len`, per the trait's contract, so its word is
-        // below `len.div_ceil(64)`.
-        let word = unsafe { *self.words.get_unchecked(i >> 6) };
-        ((word >> (i & 63)) & 1) as Spin
-    }
-
-    fn as_bits(&self) -> Option<&[u64]> {
-        Some(&self.words)
-    }
-}
-
-/// Spreads the low 32 bits of `x` to the even bit positions (the
-/// classic Morton half-interleave).
-#[inline(always)]
-fn spread32(x: u64) -> u64 {
-    let mut x = x & 0xFFFF_FFFF;
-    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    (x | (x << 1)) & 0x5555_5555_5555_5555
-}
-
 /// Block-RNG fills run a chunk of this many indices at a time, into a
 /// buffer that stays in L1 while its consumer reads it back.
 const RNG_CHUNK: usize = 1024;
@@ -580,7 +423,6 @@ struct LmKernel<L: LaneBuf> {
     mrf: Arc<Mrf>,
     range: KernelRange,
     rule3: bool,
-    block_rng: bool,
     /// Every edge activity is 0/max — every coin is deterministic and
     /// the coin block is never filled (the coloring/hardcore fast path,
     /// same branch the scalar rule takes per edge).
@@ -616,31 +458,19 @@ struct LmKernel<L: LaneBuf> {
     /// factor's byte is 1 — the hard edge pass ANDs bytes instead of
     /// multiplying `f64`s.
     allow: Vec<u8>,
-    /// `q == 2` only (else empty): the filter *products* per edge kind,
-    /// 16 entries indexed by the state nibble
+    /// Soft `q == 2` models only (else empty): the filter *products*
+    /// per edge kind, 16 entries indexed by the state nibble
     /// `sp(u)·8 + sp(v)·4 + sx(u)·2 + sx(v)`, multiplied at
     /// construction in the exact factor order of the scalar rule — the
-    /// Ising/hardcore edge pass becomes one table load per edge.
+    /// Ising edge pass becomes one table load per edge.
     products: Vec<f64>,
-    /// The same products permuted to the word-interleaved nibble
-    /// `sp(u)·8 + sx(u)·4 + sp(v)·2 + sx(v)` (what two 2-bit lane
-    /// extractions assemble directly).
-    products2: Vec<f64>,
-    /// `ceil(products2 · 2⁵³)`, clamped at 0: `coin < p` over coins
-    /// `k·2⁻⁵³` is exactly `k < thr` (the scale is an exponent shift,
-    /// so the threshold is exact), turning the accept test into one
-    /// integer compare on the raw head.
-    thr2: Vec<u64>,
-    /// Interleaved 2-bit lanes `sp(v)·2 + sx(v)`, rebuilt per round
-    /// from the bit-packed slabs by [`spread32`] word ops.
-    cbits: Vec<u64>,
     /// Packed current state / proposals over owned ∪ halo.
     sx: L,
     sp: L,
     /// One chunk of stream heads: proposal draws in the propose pass,
     /// then shared edge coins in the edge pass — one per range *edge*
     /// (the scalar path evaluates each from both endpoints), consumed
-    /// via [`head_to_f64`] or the integer thresholds `thr2`.
+    /// via [`head_to_f64`].
     chunk: Vec<u64>,
     /// Every range edge's coin for the round `coins_key` names. Kept
     /// only once a round repeats — coupled replicas advancing the same
@@ -652,7 +482,7 @@ struct LmKernel<L: LaneBuf> {
     /// filter rejects (complete for owned vertices only — a halo
     /// vertex's edges to the rest of the graph are not in the range).
     ok: Vec<u8>,
-    /// Wide mirror of the proposals, for the combine pass and `locals`.
+    /// Wide mirror of the proposals, for the combine pass.
     proposals_wide: Vec<Spin>,
     /// Propose-master the current proposal block belongs to: coupled
     /// replicas share one master per round, so a batch of `B` replicas
@@ -661,11 +491,11 @@ struct LmKernel<L: LaneBuf> {
 }
 
 impl<L: LaneBuf> LmKernel<L> {
-    fn new(mrf: Arc<Mrf>, range: KernelRange, rule3: bool, block_rng: bool) -> Self {
+    fn new(mrf: Arc<Mrf>, range: KernelRange, rule3: bool) -> Self {
         let (edges, euv) = range.edges(mrf.graph());
         let (len, m) = (range.len(), euv.len());
-        // The edge pass indexes `ok` and the lanes (all `len` long, or
-        // `len` bits) by these endpoints without bounds checks.
+        // The edge pass indexes `ok` and the lanes (all `len` long) by
+        // these endpoints without bounds checks.
         assert!(
             euv.iter()
                 .all(|&uv| (uv as u32).max((uv >> 32) as u32) < len as u32),
@@ -697,37 +527,28 @@ impl<L: LaneBuf> LmKernel<L> {
             [act] => Some(act.breakpoints().to_vec()),
             _ => None,
         };
-        let (mut products, mut products2, mut thr2) = (Vec::new(), Vec::new(), Vec::new());
-        if q == 2 {
-            products.reserve(mrf.edge_palette().len() * 16);
-            products2.reserve(mrf.edge_palette().len() * 16);
-            thr2.reserve(mrf.edge_palette().len() * 16);
-            for kind in 0..mrf.edge_palette().len() {
-                let tbl = &tables[kind * 4..][..4];
-                let p_of = |su: usize, sv: usize, xu: usize, xv: usize| {
-                    let mut p = tbl[su * 2 + sv] * tbl[xu * 2 + sv];
-                    if rule3 {
-                        p *= tbl[su * 2 + xv];
-                    }
-                    p
-                };
-                for idx in 0..16usize {
-                    products.push(p_of(idx >> 3 & 1, idx >> 2 & 1, idx >> 1 & 1, idx & 1));
-                    let p2 = p_of(idx >> 3 & 1, idx >> 1 & 1, idx >> 2 & 1, idx & 1);
-                    products2.push(p2);
-                    thr2.push((p2 * (1u64 << 53) as f64).ceil().max(0.0) as u64);
-                }
-            }
-        }
         let hard = mrf.all_hard_constraints();
         let allow = if hard {
             tables.iter().map(|&p| u8::from(p > 0.0)).collect()
         } else {
             Vec::new()
         };
+        let mut products = Vec::new();
+        if q == 2 && !hard {
+            for tbl in tables.chunks(4) {
+                for idx in 0..16usize {
+                    let (su, sv) = (idx >> 3 & 1, idx >> 2 & 1);
+                    let (xu, xv) = (idx >> 1 & 1, idx & 1);
+                    let mut p = tbl[su * 2 + sv] * tbl[xu * 2 + sv];
+                    if rule3 {
+                        p *= tbl[su * 2 + xv];
+                    }
+                    products.push(p);
+                }
+            }
+        }
         LmKernel {
             rule3,
-            block_rng,
             hard,
             q,
             edges,
@@ -738,11 +559,8 @@ impl<L: LaneBuf> LmKernel<L> {
             tables,
             allow,
             products,
-            products2,
-            thr2,
             // Sized up front: a kernel advanced on a per-round worker
             // thread must not allocate there.
-            cbits: vec![0; if q == 2 { 2 * len.div_ceil(64) } else { 0 }],
             sx: L::with_len(len),
             sp: L::with_len(len),
             // Always a full chunk: the edge pass walks it as a
@@ -759,14 +577,8 @@ impl<L: LaneBuf> LmKernel<L> {
     }
 }
 
-impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
-    fn advance(
-        &mut self,
-        ctx: &RoundCtx,
-        state: &[Spin],
-        next: &mut [Spin],
-        locals: Option<&mut [Spin]>,
-    ) {
+impl<L: LaneBuf> HotKernel for LmKernel<L> {
+    fn advance(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin]) {
         let range = &self.range;
         let q = self.q as Spin;
         // The edge pass indexes its tables by lanes unchecked: every
@@ -784,31 +596,22 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         // randomness reuse them for free.
         let repeat = self.proposals_key == Some(ctx.propose_master);
         if !repeat {
-            if self.block_rng {
-                for lo in (0..range.len()).step_by(RNG_CHUNK) {
-                    let heads = &mut self.chunk[..RNG_CHUNK.min(range.len() - lo)];
-                    range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
-                    let proposals = &mut self.proposals_wide[lo..][..heads.len()];
-                    // The proposal is the number of the vertex kind's
-                    // breakpoints at or below the head's 53-bit draw —
-                    // exactly the scalar sampler's subtraction ladder
-                    // (see `VertexActivity::breakpoints`). With one
-                    // kind, one counting pass over the block.
-                    if let Some(bps) = &self.breakpoints {
-                        count_breakpoints(SimdLevel::detected(), bps, heads, proposals);
-                    } else {
-                        for (k, (slot, &head)) in proposals.iter_mut().zip(heads.iter()).enumerate()
-                        {
-                            let act = self.mrf.vertex_activity(range.vertex(lo + k));
-                            *slot = act.sample_head(head);
-                        }
+            for lo in (0..range.len()).step_by(RNG_CHUNK) {
+                let heads = &mut self.chunk[..RNG_CHUNK.min(range.len() - lo)];
+                range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
+                let proposals = &mut self.proposals_wide[lo..][..heads.len()];
+                // The proposal is the number of the vertex kind's
+                // breakpoints at or below the head's 53-bit draw —
+                // exactly the scalar sampler's subtraction ladder (see
+                // `VertexActivity::breakpoints`). With one kind, one
+                // counting pass over the block.
+                if let Some(bps) = &self.breakpoints {
+                    count_breakpoints(SimdLevel::detected(), bps, heads, proposals);
+                } else {
+                    for (k, (slot, &head)) in proposals.iter_mut().zip(heads.iter()).enumerate() {
+                        let act = self.mrf.vertex_activity(range.vertex(lo + k));
+                        *slot = act.sample_head(head);
                     }
-                }
-            } else {
-                for (i, slot) in self.proposals_wide.iter_mut().enumerate() {
-                    let v = range.vertex(i);
-                    let mut rng = ctx.propose_rng(v);
-                    *slot = self.mrf.vertex_activity(v).sample(rng.raw());
                 }
             }
             // Proposals count at most `q − 1` breakpoints.
@@ -820,25 +623,14 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         // or, once rounds repeat, once per round into `coins`. Never
         // filled for hard-constraint models, whose coins are all
         // deterministic.
-        let block_coins = self.block_rng && !self.hard;
+        let draw_coins = !self.hard;
         let edge_master = ctx.edge_master;
-        if block_coins && (repeat || !self.coins.is_empty()) && self.coins_key != Some(edge_master)
-        {
+        if draw_coins && (repeat || !self.coins.is_empty()) && self.coins_key != Some(edge_master) {
             self.coins.resize(self.euv.len(), 0);
             fill_coins(&self.edges, edge_master, 0, &mut self.coins);
             self.coins_key = Some(edge_master);
         }
         let cached = self.coins_key == Some(edge_master);
-        if let Some(locals) = locals {
-            match range.owned_run() {
-                Some((a, _)) => locals.copy_from_slice(&self.proposals_wide[a..][..locals.len()]),
-                None => {
-                    for (slot, i) in locals.iter_mut().zip(range.owned()) {
-                        *slot = self.proposals_wide[i];
-                    }
-                }
-            }
-        }
 
         // Resolve as an edge pass over the edges with an owned
         // endpoint. The scalar rule's per-vertex view evaluates, at
@@ -854,7 +646,7 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         // into one branchless `coin < p` — coins live in `[0, 1)`, so
         // all three rungs agree. Factors multiply in the exact order of
         // the scalar rule for f64-identical products.
-        let (rule3, hard, block_rng, q) = (self.rule3, self.hard, self.block_rng, self.q);
+        let (rule3, hard, q) = (self.rule3, self.hard, self.q);
         let qq = q * q;
         let Self {
             range,
@@ -865,9 +657,6 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
             tables,
             allow,
             products,
-            products2,
-            thr2,
-            cbits,
             sx,
             sp,
             chunk,
@@ -878,8 +667,8 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
         ok.fill(1);
         let m = euv.len();
         // One loop shape, pluggable accept test over `(edge, coin head,
-        // endpoints)`; the coin head is meaningful only under block
-        // coins. The test is written inside the `unsafe` block: it reads
+        // endpoints)`; the coin head is meaningful only when coins are
+        // drawn. The test is written inside the `unsafe` block: it reads
         // the endpoints' lanes, and indexes tables by them, unchecked.
         macro_rules! edge_pass {
             ($acc_of:expr) => {
@@ -889,122 +678,68 @@ impl<L: LaneBuf> HotKernel<Spin> for LmKernel<L> {
                         &coins[lo..hi]
                     } else {
                         let heads = &mut chunk[..hi - lo];
-                        if block_coins {
+                        if draw_coins {
                             fill_coins(edges, edge_master, lo, heads);
                         }
                         heads
                     };
                     // SAFETY: `new` asserted both endpoints of every
                     // `euv` entry are below `range.len()`: the length of
-                    // `ok` and of both lane buffers (whose 2-bit
-                    // interleave `cbits` holds as many lanes). Every
-                    // lane was asserted below `q` when loaded, so a
-                    // `q × q` table entry `a·q + b` of two lanes is in
-                    // bounds.
+                    // `ok` and of both lane buffers. Every lane was
+                    // asserted below `q` when loaded, so a `q × q` table
+                    // entry `a·q + b` of two lanes is in bounds.
                     unsafe { accept_edges(lo, &euv[lo..hi], heads, ok, $acc_of) };
                 }
             };
         }
-        // Range edge `e`'s kind-table base and shared coin.
+        // Range edge `e`'s kind-table base.
         let kind = |e: usize| kind0.unwrap_or_else(|| etbl[e]) as usize;
-        let edges = edges.as_deref();
-        let coin = |e: usize| ctx.edge_coin(EdgeId(edges.map_or(e as u32, |ids| ids[e])));
-        // The soft accept test folds the scalar ladder into one
-        // `coin < p`.
-        macro_rules! accept {
-            ($e:expr, $c:expr, $p:expr) => {
-                if block_rng {
-                    u8::from(head_to_f64($c) < $p)
-                } else {
-                    u8::from(coin($e) < $p)
+        if hard {
+            // Hard constraints: every coin is deterministic (the branch
+            // the scalar rule takes per edge), and the product is
+            // positive iff every factor's byte is 1.
+            edge_pass!(|e: usize, _, u: usize, v: usize| {
+                let tbl = &allow[kind(e)..][..qq];
+                let (su, sv) = (sp.get_unchecked(u) as usize, sp.get_unchecked(v) as usize);
+                let (xu, xv) = (sx.get_unchecked(u) as usize, sx.get_unchecked(v) as usize);
+                let mut acc = tbl.get_unchecked(su * q + sv) & tbl.get_unchecked(xu * q + sv);
+                if rule3 {
+                    acc &= tbl.get_unchecked(su * q + xv);
                 }
-            };
-        }
-        match (q == 2, sp.as_bits(), sx.as_bits()) {
-            (true, Some(pw), Some(xw)) => {
-                // Bit slabs: interleave both slabs into 2-bit lanes
-                // (word ops, not per-vertex shifts), so each endpoint's
-                // `(proposal, state)` pair is one extraction, and test
-                // block coins in the integer domain against `thr2`.
-                for (i, (&p, &x)) in pw.iter().zip(xw).enumerate() {
-                    cbits[2 * i] = spread32(p) << 1 | spread32(x);
-                    cbits[2 * i + 1] = spread32(p >> 32) << 1 | spread32(x >> 32);
-                }
-                let cbits: &[u64] = cbits;
-                // Expanded inside the edge pass's unchecked block.
-                macro_rules! idx_of {
-                    ($u:expr, $v:expr) => {{
-                        let (u, v): (usize, usize) = ($u, $v);
-                        let cu = cbits.get_unchecked(u >> 5) >> ((u & 31) << 1) & 3;
-                        let cv = cbits.get_unchecked(v >> 5) >> ((v & 31) << 1) & 3;
-                        (cu << 2 | cv) as usize
-                    }};
-                }
-                let base = |e: usize| kind(e) * 4;
-                if hard {
-                    edge_pass!(|e: usize, _, u, v| u8::from(thr2[base(e) + idx_of!(u, v)] != 0));
-                } else if block_rng {
-                    edge_pass!(|e: usize, c: u64, u, v| u8::from(
-                        c >> 11 < thr2[base(e) + idx_of!(u, v)]
-                    ));
-                } else {
-                    edge_pass!(|e: usize, _, u, v| u8::from(
-                        coin(e) < products2[base(e) + idx_of!(u, v)]
-                    ));
-                }
+                acc
+            });
+        } else if q == 2 {
+            // Soft, q = 2: one product-table load in place of the
+            // factor gathers and multiplies.
+            // Expanded inside the edge pass's unchecked block.
+            macro_rules! idx_of {
+                ($u:expr, $v:expr) => {{
+                    let (u, v): (usize, usize) = ($u, $v);
+                    let (su, sv) = (sp.get_unchecked(u), sp.get_unchecked(v));
+                    (su << 3 | sv << 2 | sx.get_unchecked(u) << 1 | sx.get_unchecked(v)) as usize
+                }};
             }
-            _ if hard => {
-                // Hard constraints: every coin is deterministic (the
-                // branch the scalar rule takes per edge), and the
-                // product is positive iff every factor's byte is 1.
-                edge_pass!(|e: usize, _, u: usize, v: usize| {
-                    let tbl = &allow[kind(e)..][..qq];
-                    let (su, sv) = (sp.get_unchecked(u) as usize, sp.get_unchecked(v) as usize);
-                    let (xu, xv) = (sx.get_unchecked(u) as usize, sx.get_unchecked(v) as usize);
-                    let mut acc = tbl.get_unchecked(su * q + sv) & tbl.get_unchecked(xu * q + sv);
-                    if rule3 {
-                        acc &= tbl.get_unchecked(su * q + xv);
-                    }
-                    acc
-                });
+            if let Some(b) = *kind0 {
+                let pt: &[f64] = &products[b as usize * 4..][..16];
+                edge_pass!(|_, c: u64, u, v| u8::from(head_to_f64(c) < pt[idx_of!(u, v)]));
+            } else {
+                edge_pass!(|e: usize, c: u64, u, v| u8::from(
+                    head_to_f64(c) < products[etbl[e] as usize * 4 + idx_of!(u, v)]
+                ));
             }
-            (true, ..) => {
-                // Wider slabs, q = 2: still one product-table load in
-                // place of the factor gathers + multiplies.
-                // Expanded inside the edge pass's unchecked block.
-                macro_rules! idx_of {
-                    ($u:expr, $v:expr) => {{
-                        let (u, v): (usize, usize) = ($u, $v);
-                        let (su, sv) = (sp.get_unchecked(u), sp.get_unchecked(v));
-                        (su << 3 | sv << 2 | sx.get_unchecked(u) << 1 | sx.get_unchecked(v))
-                            as usize
-                    }};
+        } else {
+            // Soft constraints, q > 2: the factors multiply in the
+            // exact order of the scalar rule.
+            edge_pass!(|e: usize, c: u64, u: usize, v: usize| {
+                let tbl = &tables[kind(e)..][..qq];
+                let (su, sv) = (sp.get_unchecked(u) as usize, sp.get_unchecked(v) as usize);
+                let (xu, xv) = (sx.get_unchecked(u) as usize, sx.get_unchecked(v) as usize);
+                let mut p = tbl.get_unchecked(su * q + sv) * tbl.get_unchecked(xu * q + sv);
+                if rule3 {
+                    p *= tbl.get_unchecked(su * q + xv);
                 }
-                if let Some(b) = *kind0 {
-                    let pt: &[f64] = &products[b as usize * 4..][..16];
-                    edge_pass!(|e: usize, c: u64, u, v| accept!(e, c, pt[idx_of!(u, v)]));
-                } else {
-                    edge_pass!(|e: usize, c: u64, u, v| accept!(
-                        e,
-                        c,
-                        products[etbl[e] as usize * 4 + idx_of!(u, v)]
-                    ));
-                }
-            }
-            _ => {
-                // Soft constraints, q > 2: the factors multiply in the
-                // exact order of the scalar rule.
-                edge_pass!(|e: usize, c: u64, u: usize, v: usize| {
-                    let tbl = &tables[kind(e)..][..qq];
-                    let (su, sv) = (sp.get_unchecked(u) as usize, sp.get_unchecked(v) as usize);
-                    let (xu, xv) = (sx.get_unchecked(u) as usize, sx.get_unchecked(v) as usize);
-                    let mut p = tbl.get_unchecked(su * q + sv) * tbl.get_unchecked(xu * q + sv);
-                    if rule3 {
-                        p *= tbl.get_unchecked(su * q + xv);
-                    }
-                    accept!(e, c, p)
-                });
-            }
+                u8::from(head_to_f64(c) < p)
+            });
         }
 
         // Combine: an owned vertex keeps its proposal iff every incident
@@ -1095,20 +830,18 @@ fn count_breakpoints(level: SimdLevel, bps: &[u64], heads: &[u64], out: &mut [Sp
     lsl_local::simd_dispatch!(@at level, portable(bps: &[u64], heads: &[u64], out: &mut [Spin]))
 }
 
-/// Builds the LocalMetropolis kernel over `range` at the requested
-/// packing.
+/// Builds the LocalMetropolis kernel over `range`: `u8` lanes when
+/// every spin fits a byte (`q ≤ 256`), `u32` lanes above.
 pub(crate) fn local_metropolis_kernel(
     mrf: &Arc<Mrf>,
     range: KernelRange,
     rule3: bool,
-    packing: Packing,
-    block_rng: bool,
-) -> Box<dyn HotKernel<Spin>> {
+) -> Box<dyn HotKernel> {
     let mrf = Arc::clone(mrf);
-    match packing {
-        Packing::Wide => Box::new(LmKernel::<Vec<Spin>>::new(mrf, range, rule3, block_rng)),
-        Packing::Byte => Box::new(LmKernel::<Vec<u8>>::new(mrf, range, rule3, block_rng)),
-        Packing::Bit => Box::new(LmKernel::<BitLanes>::new(mrf, range, rule3, block_rng)),
+    if mrf.q() <= 256 {
+        Box::new(LmKernel::<Vec<u8>>::new(mrf, range, rule3))
+    } else {
+        Box::new(LmKernel::<Vec<Spin>>::new(mrf, range, rule3))
     }
 }
 
@@ -1136,7 +869,6 @@ struct LgKernel<S: VertexScheduler> {
     mrf: Arc<Mrf>,
     range: KernelRange,
     scheduler: S,
-    block_rng: bool,
     /// The edges with an owned endpoint, as local endpoint pairs packed
     /// `v << 32 | u` (see [`KernelRange::edges`]).
     euv: Vec<u64>,
@@ -1161,7 +893,7 @@ struct LgKernel<S: VertexScheduler> {
 }
 
 impl<S: VertexScheduler> LgKernel<S> {
-    fn new(mrf: Arc<Mrf>, range: KernelRange, scheduler: S, block_rng: bool) -> Self {
+    fn new(mrf: Arc<Mrf>, range: KernelRange, scheduler: S) -> Self {
         let (_, euv) = range.edges(mrf.graph());
         let (len, owned) = (range.len(), range.num_owned());
         // The selection pass indexes `marks` and `sel` (both `len`
@@ -1173,9 +905,8 @@ impl<S: VertexScheduler> LgKernel<S> {
         );
         LgKernel {
             scheduler,
-            block_rng,
             euv,
-            heads: vec![0; if block_rng { RNG_CHUNK } else { 0 }],
+            heads: vec![0; RNG_CHUNK],
             marks: vec![S::Mark::default(); len],
             sel: vec![0; len],
             pos: vec![0; owned],
@@ -1206,29 +937,22 @@ impl<S: VertexScheduler> LgKernel<S> {
             resolve_heads,
             ..
         } = self;
-        if self.block_rng {
-            for lo in (0..range.len()).step_by(RNG_CHUNK) {
-                let heads = &mut heads[..RNG_CHUNK.min(range.len() - lo)];
-                range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
-                // One loop per id map, so neither indexes per element.
-                let marks = marks[lo..].iter_mut().zip(heads.iter());
-                match &range.verts {
-                    None => {
-                        for (k, (slot, &head)) in marks.enumerate() {
-                            *slot = scheduler.mark(VertexId((lo + k) as u32), head);
-                        }
-                    }
-                    Some(verts) => {
-                        for ((slot, &head), &v) in marks.zip(&verts[lo..]) {
-                            *slot = scheduler.mark(VertexId(v), head);
-                        }
+        for lo in (0..range.len()).step_by(RNG_CHUNK) {
+            let heads = &mut heads[..RNG_CHUNK.min(range.len() - lo)];
+            range.fill_heads(ctx.propose_master, VERTEX_STREAM_LABEL, lo, heads);
+            // One loop per id map, so neither indexes per element.
+            let marks = marks[lo..].iter_mut().zip(heads.iter());
+            match &range.verts {
+                None => {
+                    for (k, (slot, &head)) in marks.enumerate() {
+                        *slot = scheduler.mark(VertexId((lo + k) as u32), head);
                     }
                 }
-            }
-        } else {
-            for (i, slot) in marks.iter_mut().enumerate() {
-                let v = range.vertex(i);
-                *slot = scheduler.mark(v, ctx.propose_rng(v).raw().next());
+                Some(verts) => {
+                    for ((slot, &head), &v) in marks.zip(&verts[lo..]) {
+                        *slot = scheduler.mark(VertexId(v), head);
+                    }
+                }
             }
         }
         // SAFETY: `new` asserted every endpoint in `euv` is below
@@ -1259,14 +983,12 @@ impl<S: VertexScheduler> LgKernel<S> {
                 }
             }
         }
-        let (ids, resolve_heads) = (&ids[..picked], &mut resolve_heads[..picked]);
-        if self.block_rng {
-            fill_stream_heads_at(ctx.resolve_master, VERTEX_STREAM_LABEL, ids, resolve_heads);
-        } else {
-            for (slot, &v) in resolve_heads.iter_mut().zip(ids) {
-                *slot = ctx.resolve_rng(VertexId(v)).raw().next();
-            }
-        }
+        fill_stream_heads_at(
+            ctx.resolve_master,
+            VERTEX_STREAM_LABEL,
+            &ids[..picked],
+            &mut resolve_heads[..picked],
+        );
         self.picked = picked;
         self.key = Some(ctx.propose_master);
     }
@@ -1313,21 +1035,14 @@ unsafe fn select<S: VertexScheduler>(
     }
 }
 
-impl<S: VertexScheduler> HotKernel<S::Mark> for LgKernel<S> {
-    fn advance(
-        &mut self,
-        ctx: &RoundCtx,
-        state: &[Spin],
-        next: &mut [Spin],
-        locals: Option<&mut [S::Mark]>,
-    ) {
+impl<S: VertexScheduler> HotKernel for LgKernel<S> {
+    fn advance(&mut self, ctx: &RoundCtx, state: &[Spin], next: &mut [Spin]) {
         if self.key != Some(ctx.propose_master) {
             self.schedule(ctx);
         }
         let Self {
             mrf,
             range,
-            marks,
             pos,
             ids,
             resolve_heads,
@@ -1338,18 +1053,8 @@ impl<S: VertexScheduler> HotKernel<S::Mark> for LgKernel<S> {
             ..
         } = self;
         match range.owned_run() {
-            Some((a, g)) => {
-                if let Some(locals) = locals {
-                    locals.copy_from_slice(&marks[a..][..locals.len()]);
-                }
-                next.copy_from_slice(&state[g..][..next.len()]);
-            }
+            Some((_, g)) => next.copy_from_slice(&state[g..][..next.len()]),
             None => {
-                if let Some(locals) = locals {
-                    for (slot, i) in locals.iter_mut().zip(range.owned()) {
-                        *slot = marks[i];
-                    }
-                }
                 for (slot, i) in next.iter_mut().zip(range.owned()) {
                     *slot = state[range.vertex(i).index()];
                 }
@@ -1442,14 +1147,13 @@ impl MarginalTables {
 }
 
 /// Builds the LubyGlauber kernel over `range`. It reads the state
-/// directly, so it takes no packing.
+/// directly, so it keeps no lanes.
 pub(crate) fn luby_glauber_kernel<S: VertexScheduler>(
     mrf: &Arc<Mrf>,
     range: KernelRange,
     scheduler: S,
-    block_rng: bool,
-) -> Box<dyn HotKernel<S::Mark>> {
-    Box::new(LgKernel::new(Arc::clone(mrf), range, scheduler, block_rng))
+) -> Box<dyn HotKernel> {
+    Box::new(LgKernel::new(Arc::clone(mrf), range, scheduler))
 }
 
 #[cfg(test)]
@@ -1459,61 +1163,14 @@ mod tests {
 
     #[test]
     fn hotpath_display_parses_back() {
-        for hp in [
-            HotPath::Scalar,
-            HotPath::default(),
-            HotPath::Lanes {
-                packing: Some(Packing::Bit),
-                block_rng: false,
-            },
-            HotPath::Lanes {
-                packing: Some(Packing::Wide),
-                block_rng: true,
-            },
-        ] {
+        for hp in [HotPath::Scalar, HotPath::Lanes] {
             assert_eq!(hp.to_string().parse::<HotPath>().unwrap(), hp);
         }
-        assert_eq!("lanes".parse::<HotPath>().unwrap(), HotPath::default());
-        assert_eq!(
-            "lanes:byte".parse::<HotPath>().unwrap(),
-            HotPath::Lanes {
-                packing: Some(Packing::Byte),
-                block_rng: true,
-            }
-        );
-        assert_eq!(
-            "lanes:pervertex".parse::<HotPath>().unwrap(),
-            HotPath::Lanes {
-                packing: None,
-                block_rng: false,
-            }
-        );
+        assert_eq!(HotPath::default(), HotPath::Lanes);
         assert!("scalar:2".parse::<HotPath>().is_err());
         assert!("simd".parse::<HotPath>().is_err());
-        assert!("lanes:nibble".parse::<HotPath>().is_err());
-    }
-
-    #[test]
-    fn validate_rejects_narrow_packing() {
-        let bit = HotPath::Lanes {
-            packing: Some(Packing::Bit),
-            block_rng: true,
-        };
-        assert!(bit.validate_for(2).is_ok());
-        assert!(bit.validate_for(3).is_err());
-        assert!(HotPath::default().validate_for(1 << 20).is_ok());
-        assert!(HotPath::Scalar.validate_for(usize::MAX).is_ok());
-    }
-
-    #[test]
-    fn resolved_packing_follows_q() {
-        assert_eq!(HotPath::Scalar.resolved_packing(2), None);
-        assert_eq!(HotPath::default().resolved_packing(2), Some(Packing::Bit));
-        assert_eq!(HotPath::default().resolved_packing(16), Some(Packing::Byte));
-        assert_eq!(
-            HotPath::default().resolved_packing(1000),
-            Some(Packing::Wide)
-        );
+        assert!("lanes:byte".parse::<HotPath>().is_err());
+        assert!("lanes:bit:block".parse::<HotPath>().is_err());
     }
 
     #[test]
@@ -1582,12 +1239,13 @@ mod tests {
     #[should_panic(expected = "state spins must be below q")]
     fn lanes_reject_a_spin_outside_the_domain() {
         // Byte lanes hold 16, but the edge pass indexes its 16 × 16
-        // tables by lanes unchecked: the round must refuse it.
-        use crate::engine::{rules::LocalMetropolisRule, SyncChain};
-        let mrf = lsl_mrf::models::proper_coloring(lsl_graph::generators::cycle(6), 16);
-        let mut chain = SyncChain::with_state(mrf, LocalMetropolisRule::new(), 1, vec![16; 6]);
-        chain.set_hotpath(HotPath::default());
-        chain.step();
+        // tables by lanes unchecked: the round must refuse it, even
+        // handed a state no chain constructor would accept.
+        let g = lsl_graph::generators::cycle(6);
+        let mrf = Arc::new(lsl_mrf::models::proper_coloring(g.clone(), 16));
+        let mut kernel = local_metropolis_kernel(&mrf, KernelRange::whole(&g), true);
+        let ctx = RoundCtx::new(&mrf, 1, 0);
+        kernel.advance(&ctx, &[16; 6], &mut [0; 6]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod sharded;
 pub mod slab;
 
 pub use hotpath::{HotKernel, HotPath, KernelRange};
-pub use slab::{Packing, StateSlab, StateView};
+pub use slab::Packing;
 
 use pool::RoundPool;
 
@@ -176,15 +176,12 @@ pub trait SyncRule: Send + Sync {
 
     /// Propose phase at `v`: draw from `rng` (and, unless
     /// [`SyncRule::STATE_FREE_PROPOSE`], read the state) and publish a
-    /// local value. Generic over the state representation (see
-    /// [`StateView`]): the scalar oracle hands a flat slice, packed
-    /// executors hand a [`StateSlab`] — one rule body, identical
-    /// trajectories.
-    fn propose<Sv: StateView + ?Sized>(
+    /// local value.
+    fn propose(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
     ) -> Self::Local;
@@ -192,11 +189,11 @@ pub trait SyncRule: Send + Sync {
     /// Resolve phase at `v`: combine the old state, the locals of `v`'s
     /// inclusive neighborhood, the edge coins of incident edges, and the
     /// resolve stream into `v`'s next spin.
-    fn resolve<Sv: StateView + ?Sized>(
+    fn resolve(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         locals: &[Self::Local],
         rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
@@ -208,14 +205,8 @@ pub trait SyncRule: Send + Sync {
     /// that return a kernel must make it bit-identical to those phases
     /// on the range's owned vertices. The scalar phases stay compiled
     /// and selectable ([`HotPath::Scalar`]) as the regression oracle.
-    fn hot_kernel(
-        &self,
-        mrf: &Arc<Mrf>,
-        range: KernelRange,
-        packing: Packing,
-        block_rng: bool,
-    ) -> Option<Box<dyn HotKernel<Self::Local>>> {
-        let _ = (mrf, range, packing, block_rng);
+    fn hot_kernel(&self, mrf: &Arc<Mrf>, range: KernelRange) -> Option<Box<dyn HotKernel>> {
+        let _ = (mrf, range);
         None
     }
 }
@@ -413,6 +404,19 @@ fn kernel_chunk(n: usize, workers: usize) -> usize {
     }
 }
 
+/// Asserts every spin of `state` is below `q`: the lane kernels index
+/// their `q × q` tables by spins, and no rule is defined outside the
+/// domain.
+///
+/// # Panics
+/// Panics naming the bound if a spin is `≥ q`.
+fn assert_in_domain(state: &[Spin], q: usize) {
+    assert!(
+        state.iter().all(|&s| (s as usize) < q),
+        "state spins must be below q = {q}"
+    );
+}
+
 /// Runs the propose phase of `ctx` into `locals`.
 fn propose_phase<R: SyncRule>(
     rule: &R,
@@ -514,7 +518,7 @@ pub struct SyncChain<R: SyncRule> {
     /// contiguous range of [`kernel_chunk`] vertices (one range per
     /// worker); empty when the scalar phases serve (the oracle, or a
     /// rule without a kernel).
-    kernels: Vec<Box<dyn HotKernel<R::Local>>>,
+    kernels: Vec<Box<dyn HotKernel>>,
     master: u64,
     round: u64,
     last_key: Option<(u64, u64)>,
@@ -544,7 +548,8 @@ impl<R: SyncRule> SyncChain<R> {
     /// backend and the default hot path.
     ///
     /// # Panics
-    /// Panics if the configuration has the wrong length.
+    /// Panics if the configuration has the wrong length or a spin
+    /// outside the model's domain.
     pub fn with_state(mrf: impl Into<Arc<Mrf>>, rule: R, master: u64, state: Vec<Spin>) -> Self {
         Self::configured(
             mrf,
@@ -564,8 +569,8 @@ impl<R: SyncRule> SyncChain<R> {
     /// without the kernels those would build and drop.
     ///
     /// # Panics
-    /// Panics if the configuration has the wrong length, or if an
-    /// explicitly requested packing cannot hold this model's spins.
+    /// Panics if the configuration has the wrong length or a spin
+    /// outside the model's domain.
     pub fn configured(
         mrf: impl Into<Arc<Mrf>>,
         rule: R,
@@ -576,7 +581,7 @@ impl<R: SyncRule> SyncChain<R> {
     ) -> Self {
         let mrf = mrf.into();
         assert_eq!(state.len(), mrf.num_vertices(), "state length must be n");
-        hotpath.validate_for(mrf.q()).expect("invalid hot path");
+        assert_in_domain(&state, mrf.q());
         let n = state.len();
         let workers = backend.worker_count();
         let scratches = (0..workers).map(|_| rule.make_scratch(&mrf)).collect();
@@ -641,14 +646,7 @@ impl<R: SyncRule> SyncChain<R> {
     /// Switches the hot-path selection (trajectories are unaffected —
     /// kernels are bit-identical to the scalar phases by contract, and
     /// property-tested to be).
-    ///
-    /// # Panics
-    /// Panics if an explicitly requested packing cannot hold this
-    /// model's spins (e.g. [`Packing::Bit`] with `q > 2`).
     pub fn set_hotpath(&mut self, hotpath: HotPath) {
-        hotpath
-            .validate_for(self.mrf.q())
-            .expect("invalid hot path");
         self.hotpath = hotpath;
         self.build_kernels();
     }
@@ -694,21 +692,17 @@ impl<R: SyncRule> SyncChain<R> {
     /// Overwrites the current configuration.
     ///
     /// # Panics
-    /// Panics if the length is wrong.
+    /// Panics if the length is wrong or a spin is outside the model's
+    /// domain.
     pub fn set_state(&mut self, state: &[Spin]) {
         assert_eq!(state.len(), self.state.len());
+        assert_in_domain(state, self.mrf.q());
         self.state.copy_from_slice(state);
     }
 
     /// The number of rounds executed so far.
     pub fn round(&self) -> u64 {
         self.round
-    }
-
-    /// The locals published by the most recent synchronous round (for
-    /// instrumentation, e.g. recovering the scheduled set).
-    pub fn locals(&self) -> &[R::Local] {
-        &self.locals
     }
 
     /// The `(master, round)` pair of the most recent round, if any.
@@ -740,10 +734,9 @@ impl<R: SyncRule> SyncChain<R> {
                 .kernels
                 .iter_mut()
                 .zip(self.next.chunks_mut(chunk))
-                .zip(self.locals.chunks_mut(chunk))
                 .collect();
-            self.pool.run(&mut jobs, |_, ((kernel, next), locals)| {
-                kernel.advance(ctx, state, next, Some(locals))
+            self.pool.run(&mut jobs, |_, (kernel, next)| {
+                kernel.advance(ctx, state, next)
             });
             std::mem::swap(&mut self.state, &mut self.next);
         } else {
@@ -851,6 +844,29 @@ mod tests {
             }
         }
         pool::REFUSE_THREADS.with(|r| r.set(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "state spins must be below q")]
+    fn configured_rejects_a_spin_outside_the_domain() {
+        let mrf = models::proper_coloring(generators::cycle(6), 5);
+        let state = vec![0, 1, 5, 1, 0, 1];
+        let _ = SyncChain::configured(
+            mrf,
+            LocalMetropolisRule::new(),
+            1,
+            state,
+            Backend::Sequential,
+            HotPath::Scalar,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "state spins must be below q")]
+    fn set_state_rejects_a_spin_outside_the_domain() {
+        let mrf = models::ising(generators::cycle(4), 0.4);
+        let mut chain = SyncChain::new(&mrf, LocalMetropolisRule::new(), 1);
+        chain.set_state(&[0, 1, 2, 0]);
     }
 
     #[test]

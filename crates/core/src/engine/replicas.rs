@@ -63,12 +63,12 @@ pub struct ReplicaSet<R: SyncRule> {
     /// Shared locals for coupled state-free proposals.
     shared_locals: Vec<R::Local>,
     /// Per-worker state, built on the first round that uses the
-    /// worker: each worker's locals, scratch, and whole-graph kernel
-    /// (replicas are split by whole replica, so per-worker kernels
-    /// preserve trajectories at any worker count). A kernel's proposal
-    /// cache is keyed by the round's propose master, which is what
-    /// amortizes the coupled batch's shared randomness without a
-    /// separate shared propose pass.
+    /// worker: each worker's locals (scalar phases only), scratch, and
+    /// whole-graph kernel (replicas are split by whole replica, so
+    /// per-worker kernels preserve trajectories at any worker count).
+    /// A kernel's proposal cache is keyed by the round's propose
+    /// master, which is what amortizes the coupled batch's shared
+    /// randomness without a separate shared propose pass.
     workers: Vec<Worker<R>>,
     /// The hot-path selection every worker's kernel follows.
     hotpath: HotPath,
@@ -83,7 +83,7 @@ pub struct ReplicaSet<R: SyncRule> {
 struct Worker<R: SyncRule> {
     locals: Vec<R::Local>,
     scratch: R::Scratch,
-    kernel: Option<Box<dyn HotKernel<R::Local>>>,
+    kernel: Option<Box<dyn HotKernel>>,
 }
 
 impl<R: SyncRule> std::fmt::Debug for ReplicaSet<R> {
@@ -186,14 +186,7 @@ impl<R: SyncRule> ReplicaSet<R> {
 
     /// Selects the hot path for the synchronous rounds (trajectories are
     /// unaffected — kernels are bit-identical to the scalar phases).
-    ///
-    /// # Panics
-    /// Panics if an explicitly requested packing cannot hold the model's
-    /// spins.
     pub fn set_hotpath(&mut self, hotpath: HotPath) {
-        hotpath
-            .validate_for(self.mrf.q())
-            .expect("invalid hot path for this model");
         self.hotpath = hotpath;
         // Kernels are rebuilt, under the new selection, as rounds need
         // them.
@@ -203,14 +196,20 @@ impl<R: SyncRule> ReplicaSet<R> {
     /// Builds the per-worker buffers of the first `count` workers.
     fn ensure_workers(&mut self, count: usize) {
         while self.workers.len() < count {
+            let kernel = self.hotpath.build_kernel(
+                &self.mrf,
+                &self.rule,
+                KernelRange::whole(self.mrf.graph()),
+            );
+            // Only the scalar phases publish locals.
+            let locals = match kernel {
+                Some(_) => Vec::new(),
+                None => vec![R::Local::default(); self.n],
+            };
             self.workers.push(Worker {
-                locals: vec![R::Local::default(); self.n],
+                locals,
                 scratch: self.rule.make_scratch(&self.mrf),
-                kernel: self.hotpath.build_kernel(
-                    &self.mrf,
-                    &self.rule,
-                    KernelRange::whole(self.mrf.graph()),
-                ),
+                kernel,
             });
         }
     }
@@ -349,7 +348,7 @@ impl<R: SyncRule> ReplicaSet<R> {
                 for (bi, (state, next)) in states.chunks(n).zip(next.chunks_mut(n)).enumerate() {
                     let ctx = RoundCtx::new(mrf, masters[wi * per_worker + bi], round);
                     if let Some(k) = kernel.as_mut() {
-                        k.advance(&ctx, state, next, Some(locals));
+                        k.advance(&ctx, state, next);
                         continue;
                     }
                     let locals_for_replica: &[R::Local] = if share_propose {

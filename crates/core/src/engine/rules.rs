@@ -14,7 +14,7 @@
 //!   round-shared stream (so even they are pure functions of
 //!   `(master, round)` and batch across replicas).
 
-use super::{hotpath, HotKernel, KernelRange, Packing, RoundCtx, StateView, SyncRule};
+use super::{hotpath, HotKernel, KernelRange, RoundCtx, SyncRule};
 use crate::schedule::{LubyScheduler, VertexScheduler};
 use crate::update::Resampler;
 use lsl_graph::VertexId;
@@ -45,17 +45,11 @@ impl HeatBathScratch {
     /// well-definedness assumption excludes, reachable from an
     /// infeasible start), `v` keeps its spin; the draw is consumed
     /// either way.
-    fn resample<Sv: StateView + ?Sized>(
-        &mut self,
-        mrf: &Mrf,
-        v: VertexId,
-        state: &Sv,
-        rng: &mut Xoshiro256pp,
-    ) -> Spin {
-        mrf.marginal_weights_with(v, |u| state.spin(u.index()), &mut self.weights);
+    fn resample(&mut self, mrf: &Mrf, v: VertexId, state: &[Spin], rng: &mut Xoshiro256pp) -> Spin {
+        mrf.marginal_weights_with(v, |u| state[u.index()], &mut self.weights);
         self.resampler
             .resample(&self.weights, rng)
-            .unwrap_or_else(|| state.spin(v.index()))
+            .unwrap_or_else(|| state[v.index()])
     }
 }
 
@@ -129,34 +123,34 @@ impl SyncRule for LocalMetropolisRule {
 
     fn make_scratch(&self, _mrf: &Mrf) -> Self::Scratch {}
 
-    fn propose<Sv: StateView + ?Sized>(
+    fn propose(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        _state: &Sv,
+        _state: &[Spin],
         rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
         ctx.mrf().vertex_activity(v).sample(rng)
     }
 
-    fn resolve<Sv: StateView + ?Sized>(
+    fn resolve(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         locals: &[Spin],
         _rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> Spin {
         let mrf = ctx.mrf();
         let g = mrf.graph();
-        let old = state.spin(v.index());
+        let old = state[v.index()];
         for (e, _) in g.incident_edges(v) {
             // Evaluate the filter in the edge's stored orientation so
             // both endpoints agree on the factors bit-for-bit.
             let (a, b) = g.endpoints(e);
-            let (xu, xv) = (state.spin(a.index()), state.spin(b.index()));
+            let (xu, xv) = (state[a.index()], state[b.index()]);
             let (su, sv) = (locals[a.index()], locals[b.index()]);
             let act = mrf.edge_activity(e);
             let mut p = act.normalized(su, sv) * act.normalized(xu, sv);
@@ -173,16 +167,8 @@ impl SyncRule for LocalMetropolisRule {
         locals[v.index()]
     }
 
-    fn hot_kernel(
-        &self,
-        mrf: &Arc<Mrf>,
-        range: KernelRange,
-        packing: Packing,
-        block_rng: bool,
-    ) -> Option<Box<dyn HotKernel<Spin>>> {
-        Some(hotpath::local_metropolis_kernel(
-            mrf, range, self.rule3, packing, block_rng,
-        ))
+    fn hot_kernel(&self, mrf: &Arc<Mrf>, range: KernelRange) -> Option<Box<dyn HotKernel>> {
+        Some(hotpath::local_metropolis_kernel(mrf, range, self.rule3))
     }
 }
 
@@ -257,44 +243,37 @@ impl<S: VertexScheduler> SyncRule for LubyGlauberRule<S> {
         self.scheduler.single_vertex(ctx)
     }
 
-    fn propose<Sv: StateView + ?Sized>(
+    fn propose(
         &self,
         _ctx: &RoundCtx,
         v: VertexId,
-        _state: &Sv,
+        _state: &[Spin],
         rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) -> S::Mark {
         self.scheduler.mark(v, rng.next())
     }
 
-    fn resolve<Sv: StateView + ?Sized>(
+    fn resolve(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         locals: &[S::Mark],
         rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
     ) -> Spin {
         if !self.scheduler.selected(ctx, v, locals) {
-            return state.spin(v.index());
+            return state[v.index()];
         }
         scratch.resample(ctx.mrf(), v, state, rng)
     }
 
-    fn hot_kernel(
-        &self,
-        mrf: &Arc<Mrf>,
-        range: KernelRange,
-        _packing: Packing,
-        block_rng: bool,
-    ) -> Option<Box<dyn HotKernel<S::Mark>>> {
+    fn hot_kernel(&self, mrf: &Arc<Mrf>, range: KernelRange) -> Option<Box<dyn HotKernel>> {
         Some(hotpath::luby_glauber_kernel(
             mrf,
             range,
             self.scheduler.clone(),
-            block_rng,
         ))
     }
 }
@@ -351,21 +330,21 @@ impl SyncRule for GlauberRule {
         Some(ctx.shared_vertex())
     }
 
-    fn propose<Sv: StateView + ?Sized>(
+    fn propose(
         &self,
         _ctx: &RoundCtx,
         _v: VertexId,
-        _state: &Sv,
+        _state: &[Spin],
         _rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) {
     }
 
-    fn resolve<Sv: StateView + ?Sized>(
+    fn resolve(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         _locals: &[()],
         rng: &mut Xoshiro256pp,
         scratch: &mut Self::Scratch,
@@ -396,21 +375,21 @@ impl SyncRule for MetropolisRule {
         Some(ctx.shared_vertex())
     }
 
-    fn propose<Sv: StateView + ?Sized>(
+    fn propose(
         &self,
         _ctx: &RoundCtx,
         _v: VertexId,
-        _state: &Sv,
+        _state: &[Spin],
         _rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
     ) {
     }
 
-    fn resolve<Sv: StateView + ?Sized>(
+    fn resolve(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         _locals: &[()],
         rng: &mut Xoshiro256pp,
         _scratch: &mut Self::Scratch,
@@ -419,16 +398,14 @@ impl SyncRule for MetropolisRule {
         let proposal = mrf.vertex_activity(v).sample(rng);
         let mut accept_prob = 1.0;
         for (e, u) in mrf.graph().incident_edges(v) {
-            accept_prob *= mrf
-                .edge_activity(e)
-                .normalized(proposal, state.spin(u.index()));
+            accept_prob *= mrf.edge_activity(e).normalized(proposal, state[u.index()]);
         }
         // One coin per step keeps coupled streams aligned.
         let coin = rng.uniform_f64();
         if coin < accept_prob {
             proposal
         } else {
-            state.spin(v.index())
+            state[v.index()]
         }
     }
 }
@@ -572,6 +549,8 @@ mod tests {
 
     #[test]
     fn luby_rule_masks_are_independent_sets() {
+        // Rebuild each round's marks from its key: every mark is a
+        // function of its vertex's first propose draw.
         let mrf = models::proper_coloring(generators::torus(4, 4), 9);
         let rule = LubyGlauberRule::luby();
         let mut chain = SyncChain::new(&mrf, rule, 5);
@@ -580,7 +559,13 @@ mod tests {
             chain.step();
             let (master, round) = chain.last_round_key().unwrap();
             let ctx = crate::engine::RoundCtx::new(&mrf, master, round);
-            scheduled_mask(chain.rule().scheduler(), &ctx, chain.locals(), &mut mask);
+            let scheduler = chain.rule().scheduler();
+            let marks: Vec<_> = mrf
+                .graph()
+                .vertices()
+                .map(|v| scheduler.mark(v, ctx.propose_rng(v).raw().next()))
+                .collect();
+            scheduled_mask(scheduler, &ctx, &marks, &mut mask);
             assert!(mrf.graph().is_independent_set(&mask));
         }
     }

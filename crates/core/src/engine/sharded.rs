@@ -52,7 +52,10 @@
 //! every partition — property-tested across partitioners, algorithms,
 //! and schedulers in `tests/sharded.rs`.
 
-use super::{round_pool, HotKernel, HotPath, KernelRange, Packing, RoundCtx, RoundPool, SyncRule};
+use super::{
+    assert_in_domain, round_pool, HotKernel, HotPath, KernelRange, Packing, RoundCtx, RoundPool,
+    SyncRule,
+};
 use lsl_graph::partition::Partition;
 use lsl_graph::{Graph, VertexId};
 use lsl_mrf::{Mrf, Spin};
@@ -272,7 +275,7 @@ pub(crate) struct ShardCore<R: SyncRule> {
     /// The rule's lane-batched kernel over this shard's owned set and
     /// halo, if the hot path and the rule provide one; `None` runs the
     /// scalar phases.
-    kernel: Option<Box<dyn HotKernel<R::Local>>>,
+    kernel: Option<Box<dyn HotKernel>>,
 }
 
 impl<R: SyncRule> ShardCore<R> {
@@ -351,7 +354,7 @@ impl<R: SyncRule> ShardCore<R> {
                 // Resolve into the private next buffer, then commit: no
                 // state entry is written while the round still reads it.
                 if let Some(kernel) = self.kernel.as_mut() {
-                    kernel.advance(ctx, &self.state, &mut self.next_owned, None);
+                    kernel.advance(ctx, &self.state, &mut self.next_owned);
                 } else {
                     if R::HAS_PROPOSE {
                         for &v in self.owned.iter().chain(&self.halo) {
@@ -434,7 +437,7 @@ pub struct RoundComm {
     /// Boundary-vertex states that crossed a shard boundary (one
     /// vertex-state to one subscriber = one message).
     pub messages: u64,
-    /// Payload bytes at the chain's slab packing:
+    /// Payload bytes at the exchange packing ([`Packing::auto_for`]):
     /// `ceil(messages × bits_per_spin / 8)` — 1 byte per message for
     /// `q ≤ 256`, 1 *bit* per message for two-spin models.
     pub bytes: u64,
@@ -594,7 +597,7 @@ impl<R: SyncRule> ShardedChain<R> {
     ///
     /// # Panics
     /// As [`ShardedChain::new`], plus if the configuration has the
-    /// wrong length.
+    /// wrong length or a spin outside the model's domain.
     pub fn with_state(
         mrf: impl Into<Arc<Mrf>>,
         rule: R,
@@ -612,8 +615,7 @@ impl<R: SyncRule> ShardedChain<R> {
     /// that would build and drop.
     ///
     /// # Panics
-    /// As [`ShardedChain::with_state`], plus if an explicitly requested
-    /// packing cannot hold this model's spins.
+    /// As [`ShardedChain::with_state`].
     pub fn configured(
         mrf: impl Into<Arc<Mrf>>,
         rule: R,
@@ -623,9 +625,9 @@ impl<R: SyncRule> ShardedChain<R> {
         hotpath: HotPath,
     ) -> Self {
         let mrf = mrf.into();
-        hotpath.validate_for(mrf.q()).expect("invalid hot path");
         let n = mrf.num_vertices();
         assert_eq!(state.len(), n, "state length must be n");
+        assert_in_domain(&state, mrf.q());
         assert_eq!(
             partition.len(),
             n,
@@ -684,14 +686,7 @@ impl<R: SyncRule> ShardedChain<R> {
 
     /// Switches every shard's hot-path selection (trajectories are
     /// unaffected — kernels are bit-identical to the scalar phases).
-    ///
-    /// # Panics
-    /// Panics if an explicitly requested packing cannot hold this
-    /// model's spins (e.g. [`Packing::Bit`] with `q > 2`).
     pub fn set_hotpath(&mut self, hotpath: HotPath) {
-        hotpath
-            .validate_for(self.mrf.q())
-            .expect("invalid hot path");
         self.hotpath = hotpath;
         for w in &mut self.shards {
             w.set_hotpath(&self.mrf, &self.rule, hotpath);
@@ -719,9 +714,11 @@ impl<R: SyncRule> ShardedChain<R> {
     /// state is refreshed in its maintained region).
     ///
     /// # Panics
-    /// Panics if the length is wrong.
+    /// Panics if the length is wrong or a spin is outside the model's
+    /// domain.
     pub fn set_state(&mut self, state: &[Spin]) {
         assert_eq!(state.len(), self.state.len());
+        assert_in_domain(state, self.mrf.q());
         self.state.copy_from_slice(state);
         for w in &mut self.shards {
             w.refresh(state);
@@ -907,6 +904,16 @@ mod tests {
             b.step();
             assert_eq!(a.state(), b.state());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "state spins must be below q")]
+    fn configured_rejects_a_spin_outside_the_domain() {
+        let mrf = models::ising(generators::torus(4, 4), 0.4);
+        let part = Partition::contiguous(mrf.graph(), 2);
+        let mut state = vec![0; 16];
+        state[9] = 2;
+        let _ = ShardedChain::with_state(&mrf, LocalMetropolisRule::new(), 1, state, part);
     }
 
     #[test]

@@ -189,9 +189,7 @@ fn encode_build_error(e: &BuildError) -> String {
         BuildError::UnsupportedOnCsp { what } => {
             format!("combo-unsupported-on-csp:what={}", escape(what))
         }
-        BuildError::InvalidHotPath { reason } => {
-            format!("combo-invalid-hotpath:reason={}", escape(reason))
-        }
+        BuildError::StartSpin { spin, q } => format!("combo-start-spin:spin={spin},q={q}"),
     }
 }
 
@@ -257,10 +255,11 @@ fn decode_build_error(kind: &str, args: &str) -> Result<BuildError, WireError> {
                 .unwrap_or("a job the remote end rejected");
             BuildError::UnsupportedOnCsp { what }
         }
-        "combo-invalid-hotpath" => {
-            let v = error_args(args, &["reason"])?;
-            BuildError::InvalidHotPath {
-                reason: unescape(v[0])?,
+        "combo-start-spin" => {
+            let v = error_args(args, &["spin", "q"])?;
+            BuildError::StartSpin {
+                spin: v[0].parse().map_err(|_| wire_err("bad spin"))?,
+                q: v[1].parse().map_err(|_| wire_err("bad q"))?,
             }
         }
         other => return Err(wire_err(format!("unknown combo error {other:?}"))),

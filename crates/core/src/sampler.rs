@@ -267,10 +267,13 @@ pub enum BuildError {
         /// What was requested (e.g. an algorithm or job name).
         what: &'static str,
     },
-    /// An explicit hot-path packing that cannot hold the model's spins.
-    InvalidHotPath {
-        /// What was wrong (e.g. `"packing bit cannot hold q = 5 spins"`).
-        reason: String,
+    /// An explicit start configuration holds a spin outside the
+    /// model's domain `[0, q)`.
+    StartSpin {
+        /// The first out-of-domain spin.
+        spin: Spin,
+        /// The model's domain size.
+        q: usize,
     },
 }
 
@@ -305,8 +308,8 @@ impl std::fmt::Display for BuildError {
             BuildError::UnsupportedOnCsp { what } => {
                 write!(f, "{what} is not supported on CSP models")
             }
-            BuildError::InvalidHotPath { reason } => {
-                write!(f, "invalid hot path: {reason}")
+            BuildError::StartSpin { spin, q } => {
+                write!(f, "start configuration has spin {spin}, model has q = {q}")
             }
         }
     }
@@ -382,6 +385,25 @@ impl Model {
             Model::Csp(c) => c.graph().num_vertices(),
         }
     }
+
+    /// Checks an explicit start's length and spins against the model.
+    fn check_start(&self, start: &[Spin]) -> Result<(), BuildError> {
+        let n = self.num_vertices();
+        let q = match self {
+            Model::Mrf(m) => m.q(),
+            Model::Csp(c) => c.q(),
+        };
+        if start.len() != n {
+            return Err(BuildError::StartLength {
+                expected: n,
+                got: start.len(),
+            });
+        }
+        match start.iter().find(|&&s| s as usize >= q) {
+            Some(&spin) => Err(BuildError::StartSpin { spin, q }),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The one front door: a typed builder over models × algorithms ×
@@ -439,8 +461,8 @@ impl SamplerBuilder {
     }
 
     /// The hot-path selection for the engine's synchronous rounds
-    /// (default: the engine default, [`HotPath::default`] — lane-batched
-    /// kernels at auto packing). Trajectories are hot-path-independent:
+    /// (default: the engine default, [`HotPath::Lanes`] — lane-batched
+    /// kernels). Trajectories are hot-path-independent:
     /// kernels are bit-identical to [`HotPath::Scalar`]. Every MRF
     /// backend honors it — `sequential`, `parallel:k`, `sharded:k` and
     /// `cluster:k` alike; CSP chains run their own scalar rounds and
@@ -501,13 +523,7 @@ impl SamplerBuilder {
             }
         }
         if let Some(start) = &self.start {
-            let n = self.model.num_vertices();
-            if start.len() != n {
-                return Err(BuildError::StartLength {
-                    expected: n,
-                    got: start.len(),
-                });
-            }
+            self.model.check_start(start)?;
         }
         if let Model::Csp(_) = self.model {
             match self.algorithm {
@@ -530,10 +546,6 @@ impl SamplerBuilder {
             if self.start.is_none() {
                 return Err(BuildError::StartRequiredForCsp);
             }
-        }
-        if let (Model::Mrf(mrf), Some(hp)) = (&self.model, self.hotpath) {
-            hp.validate_for(mrf.q())
-                .map_err(|reason| BuildError::InvalidHotPath { reason })?;
         }
         Ok(())
     }
@@ -794,7 +806,6 @@ impl ReplicaBuilder {
                 })
             }
         };
-        let n = mrf.num_vertices();
         // Per-replica starts are validated here; the single-base case
         // keeps just one configuration and hands out references (a large
         // iid fleet must not materialize `count` copies of the start).
@@ -807,12 +818,7 @@ impl ReplicaBuilder {
                     });
                 }
                 for s in &starts {
-                    if s.len() != n {
-                        return Err(BuildError::StartLength {
-                            expected: n,
-                            got: s.len(),
-                        });
-                    }
+                    self.base.model.check_start(s)?;
                 }
                 Some(starts)
             }
@@ -853,7 +859,6 @@ impl ReplicaBuilder {
         });
         set.set_backend(backend);
         if let Some(hp) = self.base.hotpath {
-            // Validated above, so this cannot panic.
             set.set_hotpath(hp);
         }
         let mut sampler = ReplicaSampler {
@@ -867,7 +872,7 @@ impl ReplicaBuilder {
 }
 
 /// The chain a [`SamplerBuilder`] builds for `rule` on an MRF, every
-/// kernel built once for the final backend and hot path (the hot path
+/// kernel built once for the final backend and hot path (the start
 /// validated by the caller).
 ///
 /// The sharded backend is a different executor, not a different sweep
@@ -1204,8 +1209,9 @@ impl Sampler {
     /// Overwrites the current configuration.
     ///
     /// # Panics
-    /// Panics if the length is wrong (programming error, not a
-    /// configuration error — lengths are validated at build time).
+    /// Panics if the length is wrong, or on an MRF if a spin is outside
+    /// the domain (programming errors, not configuration errors — starts
+    /// are validated at build time).
     pub fn set_state(&mut self, state: &[Spin]) {
         self.inner.set_state(state);
     }
@@ -1556,22 +1562,22 @@ mod tests {
 
         fn make_scratch(&self, _mrf: &Mrf) {}
 
-        fn propose<Sv: crate::engine::StateView + ?Sized>(
+        fn propose(
             &self,
             ctx: &crate::engine::RoundCtx,
             v: lsl_graph::VertexId,
-            state: &Sv,
+            state: &[Spin],
             rng: &mut Xoshiro256pp,
             scratch: &mut (),
         ) -> Spin {
             self.inner.propose(ctx, v, state, rng, scratch)
         }
 
-        fn resolve<Sv: crate::engine::StateView + ?Sized>(
+        fn resolve(
             &self,
             ctx: &crate::engine::RoundCtx,
             v: lsl_graph::VertexId,
-            state: &Sv,
+            state: &[Spin],
             locals: &[Spin],
             rng: &mut Xoshiro256pp,
             scratch: &mut (),
@@ -1583,12 +1589,10 @@ mod tests {
             &self,
             mrf: &Arc<Mrf>,
             range: crate::engine::KernelRange,
-            packing: crate::engine::Packing,
-            block_rng: bool,
-        ) -> Option<Box<dyn crate::engine::HotKernel<Spin>>> {
+        ) -> Option<Box<dyn crate::engine::HotKernel>> {
             self.kernels
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.inner.hot_kernel(mrf, range, packing, block_rng)
+            self.inner.hot_kernel(mrf, range)
         }
     }
 
@@ -1597,7 +1601,7 @@ mod tests {
         // Three workers or shards, an explicit hot path: three kernels,
         // built for the final split, none built and then dropped.
         let mrf = Arc::new(models::proper_coloring(generators::torus(6, 6), 10));
-        let hotpath: HotPath = "lanes:byte:block".parse().unwrap();
+        let hotpath = HotPath::Lanes;
         for backend in [
             Backend::Parallel { threads: 3 },
             Backend::Sharded { shards: 3 },

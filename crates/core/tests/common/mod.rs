@@ -5,7 +5,7 @@
 //! `mod common;` — unused strategies in one binary are expected.
 #![allow(dead_code)]
 
-use lsl_core::engine::{Backend, HotPath, Packing};
+use lsl_core::engine::{Backend, HotPath};
 use lsl_core::sampler::{Algorithm, Sched};
 use lsl_core::spec::{GraphSpec, JobKind, JobSpec, ModelSpec};
 use lsl_graph::partition::Partitioner;
@@ -96,17 +96,7 @@ pub fn arb_partitioner() -> impl Strategy<Value = Partitioner> {
 }
 
 pub fn arb_hotpath() -> impl Strategy<Value = HotPath> {
-    let packing = prop_oneof![
-        Just(None),
-        Just(Some(Packing::Wide)),
-        Just(Some(Packing::Byte)),
-        Just(Some(Packing::Bit)),
-    ];
-    prop_oneof![
-        Just(HotPath::Scalar),
-        (packing, any::<bool>())
-            .prop_map(|(packing, block_rng)| HotPath::Lanes { packing, block_rng }),
-    ]
+    prop_oneof![Just(HotPath::Scalar), Just(HotPath::Lanes)]
 }
 
 pub fn arb_job() -> impl Strategy<Value = JobKind> {

@@ -1,20 +1,21 @@
 //! Bit-identity of the lane-batched hot path with the scalar oracle.
 //!
-//! The tentpole claim of the hot-path engine is that packing, block
-//! RNG, and kernel restructuring are *implementation* choices: for
-//! every model, seed, packing, and RNG mode, the kernel trajectory is
-//! bit-for-bit the scalar phases' trajectory — on every backend that
+//! The tentpole claim of the hot-path engine is that lane packing,
+//! block RNG, and kernel restructuring are *implementation* choices:
+//! for every model and seed, the kernel trajectory is bit-for-bit the
+//! scalar phases' trajectory — on every backend that
 //! runs kernels: one range over the whole graph (`sequential`), one
 //! contiguous range per worker (`parallel:k`), and one range per shard
 //! under every partitioner (`sharded:k`, whose round the cluster tier
 //! also runs). These properties pin that across algorithms
 //! (LocalMetropolis with and without rule 3, LubyGlauber under two
 //! schedulers), hard and soft constraints (edge coins deterministic vs
-//! fractional), and graph families (torus, cycle, G(n, p)).
+//! fractional), lane widths (`u8` lanes up to `q = 256`, `u32` above),
+//! and graph families (torus, cycle, G(n, p)).
 
 use lsl_core::engine::rules::{LocalMetropolisRule, LubyGlauberRule};
 use lsl_core::engine::sharded::ShardedChain;
-use lsl_core::engine::{Backend, HotPath, Packing, SyncChain, SyncRule};
+use lsl_core::engine::{Backend, HotPath, SyncChain, SyncRule};
 use lsl_core::schedule::{BernoulliFilterScheduler, ChromaticScheduler};
 use lsl_core::spec::{JobOutput, JobSpec};
 use lsl_graph::partition::Partitioner;
@@ -22,21 +23,9 @@ use lsl_graph::{generators, Graph};
 use lsl_mrf::models;
 use proptest::prelude::*;
 
-/// Every lane variant a `q`-spin model admits: the packing × RNG-mode
-/// matrix, with bit lanes included only when they can hold the spins.
-fn lane_variants(q: usize) -> Vec<HotPath> {
-    let mut packings = vec![None, Some(Packing::Wide), Some(Packing::Byte)];
-    if q == 2 {
-        packings.push(Some(Packing::Bit));
-    }
-    packings
-        .into_iter()
-        .flat_map(|packing| {
-            [true, false]
-                .into_iter()
-                .map(move |block_rng| HotPath::Lanes { packing, block_rng })
-        })
-        .collect()
+/// Every lane variant: the kernels, whose lane width follows `q`.
+fn lane_variants() -> [HotPath; 1] {
+    [HotPath::Lanes]
 }
 
 /// A kernel chain on one backend: flat (`sequential` / `parallel:k`)
@@ -111,7 +100,7 @@ fn assert_hotpaths_agree<R: SyncRule + Clone>(mrf: &lsl_mrf::Mrf, rule: R, maste
         "the scalar oracle must run the scalar phases"
     );
     let mut lanes: Vec<(HotPath, String, KernelChain<R>)> = Vec::new();
-    for hp in lane_variants(mrf.q()) {
+    for hp in lane_variants() {
         for (label, chain) in kernel_chains(mrf, &rule, master, hp) {
             assert!(
                 chain.kernel_engaged(),
@@ -149,9 +138,8 @@ proptest! {
     fn local_metropolis_lanes_match_scalar_on_cycle_ising(
         master in 0u64..10_000, len in 4usize..24, beta in 0.2f64..2.0
     ) {
-        // q = 2 and soft constraints: the bit-packed slabs, the
-        // interleaved edge pass, integer coin thresholds, and the
-        // vectorized proposal ladder all engage here.
+        // q = 2 and soft constraints: the product-table edge pass and
+        // the vectorized proposal ladder engage here.
         let mrf = models::ising(generators::cycle(len), beta);
         assert_hotpaths_agree(&mrf, LocalMetropolisRule::new(), master);
     }
@@ -160,8 +148,8 @@ proptest! {
     fn local_metropolis_lanes_match_scalar_on_gnp_hardcore(
         master in 0u64..10_000, seed in 0u64..500, lambda in 0.3f64..3.0
     ) {
-        // q = 2 and hard constraints (the coin-free bit path), with and
-        // without the rule-3 factor, on irregular graphs.
+        // q = 2 and hard constraints (the coin-free byte-table path),
+        // with and without the rule-3 factor, on irregular graphs.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let g = generators::gnp(12, 0.3, &mut rng);
@@ -355,6 +343,20 @@ fn kernels_match_scalar_across_rng_chunks_and_repeated_rounds() {
     }
 }
 
+/// Above `q = 256` the kernel runs `u32` lanes, the only kernel for
+/// such models: a hard q = 300 coloring (with and without rule 3) and
+/// a soft q = 300 Potts model, on every backend.
+#[test]
+fn local_metropolis_lanes_match_scalar_above_byte_range() {
+    let g = generators::torus(5, 5);
+    let coloring = models::proper_coloring(g.clone(), 300);
+    assert_hotpaths_agree(&coloring, LocalMetropolisRule::new(), 8);
+    assert_hotpaths_agree(&coloring, LocalMetropolisRule::without_rule3(), 8);
+    let potts = models::potts(g, 300, 0.7);
+    assert!(!potts.all_hard_constraints());
+    assert_hotpaths_agree(&potts, LocalMetropolisRule::new(), 9);
+}
+
 /// A hard q = 7 coloring without rule 3 on a range longer than one
 /// block-RNG chunk: seven uniform proposals put the breakpoints at
 /// non-dyadic draws, and the hard edge pass tests two factors per edge.
@@ -398,7 +400,7 @@ fn list_coloring_fingerprints_are_pinned() {
         ("local-metropolis", 0x48cf_e201_6b0b_7247u64),
         ("luby-glauber", 0xd8c8_5f10_37c7_b9e3),
     ] {
-        for hotpath in ["scalar", "lanes:auto:block"] {
+        for hotpath in ["scalar", "lanes"] {
             let line = format!(
                 "graph=torus:16x16 model=list-coloring:q=8,size=5 algorithm={algorithm} \
                  seed=3 hotpath={hotpath} job=run:rounds=40"
@@ -421,7 +423,7 @@ fn vanished_marginals_keep_the_spin_on_every_backend() {
     let spec = "graph=torus:8x8 model=coloring:q=4 algorithm=luby-glauber seed=1 job=run:rounds=50";
     let mut seen = Vec::new();
     for backend in ["sequential", "parallel:2", "sharded:2"] {
-        for hotpath in ["scalar", "lanes:auto:block", "lanes:auto:pervertex"] {
+        for hotpath in ["scalar", "lanes"] {
             let line = format!("{spec} backend={backend} hotpath={hotpath}");
             let result = line.parse::<JobSpec>().unwrap().run().unwrap();
             let JobOutput::Run { fingerprint, .. } = result.output else {

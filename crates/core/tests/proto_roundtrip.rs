@@ -152,7 +152,7 @@ fn arb_build_error() -> impl Strategy<Value = BuildError> {
             Just("replica batching"),
         ]
         .prop_map(|what| BuildError::UnsupportedOnCsp { what }),
-        arb_message().prop_map(|reason| BuildError::InvalidHotPath { reason }),
+        (any::<u32>(), 0usize..10_000).prop_map(|(spin, q)| BuildError::StartSpin { spin, q }),
     ]
 }
 

@@ -7,9 +7,7 @@
 //! test: a second test's harness thread would move the count.
 
 use lsl_core::engine::rules::LocalMetropolisRule;
-use lsl_core::engine::{
-    Backend, HotKernel, HotPath, KernelRange, Packing, RoundCtx, StateView, SyncChain, SyncRule,
-};
+use lsl_core::engine::{Backend, HotKernel, HotPath, KernelRange, RoundCtx, SyncChain, SyncRule};
 use lsl_core::prelude::*;
 use lsl_graph::{generators, VertexId};
 use lsl_local::rng::Xoshiro256pp;
@@ -51,8 +49,8 @@ struct PanickyRule {
 
 struct PanickyKernel;
 
-impl HotKernel<Spin> for PanickyKernel {
-    fn advance(&mut self, _: &RoundCtx, _: &[Spin], _: &mut [Spin], _: Option<&mut [Spin]>) {
+impl HotKernel for PanickyKernel {
+    fn advance(&mut self, _: &RoundCtx, _: &[Spin], _: &mut [Spin]) {
         panic!("kernel on the worker fails");
     }
 }
@@ -68,22 +66,22 @@ impl SyncRule for PanickyRule {
 
     fn make_scratch(&self, _mrf: &Mrf) {}
 
-    fn propose<Sv: StateView + ?Sized>(
+    fn propose(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         rng: &mut Xoshiro256pp,
         scratch: &mut (),
     ) -> Spin {
         self.inner.propose(ctx, v, state, rng, scratch)
     }
 
-    fn resolve<Sv: StateView + ?Sized>(
+    fn resolve(
         &self,
         ctx: &RoundCtx,
         v: VertexId,
-        state: &Sv,
+        state: &[Spin],
         locals: &[Spin],
         rng: &mut Xoshiro256pp,
         scratch: &mut (),
@@ -91,17 +89,11 @@ impl SyncRule for PanickyRule {
         self.inner.resolve(ctx, v, state, locals, rng, scratch)
     }
 
-    fn hot_kernel(
-        &self,
-        mrf: &Arc<Mrf>,
-        range: KernelRange,
-        packing: Packing,
-        block_rng: bool,
-    ) -> Option<Box<dyn HotKernel<Spin>>> {
+    fn hot_kernel(&self, mrf: &Arc<Mrf>, range: KernelRange) -> Option<Box<dyn HotKernel>> {
         if self.built.fetch_add(1, Ordering::Relaxed) == 1 {
             return Some(Box::new(PanickyKernel));
         }
-        self.inner.hot_kernel(mrf, range, packing, block_rng)
+        self.inner.hot_kernel(mrf, range)
     }
 }
 

@@ -244,6 +244,38 @@ fn wrong_start_length_is_a_typed_error() {
 }
 
 #[test]
+fn start_spin_outside_the_domain_is_a_typed_error() {
+    let mrf = models::proper_coloring(generators::cycle(6), 4);
+    let bad = vec![0, 1, 2, 4, 0, 7];
+    let expected = BuildError::StartSpin { spin: 4, q: 4 };
+    for backend in [
+        Backend::Sequential,
+        Backend::Parallel { threads: 2 },
+        Backend::Sharded { shards: 2 },
+    ] {
+        let err = Sampler::for_mrf(&mrf)
+            .backend(backend)
+            .start(bad.clone())
+            .build()
+            .unwrap_err();
+        assert_eq!(err, expected, "{backend}");
+    }
+    // Measurement jobs and replica batches, including per-replica
+    // starts, reject it too.
+    let err = Sampler::for_mrf(&mrf)
+        .start(bad.clone())
+        .distribution(5, 2)
+        .unwrap_err();
+    assert_eq!(err, expected);
+    let err = Sampler::for_mrf(&mrf)
+        .replicas(2)
+        .starts(vec![vec![0; 6], bad])
+        .build()
+        .unwrap_err();
+    assert_eq!(err, expected);
+}
+
+#[test]
 fn start_count_mismatch_is_a_typed_error() {
     let mrf = models::proper_coloring(generators::cycle(6), 4);
     let err = Sampler::for_mrf(&mrf)
