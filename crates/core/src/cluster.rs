@@ -7,7 +7,11 @@
 //! sweep line exactly as [`Service::submit_sweep`](crate::service::Service::submit_sweep)
 //! does and fans the member jobs across the worker fleet, one
 //! [`Client`] session per worker, pulling from a shared queue (natural
-//! load balancing: a fast worker claims more members). Every member is
+//! load balancing: a fast worker claims more members). A thread that
+//! finds the queue empty while other members are still in flight waits
+//! on a condition variable, woken when a member is requeued or the
+//! last one resolves, so a sweep returns as soon as its last member
+//! does. Every member is
 //! a deterministic function of its spec line, so *where* it runs is
 //! invisible in the result: the aggregated [`SweepResult`] is
 //! bit-identical to a single-server run, member order preserved
@@ -40,9 +44,8 @@
 //! `tests/cluster_identity.rs`, including under injected worker loss.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use lsl_graph::partition::{Partition, Partitioner};
@@ -67,11 +70,6 @@ use crate::spec::{
 /// on its worker for the rest of the sweep (each failure requeues the
 /// member first, so surviving workers absorb the load).
 const FAILURE_BUDGET: u32 = 3;
-
-/// How long an idle worker thread sleeps between queue polls while
-/// other workers still hold in-flight members (one of which may yet be
-/// requeued).
-const QUEUE_POLL: Duration = Duration::from_millis(10);
 
 /// Something the coordinator observed about the fleet while a sweep
 /// ran — fault handling made visible, without failing the sweep.
@@ -305,12 +303,11 @@ impl Coordinator {
         let events: Mutex<Vec<ClusterEvent>> = Mutex::new(Vec::new());
 
         if !plain.is_empty() {
-            let remaining = AtomicUsize::new(plain.len());
-            let queue = Mutex::new(plain);
+            let queue = PlainQueue::new(plain);
             std::thread::scope(|scope| {
                 for worker in &self.workers {
                     scope.spawn(|| {
-                        self.worker_loop(worker, &members, &queue, &slots, &remaining, &events);
+                        self.worker_loop(worker, &members, &queue, &slots, &events);
                     });
                 }
             });
@@ -358,24 +355,13 @@ impl Coordinator {
         &self,
         worker: &str,
         members: &[JobSpec],
-        queue: &Mutex<VecDeque<usize>>,
+        queue: &PlainQueue,
         slots: &Mutex<Vec<Option<Result<JobResult, SpecError>>>>,
-        remaining: &AtomicUsize,
         events: &Mutex<Vec<ClusterEvent>>,
     ) {
         let mut client: Option<Client> = None;
         let mut failures = 0u32;
-        loop {
-            let index = queue.lock().expect("queue lock").pop_front();
-            let Some(index) = index else {
-                if remaining.load(Ordering::Acquire) == 0 {
-                    return;
-                }
-                // Members are still in flight elsewhere; one may yet
-                // come back to the queue.
-                std::thread::sleep(QUEUE_POLL);
-                continue;
-            };
+        while let Some(index) = queue.claim() {
             // INVARIANT: from here on, `index` is either resolved into
             // its slot or pushed back onto the queue — every path.
             let session = match client.take() {
@@ -396,13 +382,13 @@ impl Coordinator {
                 Ok(outcome) => {
                     failures = 0;
                     slots.lock().expect("slots lock")[index] = Some(outcome);
-                    remaining.fetch_sub(1, Ordering::AcqRel);
+                    queue.resolve();
                 }
                 // Transient: the worker is alive but declined (draining,
                 // busy). Lost: it failed to connect or died mid-job.
                 // Either way the member goes to someone else.
                 Err(failure) => {
-                    queue.lock().expect("queue lock").push_back(index);
+                    queue.requeue(index);
                     failures += 1;
                     let lost = match failure {
                         MemberFailure::Lost(detail) => Some(detail),
@@ -562,6 +548,70 @@ impl Coordinator {
             output,
             elapsed_secs: started.elapsed().as_secs_f64(),
         })
+    }
+}
+
+/// The plain-member queue of one sweep, shared by the worker threads.
+/// An idle thread waits on `ready`: it is woken when a member is
+/// requeued, and when the last member resolves (then every waiter
+/// leaves). No member is lost while a thread waits — whoever
+/// holds an unresolved member either resolves or requeues it.
+struct PlainQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+struct QueueState {
+    /// Members waiting for a worker thread, by expansion index.
+    pending: VecDeque<usize>,
+    /// Members not yet resolved: pending plus in flight.
+    remaining: usize,
+}
+
+impl PlainQueue {
+    fn new(pending: VecDeque<usize>) -> Self {
+        PlainQueue {
+            state: Mutex::new(QueueState {
+                remaining: pending.len(),
+                pending,
+            }),
+            ready: Condvar::new(),
+        }
+    }
+
+    /// The next member to run, waiting while other threads hold every
+    /// unresolved member; `None` once all are resolved.
+    fn claim(&self) -> Option<usize> {
+        let mut state = self.state.lock().expect("queue lock");
+        loop {
+            if let Some(index) = state.pending.pop_front() {
+                return Some(index);
+            }
+            if state.remaining == 0 {
+                return None;
+            }
+            state = self.ready.wait(state).expect("queue lock");
+        }
+    }
+
+    /// Hands a claimed member back and wakes one waiting thread.
+    fn requeue(&self, index: usize) {
+        self.state
+            .lock()
+            .expect("queue lock")
+            .pending
+            .push_back(index);
+        self.ready.notify_one();
+    }
+
+    /// Marks a claimed member resolved; the last one wakes every
+    /// waiting thread so it can leave.
+    fn resolve(&self) {
+        let mut state = self.state.lock().expect("queue lock");
+        state.remaining -= 1;
+        if state.remaining == 0 {
+            self.ready.notify_all();
+        }
     }
 }
 
@@ -894,6 +944,45 @@ fn serve_shard<R: SyncRule>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::within;
+
+    const WATCHDOG: Duration = Duration::from_secs(20);
+
+    #[test]
+    fn idle_threads_leave_when_the_last_member_resolves() {
+        within(WATCHDOG, || {
+            let queue = PlainQueue::new(VecDeque::from([0]));
+            assert_eq!(queue.claim(), Some(0));
+            std::thread::scope(|scope| {
+                let idle: Vec<_> = (0..3).map(|_| scope.spawn(|| queue.claim())).collect();
+                // Let the idle threads reach the wait.
+                std::thread::sleep(Duration::from_millis(50));
+                queue.resolve();
+                for thread in idle {
+                    assert_eq!(thread.join().unwrap(), None);
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn a_requeued_member_wakes_a_waiting_thread() {
+        within(WATCHDOG, || {
+            let queue = PlainQueue::new(VecDeque::from([7]));
+            assert_eq!(queue.claim(), Some(7));
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| {
+                    let claimed = queue.claim();
+                    queue.resolve();
+                    claimed
+                });
+                std::thread::sleep(Duration::from_millis(50));
+                queue.requeue(7);
+                assert_eq!(waiter.join().unwrap(), Some(7));
+            });
+            assert_eq!(queue.claim(), None, "the member resolved on the waiter");
+        });
+    }
 
     #[test]
     fn shard_layout_carries_the_spec_hotpath() {

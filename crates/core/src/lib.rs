@@ -93,6 +93,33 @@ pub mod spec;
 pub mod store;
 pub mod update;
 
+/// Runs `body` on its own thread and fails the calling test if it has
+/// not returned within `limit`, so a hang fails the test instead of
+/// blocking the suite (the stuck thread is left behind). A panic in
+/// `body` is re-raised on the caller.
+#[cfg(test)]
+pub(crate) fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(body());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(value) => {
+            let _ = handle.join();
+            value
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(handle.join().expect_err("body ended without a value"))
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("still running after {limit:?}")
+        }
+    }
+}
+
 /// The facade in one `use`: the [`sampler`] builder types, the
 /// declarative [`spec`] layer and its serving [`service`], the engine
 /// [`Backend`](engine::Backend), and the workspace PRNG.

@@ -3,7 +3,11 @@
 //! [`proto`](crate::proto) frames).
 //!
 //! * [`Server::bind`] starts an accept loop over a shared
-//!   [`Service`]; each connection gets a session thread that parses
+//!   [`Service`]. The loop blocks in `accept`, so a new connection is
+//!   served at once; [`Server::shutdown`] wakes it with one
+//!   self-connect (on loopback when the server is bound to an
+//!   unspecified address such as `0.0.0.0` or `::`). Each connection
+//!   gets a session thread that parses
 //!   [`ClientFrame`]s, expands sweep lines, submits member jobs, and
 //!   forwards every [`JobEvent`] back as a [`ServerFrame::Event`].
 //!   Multiple jobs per session run **concurrently** — frames of
@@ -47,7 +51,7 @@ use crate::service::{JobEvent, Service};
 use crate::spec::{JobResult, SpecError, SweepResult, SweepSpec};
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -57,6 +61,18 @@ use std::time::{Duration, Instant};
 /// server's drain/cancel flags. Bounds how stale a session's view of
 /// a shutdown can be.
 const SESSION_POLL: Duration = Duration::from_millis(25);
+
+/// The size of one socket read, on both ends of a session.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// How long [`Server::shutdown`]'s wake connect may take before the
+/// accept thread is left unjoined (see there).
+const WAKE_CONNECT: Duration = Duration::from_secs(1);
+
+/// The pause after a failed `accept` (EMFILE under fd pressure, say),
+/// so a persistent error does not spin the accept thread. Successful
+/// accepts never wait.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// A session's shared write half: the socket and its codec behind one
 /// lock, so concurrent forwarders never interleave *within* a frame —
@@ -186,9 +202,6 @@ impl Server {
     pub fn bind_service(addr: impl ToSocketAddrs, service: Service) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Polling accept: the loop must notice `stop` without a
-        // self-connection trick.
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let ctl = Arc::new(SessionCtl::default());
         let sessions = Arc::new(Mutex::new(Vec::new()));
@@ -236,10 +249,20 @@ impl Server {
     /// jobs to finish on their own, then cancels whatever is left and
     /// joins every session thread. Idempotent — a second call (or the
     /// implicit one in `Drop`) finds nothing to do.
+    ///
+    /// The accept loop blocks in `accept`, so stopping it takes one
+    /// self-connect to the bound address (loopback when bound to an
+    /// unspecified address). If that connect fails — the loopback
+    /// interface is down, or it does not answer within a second — the
+    /// accept thread is **not** joined, so shutdown never hangs on it:
+    /// the thread stays parked in `accept` and exits, closing the
+    /// listener, at the next connection it receives (which it drops).
     pub fn shutdown(&mut self, grace: Duration) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::Release);
         if let Some(h) = self.accept.take() {
-            let _ = h.join();
+            if TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_CONNECT).is_ok() {
+                let _ = h.join();
+            }
         }
         self.ctl.draining.store(true, Ordering::Release);
         let deadline = Instant::now() + grace;
@@ -279,6 +302,22 @@ impl std::fmt::Debug for Server {
     }
 }
 
+/// Where [`Server::shutdown`] connects to wake the accept loop: the
+/// bound address, with an unspecified IP (`0.0.0.0`, `::`) replaced by
+/// the loopback address of its family.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept` and gives every connection a session thread.
+/// `stop` is checked after each wake-up: the connection that arrives
+/// once it is set (the shutdown wake connect, or a client racing the
+/// shutdown) is dropped unserved and the loop ends.
 fn accept_loop(
     listener: &TcpListener,
     service: &Arc<Service>,
@@ -286,8 +325,12 @@ fn accept_loop(
     ctl: &Arc<SessionCtl>,
     sessions: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let service = Arc::clone(service);
                 let ctl = Arc::clone(ctl);
@@ -301,12 +344,12 @@ fn accept_loop(
                 // hold a handle per past connection.
                 registry.retain(|h| !h.is_finished());
             }
-            // Transient accept errors (WouldBlock from the nonblocking
-            // listener, EMFILE under fd pressure, ECONNABORTED on a
-            // client reset mid-handshake) must not kill the accept
-            // loop — a serve process that stops accepting while its
-            // main loop keeps sleeping would look healthy and be dead.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            // Transient accept errors (EMFILE under fd pressure,
+            // ECONNABORTED on a client reset mid-handshake) must not
+            // kill the accept loop — a serve process that stops
+            // accepting while its main loop keeps sleeping would look
+            // healthy and be dead.
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
         }
     }
 }
@@ -321,13 +364,9 @@ fn accept_loop(
 /// error, or drain) every still-running job of the session is
 /// cancelled and the forwarders are joined.
 fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
-    // Some platforms hand accepted sockets the listener's nonblocking
-    // flag; the session loop wants timed blocking reads. Nagle off:
-    // event frames are latency-sensitive and already write-combined.
-    if stream.set_nonblocking(false).is_err()
-        || stream.set_read_timeout(Some(SESSION_POLL)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
+    // Timed blocking reads; Nagle off: event frames are
+    // latency-sensitive and already write-combined.
+    if stream.set_read_timeout(Some(SESSION_POLL)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let mut sock = match stream.try_clone() {
@@ -356,7 +395,7 @@ fn session(stream: TcpStream, service: &Arc<Service>, ctl: &Arc<SessionCtl>) {
     // switched immediately after sending it intended.
     let mut inbuf = codec::FrameBuffer::new();
     let mut mode = Codec::Text;
-    let mut tmp = vec![0u8; 64 * 1024];
+    let mut tmp = vec![0u8; READ_CHUNK];
     loop {
         if ctl.cancel_all.load(Ordering::Acquire) && !cancelled_all {
             cancelled_all = true;
@@ -724,6 +763,8 @@ pub struct Client {
     /// Raw receive buffer, shared by both codecs (bytes buffered
     /// across a codec switch are re-cut under the new framing).
     inbuf: codec::FrameBuffer,
+    /// The socket read chunk, allocated once per session.
+    chunk: Vec<u8>,
 }
 
 struct Pending {
@@ -760,6 +801,7 @@ impl Client {
             order: Vec::new(),
             codec: Codec::Text,
             inbuf: codec::FrameBuffer::new(),
+            chunk: vec![0u8; READ_CHUNK],
         })
     }
 
@@ -873,7 +915,6 @@ impl Client {
         &mut self,
         deadline: Option<Instant>,
     ) -> Result<Option<ServerFrame>, NetError> {
-        let mut tmp = [0u8; 64 * 1024];
         loop {
             if let Some(frame) = self.inbuf.cut(self.codec)? {
                 return Ok(Some(frame));
@@ -881,9 +922,9 @@ impl Client {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(NetError::Timeout);
             }
-            match self.stream.read(&mut tmp) {
+            match self.stream.read(&mut self.chunk) {
                 Ok(0) => return Ok(None),
-                Ok(n) => self.inbuf.extend(&tmp[..n]),
+                Ok(n) => self.inbuf.extend(&self.chunk[..n]),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -1299,6 +1340,76 @@ mod tests {
             );
         }
         settle(&server, 0);
+    }
+
+    const WATCHDOG: Duration = Duration::from_secs(20);
+
+    /// A server on `bind` answers a job, then `stop` (drop or
+    /// shutdown) returns and closes the listener.
+    fn serve_then_stop(bind: &'static str, stop: fn(Server)) {
+        crate::within(WATCHDOG, move || {
+            let server = Server::bind(bind, 1).unwrap();
+            let reach = wake_addr(server.local_addr());
+            let mut client = Client::connect(reach).unwrap();
+            client
+                .submit("graph=cycle:6 model=coloring:q=4 seed=1 job=run:rounds=5")
+                .unwrap();
+            assert!(client.drain().unwrap()[0].is_ok());
+            drop(client);
+            stop(server);
+            // The accept thread was joined, so its listener is closed.
+            assert!(
+                TcpStream::connect(reach).is_err(),
+                "{bind}: still accepting"
+            );
+        });
+    }
+
+    #[test]
+    fn shutdown_and_drop_wake_a_blocked_accept() {
+        for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+            serve_then_stop(bind, drop);
+            serve_then_stop(bind, |mut server| server.shutdown(Duration::from_secs(5)));
+        }
+        // IPv6 where the host has it.
+        if TcpListener::bind("[::1]:0").is_ok() {
+            serve_then_stop("[::]:0", drop);
+        }
+    }
+
+    #[test]
+    fn wake_addr_maps_unspecified_binds_to_loopback() {
+        let wake = |a: &str| wake_addr(a.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7401"), "127.0.0.1:7401");
+        assert_eq!(wake("[::]:7401"), "[::1]:7401");
+        assert_eq!(wake("10.1.2.3:7401"), "10.1.2.3:7401");
+    }
+
+    /// If the wake connect fails, shutdown leaves the accept thread
+    /// unjoined instead of hanging; the thread ends at the next
+    /// connection it receives.
+    #[test]
+    fn shutdown_does_not_hang_when_the_wake_connect_fails() {
+        crate::within(WATCHDOG, || {
+            let mut server = Server::bind("127.0.0.1:0", 1).unwrap();
+            let real = server.local_addr();
+            // Point the wake at a port nothing listens on.
+            let dead = TcpListener::bind("127.0.0.1:0")
+                .unwrap()
+                .local_addr()
+                .unwrap();
+            server.addr = dead;
+            server.shutdown(Duration::ZERO);
+            assert!(server.accept.is_none());
+            drop(server);
+            // The parked accept loop sees `stop` at the next connection.
+            drop(TcpStream::connect(real).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while TcpStream::connect(real).is_ok() {
+                assert!(Instant::now() < deadline, "accept loop still running");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        });
     }
 
     #[test]

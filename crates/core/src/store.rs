@@ -19,17 +19,32 @@
 //! re-checks the embedded spec against the key, so a hash collision
 //! degrades to a miss, never to a wrong answer. Writes go through a
 //! temp file + rename so a crashed writer cannot leave a torn entry
-//! behind.
+//! behind; the temp name carries the process id and a process-wide
+//! counter, so concurrent puts never share one.
 //!
 //! The store mirrors the in-memory model LRU's accounting
 //! ([`CacheStats`](crate::service::CacheStats)): [`StoreStats`] counts
 //! hits, misses, and evictions, and [`ResultStore::with_capacity`]
 //! bounds the entry count with oldest-first eviction.
+//!
+//! **The index.** Opening a store scans its directory once and ranks
+//! the entries it finds by modification time (ties by name). From then
+//! on the store keeps that ranking in memory: a put writes, renames,
+//! and ranks its entry newest, then evicts the oldest indexed entries
+//! over capacity — no directory scan on the put path, and
+//! [`ResultStore::len`] is O(1). Another process writing the same
+//! directory is seen partly: [`ResultStore::get`] reads the entry file,
+//! so its entries are served, but eviction and `len()` cover only the
+//! entries this process indexed (found at open, put, or imported).
+//! [`ResultStore::list`] still reads the directory.
 
 use crate::spec::JobResult;
+use std::collections::{BTreeMap, HashMap};
+use std::ffi::OsString;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::SystemTime;
 
@@ -75,6 +90,46 @@ pub struct ResultStore {
     dir: PathBuf,
     cap: usize,
     stats: Mutex<StoreStats>,
+    /// The entries this process knows of, oldest first. Puts rename and
+    /// evict under its lock, so the index and the directory agree on
+    /// every entry this process wrote.
+    index: Mutex<Index>,
+}
+
+/// Distinguishes the temp files of concurrent puts within one process
+/// (the process id distinguishes processes).
+static TMP_SERIAL: AtomicU64 = AtomicU64::new(0);
+
+/// Entry file names ranked by age: `order` maps a rank to its name,
+/// `ranks` maps each name back. A name re-ranked newest drops its old
+/// rank, so each entry appears once.
+#[derive(Debug, Default)]
+struct Index {
+    next: u64,
+    order: BTreeMap<u64, OsString>,
+    ranks: HashMap<OsString, u64>,
+}
+
+impl Index {
+    /// Ranks `name` newest.
+    fn touch(&mut self, name: OsString) {
+        if let Some(old) = self.ranks.insert(name.clone(), self.next) {
+            self.order.remove(&old);
+        }
+        self.order.insert(self.next, name);
+        self.next += 1;
+    }
+
+    /// Removes and returns the oldest entry's name.
+    fn pop_oldest(&mut self) -> Option<OsString> {
+        let (_, name) = self.order.pop_first()?;
+        self.ranks.remove(&name);
+        Some(name)
+    }
+
+    fn len(&self) -> usize {
+        self.ranks.len()
+    }
 }
 
 impl ResultStore {
@@ -84,15 +139,31 @@ impl ResultStore {
     }
 
     /// Opens a store holding at most `cap` entries; inserting beyond
-    /// that evicts the oldest entries (by modification time) and counts
-    /// them in [`StoreStats::evictions`].
+    /// that evicts the oldest entries and counts them in
+    /// [`StoreStats::evictions`]. Entries already on disk rank by
+    /// modification time (ties by name), later puts in write order.
     pub fn with_capacity(dir: impl AsRef<Path>, cap: usize) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
+        let mut found = Vec::new();
+        for entry in fs::read_dir(&dir)? {
+            let path = entry?.path();
+            if path.extension().is_some_and(|e| e == "job") {
+                if let (Some(t), Some(name)) = (mtime(&path), path.file_name()) {
+                    found.push((t, name.to_os_string()));
+                }
+            }
+        }
+        found.sort();
+        let mut index = Index::default();
+        for (_, name) in found {
+            index.touch(name);
+        }
         Ok(ResultStore {
             dir,
             cap: cap.max(1),
             stats: Mutex::new(StoreStats::default()),
+            index: Mutex::new(index),
         })
     }
 
@@ -152,10 +223,19 @@ impl ResultStore {
     /// bound (oldest entries evicted first).
     pub fn put(&self, result: &JobResult) -> io::Result<()> {
         let path = self.path_for(&result.spec);
-        let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-        fs::write(&tmp, format!("{STORE_FORMAT}\n{result}\n"))?;
-        fs::rename(&tmp, &path)?;
-        self.evict_over_capacity()
+        let serial = TMP_SERIAL.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("tmp-{}-{serial}", std::process::id()));
+        let written = fs::write(&tmp, format!("{STORE_FORMAT}\n{result}\n"));
+        let mut index = self.index.lock().expect("store index lock");
+        if let Err(e) = written.and_then(|()| fs::rename(&tmp, &path)) {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
+        if let Some(name) = path.file_name() {
+            index.touch(name.to_os_string());
+        }
+        self.evict_over_capacity(&mut index);
+        Ok(())
     }
 
     /// Entries currently on disk, as canonical spec strings, sorted.
@@ -173,9 +253,10 @@ impl ResultStore {
         Ok(specs)
     }
 
-    /// Number of entries on disk.
+    /// Number of entries this store indexed (see the
+    /// [module docs](self) on other writers).
     pub fn len(&self) -> usize {
-        self.entries().map(|e| e.len()).unwrap_or(0)
+        self.index.lock().expect("store index lock").len()
     }
 
     /// Whether the store holds no entries.
@@ -188,6 +269,7 @@ impl ResultStore {
     /// many entries were imported.
     pub fn import_if_newer(&self, src: impl AsRef<Path>) -> io::Result<usize> {
         let mut imported = 0;
+        let mut index = self.index.lock().expect("store index lock");
         for entry in fs::read_dir(src.as_ref())? {
             let from = entry?.path();
             if from.extension().is_none_or(|e| e != "job") {
@@ -204,43 +286,23 @@ impl ResultStore {
             };
             if newer {
                 fs::copy(&from, &to)?;
+                index.touch(name.to_os_string());
                 imported += 1;
             }
         }
-        self.evict_over_capacity()?;
+        self.evict_over_capacity(&mut index);
         Ok(imported)
     }
 
-    /// `.job` entry paths with their modification times.
-    fn entries(&self) -> io::Result<Vec<(PathBuf, SystemTime)>> {
-        let mut entries = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "job") {
-                if let Some(t) = mtime(&path) {
-                    entries.push((path, t));
-                }
-            }
-        }
-        Ok(entries)
-    }
-
-    fn evict_over_capacity(&self) -> io::Result<()> {
-        let mut entries = self.entries()?;
-        if entries.len() <= self.cap {
-            return Ok(());
-        }
-        // Oldest first; break mtime ties by name for determinism.
-        entries.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
-        let excess = entries.len() - self.cap;
-        let mut evicted = 0u64;
-        for (path, _) in entries.into_iter().take(excess) {
-            if fs::remove_file(&path).is_ok() {
-                evicted += 1;
-            }
-        }
-        self.stats.lock().expect("store stats lock").evictions += evicted;
-        Ok(())
+    /// Removes the oldest indexed entries until at most `cap` remain,
+    /// counting each file actually removed.
+    fn evict_over_capacity(&self, index: &mut Index) {
+        let excess = index.len().saturating_sub(self.cap);
+        let evicted = (0..excess)
+            .filter_map(|_| index.pop_oldest())
+            .filter(|name| fs::remove_file(self.dir.join(name)).is_ok())
+            .count();
+        self.stats.lock().expect("store stats lock").evictions += evicted as u64;
     }
 }
 
@@ -352,6 +414,99 @@ mod tests {
         assert_eq!(store.stats().evictions, 2);
         assert!(!store.exists(&specs[0]) && !store.exists(&specs[1]));
         assert!(store.exists(&specs[2]) && store.exists(&specs[3]));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Names in `dir` that are not finished `.job` entries.
+    fn stray_files(dir: &Path) -> Vec<String> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| !name.ends_with(".job"))
+            .collect()
+    }
+
+    #[test]
+    fn concurrent_puts_of_one_spec_all_land() {
+        let dir = tmp_dir("race");
+        let store = ResultStore::open(&dir).unwrap();
+        let spec = "graph=cycle:8 model=coloring:q=5 seed=11 job=run:rounds=10";
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        store.put(&result_for(spec, 10))
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap().expect("every concurrent put succeeds");
+            }
+        });
+        assert_eq!(store.get(spec), Some(result_for(spec, 10)));
+        assert_eq!(store.len(), 1);
+        assert!(stray_files(&dir).is_empty(), "{:?}", stray_files(&dir));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reopening_indexes_what_is_on_disk() {
+        let dir = tmp_dir("reopen");
+        let specs: Vec<String> = (0..3)
+            .map(|i| format!("graph=cycle:8 model=coloring:q=5 seed={i} job=run:rounds=10"))
+            .collect();
+        {
+            let store = ResultStore::open(&dir).unwrap();
+            for spec in &specs {
+                store.put(&result_for(spec, 10)).unwrap();
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
+        }
+        // Reopened at a smaller cap: the next put evicts the oldest
+        // entries found on disk.
+        let store = ResultStore::with_capacity(&dir, 2).unwrap();
+        assert_eq!(store.len(), 3);
+        let fresh = "graph=cycle:9 model=coloring:q=5 seed=0 job=run:rounds=10";
+        store.put(&result_for(fresh, 10)).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.stats().evictions, 2);
+        assert!(store.exists(&specs[2]) && store.exists(fresh));
+        assert_eq!(store.list().unwrap().len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// 10,000 puts at cap 64: the per-put cost does not grow with the
+    /// number of puts so far, and the index and the directory agree.
+    #[test]
+    fn put_cost_stays_flat_over_a_long_soak() {
+        const PUTS: usize = 10_000;
+        const CAP: usize = 64;
+        let dir = tmp_dir("soak");
+        let store = ResultStore::with_capacity(&dir, CAP).unwrap();
+        let mut costs = Vec::with_capacity(PUTS);
+        for i in 0..PUTS {
+            let spec = format!("graph=cycle:8 model=coloring:q=5 seed={i} job=run:rounds=10");
+            let result = result_for(&spec, 10);
+            let t = std::time::Instant::now();
+            store.put(&result).unwrap();
+            costs.push(t.elapsed());
+        }
+        let median = |window: &[std::time::Duration]| {
+            let mut w = window.to_vec();
+            w.sort();
+            w[w.len() / 2]
+        };
+        let (first, last) = (median(&costs[..1000]), median(&costs[PUTS - 1000..]));
+        assert!(
+            last <= first * 2,
+            "per-put cost grew: median {first:?} over the first 1000 puts, {last:?} over the last"
+        );
+        assert_eq!(store.len(), CAP);
+        let on_disk = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(on_disk, CAP, "stray files: {:?}", stray_files(&dir));
+        assert_eq!(store.stats().evictions, (PUTS - CAP) as u64);
         let _ = fs::remove_dir_all(&dir);
     }
 }
